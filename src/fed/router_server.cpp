@@ -26,7 +26,7 @@ RouterServer::RouterServer(RouterService& service, std::uint16_t port)
 RouterServer::RouterServer(RouterService& service,
                            const RouterServerOptions& options)
     : service_(service) {
-  pool_ = std::make_unique<WorkerPool>(options.workers, options.queueDepth);
+  pool_ = std::make_unique<ThreadPool>(options.workers, options.queueDepth);
   Reactor::Handler& handler = *this;
   reactor_ = std::make_unique<Reactor>(options.port, handler,
                                        reactorOptions(options));

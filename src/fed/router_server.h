@@ -1,7 +1,7 @@
 // RouterServer: the TCP front end of RouterService (src/fed).
 //
 // Runs on the shared epoll Reactor (src/server/reactor.h) like the
-// backend TraceServer, but with its own WorkerPool: router requests are
+// backend TraceServer, but with its own ThreadPool: router requests are
 // I/O-bound relays that block on backend round trips, so they must not
 // run on the reactor thread. Each request is handed to the pool and the
 // worker posts the response back with Reactor::complete(); when every
@@ -18,8 +18,8 @@
 #include "fed/router_service.h"
 #include "server/protocol.h"
 #include "server/reactor.h"
-#include "server/worker_pool.h"
 #include "support/thread_annotations.h"
+#include "support/thread_pool.h"
 
 namespace ute {
 
@@ -66,7 +66,7 @@ class RouterServer : private Reactor::Handler {
                                         const std::string& detail) override;
   void onClosed(Reactor::ConnId conn) override;
 
-  /// Declared first = destroyed last: pool workers joined by ~WorkerPool
+  /// Declared first = destroyed last: pool workers joined by ~ThreadPool
   /// below may still post completions into it.
   std::unique_ptr<Reactor> reactor_;
   RouterService& service_;
@@ -78,7 +78,7 @@ class RouterServer : private Reactor::Handler {
   std::unordered_map<Reactor::ConnId, std::shared_ptr<ConnectionContext>>
       contexts_;
 
-  std::unique_ptr<WorkerPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace ute

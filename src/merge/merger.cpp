@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
-#include "interval/frame_prefetcher.h"
 #include "interval/standard_profile.h"
 #include "stream/stream_merger.h"
 #include "support/errors.h"
@@ -14,40 +12,26 @@ namespace ute {
 
 namespace {
 
-/// One input interval file: the reader plus its record source — either
-/// the reader's synchronous stream (jobs == 1) or a background
-/// prefetcher delivering the identical byte sequence.
+/// One input interval file, opened once: its reader serves pass 1's
+/// clock scan and pass 2's in-order record stream.
 struct InputFile {
-  InputFile(const std::string& path, std::size_t prefetchDepth)
-      : reader(std::make_unique<IntervalFileReader>(path)) {
-    if (prefetchDepth > 0) {
-      prefetched = std::make_unique<PrefetchRecordStream>(path, prefetchDepth);
-    } else {
-      stream.emplace(reader->records());
-    }
-  }
+  explicit InputFile(const std::string& path) : reader(path), stream(reader) {}
 
-  std::unique_ptr<IntervalFileReader> reader;
-  std::optional<IntervalFileReader::RecordStream> stream;
-  std::unique_ptr<PrefetchRecordStream> prefetched;
+  IntervalFileReader reader;
+  IntervalFileReader::RecordStream stream;
   bool done = false;
-
-  bool nextRaw(RecordView& out) {
-    return prefetched ? prefetched->next(out) : stream->next(out);
-  }
 };
 
 /// Extracts the (global, local) timestamp pairs from a per-node interval
 /// file's ClockSync records (first pass of the merge).
-std::vector<TimestampPair> collectClockPairs(const std::string& path) {
-  IntervalFileReader reader(path);
+std::vector<TimestampPair> collectClockPairs(const IntervalFileReader& reader) {
   std::vector<TimestampPair> pairs;
   auto records = reader.records();
   RecordView view;
   while (records.next(view)) {
     if (view.eventType() != kClockSyncState) continue;
     if (view.body.size() < kCommonPrefixBytes + 8) {
-      throw FormatError("short ClockSync record in " + path);
+      throw FormatError("short ClockSync record in " + reader.path());
     }
     TimestampPair p;
     p.local = view.start;
@@ -100,24 +84,22 @@ MergeResult IntervalMerger::mergeTo(const std::string& outPath,
   // scans — a full pass over each file — fan out across the pool below.
   const std::size_t jobs =
       std::min(effectiveJobs(options_.jobs), inputPaths_.size());
-  const std::size_t prefetchDepth =
-      jobs > 1 ? std::max<std::size_t>(options_.prefetchDepth, 2) : 0;
   std::vector<std::unique_ptr<InputFile>> inputs;
   for (const std::string& path : inputPaths_) {
-    auto input = std::make_unique<InputFile>(path, prefetchDepth);
-    input->reader->checkProfile(profile_);
+    auto input = std::make_unique<InputFile>(path);
+    input->reader.checkProfile(profile_);
     const std::size_t idx = merger.addInput();
-    merger.setThreads(idx, input->reader->threads());
-    for (const auto& [id, name] : input->reader->markers()) {
+    merger.setThreads(idx, input->reader.threads());
+    for (const auto& [id, name] : input->reader.markers()) {
       merger.addMarker(id, name);
     }
-    result.recordsIn += input->reader->header().totalRecords;
+    result.recordsIn += input->reader.header().totalRecords;
     inputs.push_back(std::move(input));
   }
 
   std::vector<std::vector<TimestampPair>> pairs(inputs.size());
   parallelFor(jobs, inputs.size(), [&](std::size_t i) {
-    pairs[i] = collectClockPairs(inputPaths_[i]);
+    pairs[i] = collectClockPairs(inputs[i]->reader);
   });
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     merger.setClockPairs(i, pairs[i], /*final=*/true);
@@ -136,7 +118,7 @@ MergeResult IntervalMerger::mergeTo(const std::string& outPath,
       InputFile& in = *inputs[i];
       if (in.done) continue;
       while (merger.needsData(i)) {
-        if (in.nextRaw(raw)) {
+        if (in.stream.next(raw)) {
           merger.addRecord(i, raw.body);
         } else {
           merger.closeInput(i);

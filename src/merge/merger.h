@@ -46,13 +46,11 @@ struct MergeOptions {
   /// Ablation switch: O(k) linear scan instead of the loser tree.
   bool useNaiveMerge = false;
   /// Parallelism: with jobs != 1, the per-input clock-map fits of pass 1
-  /// run on a thread pool and pass 2 reads every input through a
-  /// double-buffered background frame prefetcher, so the tournament tree
-  /// never blocks on disk. Output is byte-identical to jobs == 1.
-  /// 1 = sequential reference path; <= 0 = one per hardware thread.
+  /// run on a thread pool. Pass 2 reads every input in order on the
+  /// calling thread at any jobs value. Output is byte-identical to
+  /// jobs == 1. 1 = sequential reference path; <= 0 = one per hardware
+  /// thread.
   int jobs = 1;
-  /// Frames buffered ahead per input when prefetching (min 2).
-  std::size_t prefetchDepth = 2;
 };
 
 struct MergeResult {

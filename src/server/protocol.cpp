@@ -767,7 +767,7 @@ RequestOutcome dispatch(TraceService& service,
     }
     case Opcode::kStats: {
       const FrameCache::Stats cache = service.cache().stats();
-      const WorkerPool::Stats pool = service.pool().stats();
+      const ThreadPool::Stats pool = service.pool().stats();
       ByteWriter w = okHeader();
       w.u64(cache.hits);
       w.u64(cache.misses);

@@ -117,7 +117,7 @@ struct TraceInfo {
 
 struct ServiceStats {
   FrameCache::Stats cache;
-  WorkerPool::Stats pool;
+  ThreadPool::Stats pool;
 };
 
 // --- federation wire types --------------------------------------------------

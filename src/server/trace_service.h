@@ -9,7 +9,7 @@
 // memory. Raw bytes come through the reader's ByteSource (mmap when
 // available), so concurrent workers need no per-thread file handles.
 //
-// Query methods are thread-safe and synchronous. The embedded WorkerPool
+// Query methods are thread-safe and synchronous. The embedded ThreadPool
 // adds admission control on top: trySubmit() is how the TCP server
 // bounds concurrent query CPU and sheds load explicitly.
 #pragma once
@@ -23,10 +23,10 @@
 
 #include "analysis/metrics.h"
 #include "server/frame_cache.h"
-#include "server/worker_pool.h"
 #include "slog/slog_reader.h"
 #include "stream/live_feed.h"
 #include "support/thread_annotations.h"
+#include "support/thread_pool.h"
 
 namespace ute {
 
@@ -149,10 +149,10 @@ class TraceService {
 
   FrameCache& cache() { return cache_; }
   const FrameCache& cache() const { return cache_; }
-  WorkerPool& pool() { return pool_; }
+  ThreadPool& pool() { return pool_; }
   const ServiceOptions& options() const { return options_; }
 
-  /// Admission-controlled execution (see WorkerPool::trySubmit).
+  /// Admission-controlled execution (see ThreadPool::trySubmit).
   bool trySubmit(std::function<void()> job) {
     return pool_.trySubmit(std::move(job));
   }
@@ -179,7 +179,7 @@ class TraceService {
   ServiceOptions options_;
   std::vector<std::unique_ptr<Trace>> traces_;
   FrameCache cache_;
-  WorkerPool pool_;
+  ThreadPool pool_;
 };
 
 }  // namespace ute

@@ -67,7 +67,7 @@ IngestServer::IngestServer(const Profile& profile, IngestServerOptions options,
   // (quick) error reply. Sized before the reactor exists — onRequest
   // needs the pool.
   const std::size_t inputs = options_.expectedNodes.size();
-  pool_ = std::make_unique<WorkerPool>(inputs + 2, inputs * 4 + 64);
+  pool_ = std::make_unique<ThreadPool>(inputs + 2, inputs * 4 + 64);
   ReactorOptions reactor;
   reactor.idleTimeoutMs = options_.sessionTimeoutMs;
   reactor.readTimeoutMs = options_.sessionTimeoutMs;

@@ -44,13 +44,13 @@
 
 #include "interval/profile.h"
 #include "server/reactor.h"
-#include "server/worker_pool.h"
 #include "slog/slog_writer.h"
 #include "stream/ingest_protocol.h"
 #include "stream/live_feed.h"
 #include "stream/stream_merger.h"
 #include "support/channel.h"
 #include "support/thread_annotations.h"
+#include "support/thread_pool.h"
 #include "support/types.h"
 
 namespace ute {
@@ -205,7 +205,7 @@ class IngestServer : private Reactor::Handler {
   /// first and joins its workers while reactor_ is still alive to absorb
   /// their complete() calls.
   std::unique_ptr<Reactor> reactor_;
-  std::unique_ptr<WorkerPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace ute

@@ -1,12 +1,12 @@
-// Bounded MPMC channel: the hand-off primitive of the parallel pipeline.
+// Bounded MPMC channel: a blocking hand-off between threads.
 //
 // A fixed-capacity FIFO connecting any number of producers to any number
 // of consumers. send() blocks while the channel is full (backpressure:
-// a fast producer cannot run arbitrarily far ahead of its consumer, which
-// is what keeps the frame prefetcher "double-buffered" rather than
-// "reads the whole file into memory"), receive() blocks while it is
-// empty. close() wakes everyone: pending sends return false, receives
-// drain what is queued and then return nullopt.
+// a fast producer cannot run arbitrarily far ahead of its consumer — the
+// ingest sessions feeding the streaming merge thread cannot buffer
+// without bound), receive() blocks while it is empty. close() wakes
+// everyone: pending sends return false, receives drain what is queued
+// and then return nullopt.
 #pragma once
 
 #include <cstddef>

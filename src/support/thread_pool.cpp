@@ -7,10 +7,9 @@
 
 namespace ute {
 
-ThreadPool::ThreadPool(std::size_t workers, std::size_t queueCapacity)
-    : jobs_(queueCapacity == 0 ? std::max<std::size_t>(1, workers) * 2
-                               : queueCapacity) {
+ThreadPool::ThreadPool(std::size_t workers, std::size_t queueCapacity) {
   if (workers == 0) workers = 1;
+  maxQueue_ = queueCapacity == 0 ? workers * 2 : queueCapacity;
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { workerLoop(); });
@@ -22,40 +21,75 @@ ThreadPool::~ThreadPool() { shutdown(); }
 void ThreadPool::submit(std::function<void()> job) {
   {
     MutexLock lock(mu_);
-    if (shutdown_) throw UsageError("ThreadPool: submit after shutdown");
-    ++pending_;
+    while (!stopping_ && queue_.size() >= maxQueue_) notFull_.wait(mu_);
+    if (stopping_) {
+      ++stats_.rejected;
+      throw UsageError("ThreadPool: submit after shutdown");
+    }
+    queue_.push_back(std::move(job));
+    ++stats_.accepted;
   }
-  if (!jobs_.send(std::move(job))) {
-    // Closed between the check and the send: undo the accounting.
+  notEmpty_.notifyOne();
+}
+
+bool ThreadPool::trySubmit(std::function<void()> job) {
+  {
     MutexLock lock(mu_);
-    --pending_;
-    idleCv_.notifyAll();
-    throw UsageError("ThreadPool: submit after shutdown");
+    if (stopping_ || queue_.size() >= maxQueue_) {
+      ++stats_.rejected;
+      return false;
+    }
+    queue_.push_back(std::move(job));
+    ++stats_.accepted;
   }
+  notEmpty_.notifyOne();
+  return true;
 }
 
 void ThreadPool::wait() {
   MutexLock lock(mu_);
-  while (pending_ != 0) idleCv_.wait(mu_);
+  while (!queue_.empty() || running_ != 0) idle_.wait(mu_);
 }
 
 void ThreadPool::shutdown() {
   {
     MutexLock lock(mu_);
-    shutdown_ = true;
+    if (stopping_) return;
+    stopping_ = true;
   }
-  jobs_.close();
+  notEmpty_.notifyAll();
+  notFull_.notifyAll();  // blocked submit() calls throw
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
 }
 
 void ThreadPool::workerLoop() {
-  while (auto job = jobs_.receive()) {
-    (*job)();
-    MutexLock lock(mu_);
-    if (--pending_ == 0) idleCv_.notifyAll();
+  bool finishedOne = false;
+  for (;;) {
+    std::function<void()> job;
+    {
+      // One lock per job: retire the previous job and take the next.
+      MutexLock lock(mu_);
+      if (finishedOne && --running_ == 0 && queue_.empty()) {
+        idle_.notifyAll();
+      }
+      while (!stopping_ && queue_.empty()) notEmpty_.wait(mu_);
+      if (queue_.empty()) return;  // stopping and drained
+      job = std::move(queue_.front());
+      queue_.pop_front();
+      ++running_;
+      ++stats_.executed;
+    }
+    notFull_.notifyOne();
+    job();
+    finishedOne = true;
   }
+}
+
+ThreadPool::Stats ThreadPool::stats() const {
+  MutexLock lock(mu_);
+  return stats_;
 }
 
 void ThreadPool::parallelFor(std::size_t n,

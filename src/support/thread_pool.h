@@ -1,10 +1,18 @@
-// Fixed-size thread pool for the offline utilities (convert / merge).
+// Fixed-size thread pool with a bounded queue: the one pool behind the
+// offline utilities (convert / merge) and the servers' query, relay and
+// ingest workers.
 //
-// Unlike the server's WorkerPool (which refuses work when its queue is
-// full so a loaded service degrades predictably), this pool is built for
-// batch throughput: submit() blocks on a bounded channel, so a producer
-// enumerating thousands of work items is throttled to what the workers
-// can absorb instead of materializing the whole backlog.
+// Two ways in, one queue:
+//  - submit() blocks while the queue is full, so a batch producer
+//    enumerating thousands of work items is throttled to what the
+//    workers can absorb instead of materializing the whole backlog;
+//  - trySubmit() never blocks: when the queue is full (or the pool is
+//    stopping) it refuses, and a server turns that refusal into an
+//    "overloaded" reply instead of queueing unboundedly and falling over
+//    later.
+//
+// A job must not throw: as from any thread's entry function, an escaping
+// exception terminates the program. parallelFor() catches and forwards.
 //
 // parallelFor() is the pattern every pipeline stage actually needs: run
 // fn(0..n-1) on up to `jobs` workers, wait for all of them, and rethrow
@@ -13,19 +21,26 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
 
-#include "support/channel.h"
 #include "support/thread_annotations.h"
 
 namespace ute {
 
 class ThreadPool {
  public:
-  /// Spawns `workers` threads. At most `queueCapacity` jobs wait
-  /// unstarted (0 = 2x workers); further submits block.
+  struct Stats {
+    std::uint64_t accepted = 0;
+    std::uint64_t rejected = 0;  ///< refused: queue full or pool stopping
+    std::uint64_t executed = 0;
+  };
+
+  /// Spawns `workers` threads (at least 1). At most `queueCapacity` jobs
+  /// wait unstarted (0 = 2x workers).
   explicit ThreadPool(std::size_t workers, std::size_t queueCapacity = 0);
   ~ThreadPool();
 
@@ -33,8 +48,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues `job`, blocking while the queue is full. Throws UsageError
-  /// after shutdown().
+  /// after shutdown(), including when shutdown() releases a blocked call.
   void submit(std::function<void()> job) UTE_EXCLUDES(mu_);
+
+  /// Enqueues `job`, or returns false without blocking when the queue is
+  /// full or the pool is shutting down.
+  bool trySubmit(std::function<void()> job) UTE_EXCLUDES(mu_);
 
   /// Blocks until every job submitted so far has finished executing.
   void wait() UTE_EXCLUDES(mu_);
@@ -48,18 +67,24 @@ class ThreadPool {
   /// are skipped (not cancelled mid-call) once a call has thrown.
   void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  Stats stats() const UTE_EXCLUDES(mu_);
   std::size_t workerCount() const { return threads_.size(); }
+  std::size_t maxQueue() const { return maxQueue_; }
 
  private:
   void workerLoop() UTE_EXCLUDES(mu_);
 
-  Channel<std::function<void()>> jobs_;
+  mutable Mutex mu_;
+  CondVar notEmpty_;
+  CondVar notFull_;
+  CondVar idle_;
+  std::deque<std::function<void()>> queue_ UTE_GUARDED_BY(mu_);
+  std::size_t maxQueue_;
+  /// Jobs taken off the queue whose call has not returned yet.
+  std::size_t running_ UTE_GUARDED_BY(mu_) = 0;
+  bool stopping_ UTE_GUARDED_BY(mu_) = false;
+  Stats stats_ UTE_GUARDED_BY(mu_);
   std::vector<std::thread> threads_;
-  Mutex mu_;
-  CondVar idleCv_;
-  /// Submitted but not yet finished.
-  std::size_t pending_ UTE_GUARDED_BY(mu_) = 0;
-  bool shutdown_ UTE_GUARDED_BY(mu_) = false;
 };
 
 /// Maps a --jobs style argument to a worker count: values <= 0 mean "one

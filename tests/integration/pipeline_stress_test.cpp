@@ -1,6 +1,6 @@
 // Pipeline concurrency stress (run under -DUTE_SANITIZE=thread via
 // `ctest -L stress`): hammers the Channel and ThreadPool primitives,
-// races several prefetching readers over one file, and repeats the
+// races several record streams over one shared reader, and repeats the
 // parallel convert+merge pipeline checking every run is byte-identical
 // to the sequential golden output.
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "interval/frame_prefetcher.h"
+#include "interval/file_reader.h"
 #include "support/channel.h"
 #include "support/file_io.h"
 #include "support/thread_pool.h"
@@ -70,33 +70,39 @@ TEST(PipelineStress, ThreadPoolSubmitStorm) {
   EXPECT_EQ(sum.load(), 5000L * 4999 / 2);
 }
 
-TEST(PipelineStress, ConcurrentPrefetchReadersAgree) {
+TEST(PipelineStress, ConcurrentRecordStreamsAgree) {
   TestProgramOptions workload;
   workload.iterations = 20;
   PipelineOptions options;
-  options.dir = makeScratchDir("stress_prefetch");
+  options.dir = makeScratchDir("stress_streams");
   options.name = "sp";
   options.writeSlog = false;
   options.convert.targetFrameBytes = 2048;
   const PipelineResult run = runPipeline(testProgram(workload), options);
   ASSERT_FALSE(run.intervalFiles.empty());
-  const std::string path = run.intervalFiles.front();
 
-  std::vector<std::thread> readers;
+  // Six record streams over one shared reader: its ByteSource is the
+  // only state they share, and every stream must see the same bytes.
+  const IntervalFileReader reader(run.intervalFiles.front());
+  std::vector<std::thread> threads;
   std::vector<std::uint64_t> counts(6, 0);
+  std::vector<std::uint64_t> sums(6, 0);
   for (std::size_t r = 0; r < counts.size(); ++r) {
-    readers.emplace_back([r, &path, &counts] {
-      PrefetchRecordStream stream(path, /*depth=*/2);
+    threads.emplace_back([r, &reader, &counts, &sums] {
+      auto stream = reader.records();
       RecordView view;
-      std::uint64_t n = 0;
-      while (stream.next(view)) ++n;
-      counts[r] = n;
+      while (stream.next(view)) {
+        ++counts[r];
+        for (const std::uint8_t b : view.body) sums[r] = sums[r] * 31 + b;
+      }
     });
   }
-  for (auto& t : readers) t.join();
+  for (auto& t : threads) t.join();
   for (std::size_t r = 1; r < counts.size(); ++r) {
     EXPECT_EQ(counts[r], counts[0]);
+    EXPECT_EQ(sums[r], sums[0]);
   }
+  EXPECT_EQ(counts[0], reader.header().totalRecords);
   EXPECT_GT(counts[0], 0u);
 }
 

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "interval/file_reader.h"
 #include "interval/file_writer.h"
 #include "interval/standard_profile.h"
+#include "support/file_io.h"
 #include "support/rng.h"
 
 #include <unistd.h>
@@ -127,6 +129,106 @@ TEST(IntervalFile, ManyRecordsAcrossDirectoriesStreamBack) {
     ++count;
   }
   EXPECT_EQ(count, n);
+}
+
+/// Writes `n` running pieces with 1 KiB frames and `framesPerDirectory`
+/// frames per directory; returns the path.
+std::string writeChainedFile(const std::string& name, int n,
+                             int framesPerDirectory) {
+  const std::string path = tempPath(name);
+  IntervalFileOptions options = smallFrames();
+  options.framesPerDirectory = framesPerDirectory;
+  IntervalFileWriter w(path, options, sampleThreads());
+  for (int i = 0; i < n; ++i) {
+    w.addRecord(runningPiece(static_cast<Tick>(i) * 10, 8, i % 2).view());
+  }
+  w.close();
+  return path;
+}
+
+/// records() must yield exactly the records found by walking the
+/// directory chain and splitting every frame by hand, byte for byte.
+void expectStreamMatchesFrameWalk(const std::string& path) {
+  IntervalFileReader reader(path);
+  auto stream = reader.records();
+  RecordView view;
+  std::uint64_t count = 0;
+  for (FrameDirectory dir = reader.firstDirectory(); !dir.frames.empty();
+       dir = reader.readDirectory(dir.nextOffset)) {
+    for (const FrameInfo& info : dir.frames) {
+      const FrameBuf frame = reader.readFrame(info);
+      ByteReader r(frame.bytes());
+      while (!r.atEnd()) {
+        const auto body = readLengthPrefixedRecord(r);
+        ASSERT_TRUE(stream.next(view)) << "stream short at record " << count;
+        ASSERT_TRUE(std::equal(body.begin(), body.end(), view.body.begin(),
+                               view.body.end()))
+            << "record " << count << " differs";
+        ++count;
+      }
+    }
+    if (dir.nextOffset == 0) break;
+  }
+  EXPECT_FALSE(stream.next(view)) << "stream longer than the frame walk";
+  EXPECT_EQ(count, reader.header().totalRecords);
+}
+
+TEST(IntervalFile, RecordStreamMatchesFrameWalkAcrossDirectories) {
+  // framesPerDirectory=4 forces several chained directories.
+  const std::string path = writeChainedFile("ifile_chain.uti", 2000, 4);
+  IntervalFileReader reader(path);
+  EXPECT_EQ(reader.countRecordsViaDirectories(), 2000u);
+  expectStreamMatchesFrameWalk(path);
+}
+
+TEST(IntervalFile, OversizedDirectoryUsesTailRead) {
+  // 100 frames per directory exceed the 64-entry bulk readahead in
+  // readDirectory, exercising the second (tail) read. Regression test:
+  // the chain walk, record counts, and the record stream must agree.
+  const std::string path = writeChainedFile("ifile_tail.uti", 4000, 100);
+  IntervalFileReader reader(path);
+  bool sawOversized = false;
+  std::uint64_t frames = 0;
+  for (FrameDirectory dir = reader.firstDirectory(); !dir.frames.empty();
+       dir = reader.readDirectory(dir.nextOffset)) {
+    frames += dir.frames.size();
+    if (dir.frames.size() > 64) sawOversized = true;
+    if (dir.nextOffset == 0) break;
+  }
+  ASSERT_TRUE(sawOversized) << "test needs a directory with > 64 frames";
+  EXPECT_GT(frames, 100u);
+  EXPECT_EQ(reader.countRecordsViaDirectories(), 4000u);
+  expectStreamMatchesFrameWalk(path);
+}
+
+TEST(IntervalFile, CorruptSecondDirectoryThrowsFromRecordStream) {
+  // Corrupt the second directory's size field: the stream delivers the
+  // first directory's records, then throws FormatError mid-chain.
+  const std::string path = writeChainedFile("ifile_corrupt.uti", 2000, 4);
+  std::uint64_t secondDir = 0;
+  std::uint64_t firstDirRecords = 0;
+  {
+    IntervalFileReader reader(path);
+    const FrameDirectory first = reader.firstDirectory();
+    secondDir = first.nextOffset;
+    ASSERT_NE(secondDir, 0u);
+    for (const FrameInfo& f : first.frames) firstDirRecords += f.records;
+  }
+  std::vector<std::uint8_t> bytes = readWholeFile(path);
+  ASSERT_GT(bytes.size(), secondDir + 4);
+  for (int i = 0; i < 4; ++i) bytes[secondDir + i] = 0xff;
+  writeWholeFile(path, std::span<const std::uint8_t>(bytes));
+
+  IntervalFileReader reader(path);
+  auto stream = reader.records();
+  RecordView view;
+  std::uint64_t delivered = 0;
+  EXPECT_THROW(
+      {
+        while (stream.next(view)) ++delivered;
+      },
+      FormatError);
+  EXPECT_EQ(delivered, firstDirRecords);
 }
 
 TEST(IntervalFile, FrameContainingLocatesByTime) {

@@ -13,9 +13,9 @@
 
 #include "server/reactor.h"
 #include "server/tcp.h"
-#include "server/worker_pool.h"
 #include "support/errors.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace ute {
 namespace {
@@ -50,7 +50,7 @@ class PooledEchoHandler : public Reactor::Handler {
   std::atomic<int> closed{0};
 
  private:
-  WorkerPool pool_;
+  ThreadPool pool_;
 };
 
 TEST(ReactorStress, PipelinedClientsRaceWorkerCompletions) {

@@ -335,7 +335,7 @@ TEST_F(ServiceTest, PoolBackpressureRejectsWhenFull) {
   }
   cv.notifyAll();
   service.pool().shutdown();  // drains the queued no-op
-  const WorkerPool::Stats stats = service.pool().stats();
+  const ThreadPool::Stats stats = service.pool().stats();
   EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.executed, 2u);

@@ -3,11 +3,13 @@
 // random query streams against one shared TraceService with a cache
 // small enough to evict constantly; every response must be byte-identical
 // to the single-threaded ground truth precomputed before the threads
-// start. Plus targeted hammering of FrameCache and WorkerPool alone.
+// start. Plus targeted hammering of FrameCache and ThreadPool alone.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <random>
 #include <thread>
 #include <vector>
@@ -15,6 +17,9 @@
 #include "interval/standard_profile.h"
 #include "server/protocol.h"
 #include "slog/slog_writer.h"
+#include "support/errors.h"
+#include "support/thread_annotations.h"
+#include "support/thread_pool.h"
 
 #include <unistd.h>
 
@@ -225,26 +230,110 @@ TEST(ServerStress, FrameCacheParallelGetOrLoadKeepsInvariants) {
   EXPECT_LE(loads.load(), stats.misses);
 }
 
-TEST(ServerStress, WorkerPoolSubmitShutdownRace) {
+TEST(ServerStress, ThreadPoolMixedSubmitShutdownRace) {
+  // Blocking submit() and non-blocking trySubmit() producers race a
+  // shutdown() on one small pool. Every job the pool accepted must run,
+  // and every refusal (a false trySubmit, a throwing submit) must be
+  // counted as rejected.
   for (int round = 0; round < 20; ++round) {
-    WorkerPool pool(4, 16);
+    ThreadPool pool(4, 16);
     std::atomic<std::uint64_t> ran{0};
-    std::atomic<std::uint64_t> submitted{0};
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> refused{0};
     std::vector<std::thread> producers;
     for (int p = 0; p < 4; ++p) {
-      producers.emplace_back([&] {
+      producers.emplace_back([&, p] {
         for (int i = 0; i < 200; ++i) {
-          if (pool.trySubmit([&ran] { ++ran; })) ++submitted;
+          bool ok = false;
+          if (p % 2 == 0) {
+            ok = pool.trySubmit([&ran] { ++ran; });
+          } else {
+            try {
+              pool.submit([&ran] { ++ran; });
+              ok = true;
+            } catch (const UsageError&) {
+            }
+          }
+          ++(ok ? accepted : refused);
         }
       });
     }
+    // Each round stops the pool at a different point of the 800 calls.
+    std::thread stopper([&, round] {
+      while (accepted.load() + refused.load() <
+             static_cast<std::uint64_t>(round) * 40) {
+        std::this_thread::yield();
+      }
+      pool.shutdown();
+    });
     for (std::thread& th : producers) th.join();
-    pool.shutdown();  // must drain everything accepted
-    EXPECT_EQ(ran.load(), submitted.load());
-    const WorkerPool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.accepted, submitted.load());
-    EXPECT_EQ(stats.executed, submitted.load());
+    stopper.join();
+    pool.shutdown();  // idempotent; everything accepted is drained
+    EXPECT_EQ(ran.load(), accepted.load());
+    const ThreadPool::Stats stats = pool.stats();
+    EXPECT_EQ(stats.accepted, accepted.load());
+    EXPECT_EQ(stats.executed, accepted.load());
+    EXPECT_EQ(stats.rejected, refused.load());
+
+    // After shutdown, trySubmit refuses (and is counted), submit throws.
+    EXPECT_FALSE(pool.trySubmit([&ran] { ++ran; }));
+    EXPECT_THROW(pool.submit([&ran] { ++ran; }), UsageError);
+    EXPECT_EQ(pool.stats().rejected, refused.load() + 2);
+    EXPECT_EQ(ran.load(), accepted.load());
   }
+}
+
+TEST(ServerStress, ThreadPoolShutdownReleasesBlockedSubmit) {
+  // One worker parked on a gate, one queued job: the queue is full, so a
+  // third submit() blocks. shutdown() must release it with UsageError
+  // while the gate is still closed, then drain the queued job.
+  ThreadPool pool(1, 1);
+  Mutex mu;
+  CondVar cv;
+  bool open = false;
+  std::atomic<bool> started{false};
+  std::atomic<int> ran{0};
+  pool.submit([&] {
+    started = true;
+    MutexLock lock(mu);
+    while (!open) cv.wait(mu);
+    ++ran;
+  });
+  while (!started) std::this_thread::yield();
+  pool.submit([&ran] { ++ran; });  // fills the one queue slot
+
+  std::promise<bool> threw;
+  std::future<bool> threwFuture = threw.get_future();
+  std::thread blocked([&] {
+    try {
+      pool.submit([&ran] { ++ran; });
+      threw.set_value(false);
+    } catch (const UsageError&) {
+      threw.set_value(true);
+    }
+  });
+  // The submit stays blocked while the queue is full.
+  EXPECT_EQ(threwFuture.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+
+  std::thread stopper([&pool] { pool.shutdown(); });
+  EXPECT_EQ(threwFuture.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "shutdown() left a blocked submit() parked";
+  EXPECT_EQ(ran.load(), 0);  // released before the gate opened
+  {
+    MutexLock lock(mu);
+    open = true;
+  }
+  cv.notifyAll();
+  stopper.join();
+  blocked.join();
+  EXPECT_TRUE(threwFuture.get());
+  EXPECT_EQ(ran.load(), 2);
+  const ThreadPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.executed, 2u);
+  EXPECT_EQ(stats.rejected, 1u);
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
 // utecheck fixture: the blocking-rule-clean twin of blocking_bad.cpp.
-// The wait moves into a lambda handed to a worker pool (deferred — runs
-// off the reactor thread), and one deliberate residual blocking call
-// carries a justified suppression.
+// The wait moves into a lambda handed to the pool's non-blocking
+// trySubmit (deferred — runs off the reactor thread), and one deliberate
+// residual blocking call carries a justified suppression.
 struct Mutex {};
 struct CondVar {
   void wait(Mutex& mu);
 };
 template <typename F>
-struct WorkerPool {
+struct ThreadPool {
+  void submit(F&& fn);
   bool trySubmit(F&& fn);
 };
 struct MiniServer {
   Mutex mu_;
   CondVar cv_;
-  WorkerPool<void (*)()> pool_;
+  ThreadPool<void (*)()> pool_;
   bool ready_ = false;
 
   void parseFrames() {  // reactor entry point by name

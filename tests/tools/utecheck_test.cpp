@@ -9,6 +9,7 @@
 //   UTE_SOURCE_DIR  — repository root
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -40,13 +41,22 @@ std::string describe(const std::vector<Finding>& findings) {
 }
 
 TEST(UtecheckBlocking, BadFixtureFlagsWaitOnReactorPath) {
-  const auto findings = checkFixture("blocking_bad.cpp");
-  ASSERT_EQ(findings.size(), 1u) << describe(findings);
+  auto findings = checkFixture("blocking_bad.cpp");
+  ASSERT_EQ(findings.size(), 2u) << describe(findings);
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) { return a.line < b.line; });
   EXPECT_EQ(findings[0].rule, "blocking");
-  EXPECT_EQ(findings[0].line, 22);  // the cv_.wait call in drainBacklog
+  EXPECT_EQ(findings[0].line, 30);  // the cv_.wait call in drainBacklog
   // The report names the entry point and the call chain that reaches it.
   EXPECT_NE(findings[0].message.find("parseFrames"), std::string::npos);
   EXPECT_NE(findings[0].message.find("CondVar::wait"), std::string::npos);
+  // One pool class serves both modes, so the rule tells them apart by
+  // method: submit() blocks and is flagged, trySubmit() is not.
+  EXPECT_EQ(findings[1].rule, "blocking");
+  EXPECT_EQ(findings[1].line, 36);  // pool_.submit in handleRead
+  EXPECT_NE(findings[1].message.find("handleRead"), std::string::npos);
+  EXPECT_NE(findings[1].message.find("ThreadPool::submit"), std::string::npos);
+  EXPECT_EQ(findings[1].message.find("trySubmit"), std::string::npos);
 }
 
 TEST(UtecheckBlocking, GoodFixtureDeferralAndSuppressionAreClean) {
@@ -131,18 +141,21 @@ TEST(UtecheckSmoke, RealTreeIsCleanAndExitsZero) {
 TEST(UtecheckSmoke, ExitStatusEqualsViolationCount) {
   const std::string fx = UTE_FIXTURE_DIR;
   // One violation -> exit 1.
-  auto r = runUtecheck(fx + "/blocking_bad.cpp");
+  auto r = runUtecheck(fx + "/invalidate_bad.cpp");
   EXPECT_EQ(r.status, 1);
   EXPECT_EQ(r.findingLines, 1);
   // Two violations in one file -> exit 2.
+  r = runUtecheck(fx + "/blocking_bad.cpp");
+  EXPECT_EQ(r.status, 2);
+  EXPECT_EQ(r.findingLines, 2);
   r = runUtecheck(fx + "/suppress_bad.cpp");
   EXPECT_EQ(r.status, 2);
   EXPECT_EQ(r.findingLines, 2);
-  // Aggregation across files: 1 + 1 + 1 + 2 = 5.
+  // Aggregation across files: 2 + 1 + 1 + 2 = 6.
   r = runUtecheck(fx + "/blocking_bad.cpp " + fx + "/invalidate_bad.cpp " + fx +
                   "/lockorder_bad.cpp " + fx + "/suppress_bad.cpp");
-  EXPECT_EQ(r.status, 5);
-  EXPECT_EQ(r.findingLines, 5);
+  EXPECT_EQ(r.status, 6);
+  EXPECT_EQ(r.findingLines, 6);
 }
 
 TEST(UtecheckSmoke, ListRulesExitsZero) {

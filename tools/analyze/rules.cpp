@@ -62,7 +62,7 @@ std::string blockingSinkDesc(const BodyEvent& ev) {
       {"Channel", "send"},        {"Channel", "receive"},
       {"ThreadPool", "submit"},   {"ThreadPool", "wait"},
       {"ThreadPool", "parallelFor"}, {"ThreadPool", "shutdown"},
-      {"WorkerPool", "shutdown"}, {"ByteBudget", "acquire"},
+      {"ByteBudget", "acquire"},
       {"TcpSocket", "connectTo"}, {"TcpSocket", "sendAll"},
       {"TcpSocket", "recvAll"},   {"TcpListener", "accept"},
   };

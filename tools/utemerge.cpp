@@ -5,8 +5,8 @@
 //   utemerge --out MERGED.uti [--slog OUT.slog] [--profile profile.ute]
 //            [--method rms|last|piecewise] [--naive] [--keep-clock]
 //            [--threads mpi,user,system]   (categories to merge, §2.3.3)
-//            [--jobs N]   (parallel clock fits + prefetching inputs;
-//                          output byte-identical to --jobs 1)
+//            [--jobs N]   (parallel pass-1 clock fits; output
+//                          byte-identical to --jobs 1)
 //            [--slog-v1 | --slog-v2]   (SLOG frame encoding; default v2
 //                                       compressed columnar, docs/FORMAT.md)
 //            NODE0.uti NODE1.uti ...

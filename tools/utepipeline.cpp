@@ -9,9 +9,9 @@
 //               RAW.0.utr RAW.1.utr ...
 //
 // Produces PREFIX.<node>.uti, PREFIX.merged.uti and (unless --no-slog)
-// PREFIX.slog. --jobs N runs per-node conversions on N workers and the
-// merge with prefetching inputs; every output is byte-identical to
-// --jobs 1 (the determinism guarantee documented in docs/PIPELINE.md).
+// PREFIX.slog. --jobs N runs per-node conversions and the merge's pass-1
+// clock fits on N workers; every output is byte-identical to --jobs 1
+// (the determinism guarantee documented in docs/PIPELINE.md).
 #include <chrono>
 #include <cstdio>
 #include <exception>

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     server.stop();
 
     const FrameCache::Stats cache = server.service().cache().stats();
-    const WorkerPool::Stats pool = server.service().pool().stats();
+    const ThreadPool::Stats pool = server.service().pool().stats();
     std::printf("uteserve: served %llu queries (%llu rejected); cache "
                 "%llu hits / %llu misses / %llu evictions\n",
                 static_cast<unsigned long long>(pool.executed),
