@@ -2,7 +2,7 @@
 // over 100 -> 10,000 concurrent connections against one Reactor with an
 // inline echo-style handler, written to BENCH_server.json (p50/p99
 // latency + throughput per point). The client side is its own epoll
-// harness in this file — bench/ is deliberately outside the utelint
+// harness in this file — bench/ is deliberately outside the utecheck
 // reactor-containment rule, which confines epoll/eventfd in src/ and
 // tools/ to src/server/reactor.*.
 //

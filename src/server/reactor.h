@@ -39,7 +39,7 @@
 // are dropped safely.
 //
 // Containment: this file and reactor.cpp are the only places in src/ and
-// tools/ that may touch epoll/eventfd/O_NONBLOCK (utelint
+// tools/ that may touch epoll/eventfd/O_NONBLOCK (utecheck
 // reactor-containment; the one exception is tcp.cpp's bounded client
 // connect). src/fed and src/stream reach the loop only through this API.
 #pragma once

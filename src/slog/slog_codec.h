@@ -12,7 +12,7 @@
 // for the normative byte layout.
 //
 // This header is also the project's only home for varint/zigzag
-// primitives (enforced by tools/utelint.py codec-containment): every
+// primitives (enforced by the utecheck codec-containment rule): every
 // other layer encodes through encodeColumnarFrame()/decodeColumnarFrame().
 #pragma once
 

@@ -10,7 +10,7 @@
 // see UTE_THREAD_SAFETY in the top-level CMakeLists) a lock-discipline
 // violation is a build break, not a flaky test.
 //
-// Conventions (enforced by tools/utelint.py):
+// Conventions (enforced by utecheck, tools/analyze/):
 //   - every mutex in src/ is a ute::Mutex, never a raw std::mutex — raw
 //     mutexes are invisible to the analysis;
 //   - data a mutex protects is declared UTE_GUARDED_BY(mu) right next to
@@ -77,7 +77,8 @@
 #define UTE_RETURN_CAPABILITY(x) UTE_THREAD_ANNOTATION(lock_returned(x))
 
 /// Escape hatch. Every use must carry a comment justifying why the
-/// analysis cannot see the invariant; utelint counts these.
+/// analysis cannot see the invariant; utecheck's ts-escape rule
+/// rejects any use without one.
 #define UTE_NO_THREAD_SAFETY_ANALYSIS \
   UTE_THREAD_ANNOTATION(no_thread_safety_analysis)
 

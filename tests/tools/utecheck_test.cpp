@@ -1,7 +1,9 @@
 // Fixture suite for utecheck (tools/analyze): one known-good and one
-// known-bad fixture per rule, a bad-suppression case, and a
-// run-on-the-real-tree smoke test that also asserts the binary's exit
-// status equals the violation count.
+// known-bad fixture per call-graph rule, a bad-suppression case, a
+// containment fixture pair for the token-level invariant rules (lexed
+// under made-up repo-relative paths, since those rules are path-scoped),
+// and a run-on-the-real-tree smoke test that also asserts the binary's
+// exit status equals the violation count.
 //
 // Compile definitions injected by tests/CMakeLists.txt:
 //   UTE_FIXTURE_DIR — tests/tools/fixtures in the source tree
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +41,39 @@ std::string describe(const std::vector<Finding>& findings) {
   for (const Finding& f : findings)
     out << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message << "\n";
   return out.str();
+}
+
+std::string readFixture(const std::string& name) {
+  std::ifstream in(std::string(UTE_FIXTURE_DIR) + "/" + name);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Runs every rule over `text` as if it lived at repo-relative `path`.
+std::vector<Finding> checkAs(const std::string& path, const std::string& text) {
+  return ute::check::runChecks(ute::check::buildProject({ute::check::lexFile(path, text)}));
+}
+
+/// `line: [rule]` for each finding, or for each `<marker> rule` comment
+/// in a fixture.
+std::set<std::string> lineRules(const std::vector<Finding>& findings) {
+  std::set<std::string> out;
+  for (const Finding& f : findings) out.insert(std::to_string(f.line) + ": [" + f.rule + "]");
+  return out;
+}
+
+std::set<std::string> markedLines(const std::string& text, const std::string& marker) {
+  std::set<std::string> out;
+  std::istringstream in(text);
+  int line = 0;
+  for (std::string row; std::getline(in, row);) {
+    ++line;
+    const std::size_t at = row.find("// " + marker + " ");
+    if (at != std::string::npos)
+      out.insert(std::to_string(line) + ": [" + row.substr(at + marker.size() + 4) + "]");
+  }
+  return out;
 }
 
 TEST(UtecheckBlocking, BadFixtureFlagsWaitOnReactorPath) {
@@ -98,13 +134,107 @@ TEST(UtecheckSuppression, ReasonlessAllowIsFlaggedAndDoesNotSuppress) {
   EXPECT_EQ(countWithRule(findings, "blocking"), 1);
 }
 
-TEST(UtecheckRules, ListCoversAllFourRules) {
-  const auto rules = ute::check::ruleList();
-  ASSERT_EQ(rules.size(), 4u);
-  std::string joined;
-  for (const auto& r : rules) joined += r + "\n";
-  for (const char* name : {"blocking", "invalidate", "lockorder", "bad-suppression"})
-    EXPECT_NE(joined.find(name), std::string::npos) << joined;
+TEST(UtecheckRules, ListNamesExactlyTheTwelveRules) {
+  std::set<std::string> names;
+  for (const std::string& r : ute::check::ruleList()) names.insert(r.substr(0, r.find(' ')));
+  const std::set<std::string> expected = {
+      "blocking",       "invalidate",        "lockorder",
+      "raw-io",         "io-context",        "raw-mutex",
+      "ts-escape",      "bench-determinism", "codec-containment",
+      "fed-socket-containment", "reactor-containment", "bad-suppression"};
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(ute::check::ruleList().size(), expected.size());
+}
+
+TEST(UtecheckInvariants, BadFixtureFlagsEveryMarkedLine) {
+  const std::string text = readFixture("containment_bad.cpp");
+  const auto findings = checkAs("src/fed/containment_bad.cpp", text);
+  EXPECT_EQ(lineRules(findings), markedLines(text, "expect:")) << describe(findings);
+  // Every rule except the bench-only one fires under src/fed/.
+  for (const char* rule : {"raw-io", "io-context", "raw-mutex", "ts-escape", "codec-containment",
+                           "fed-socket-containment", "reactor-containment"})
+    EXPECT_GT(countWithRule(findings, rule), 0) << rule;
+}
+
+TEST(UtecheckInvariants, BadFixtureUnderBenchIsScopedToBenchRules) {
+  const std::string text = readFixture("containment_bad.cpp");
+  const auto findings = checkAs("bench/containment_bad.cpp", text);
+  std::vector<Finding> bench;
+  for (const Finding& f : findings) {
+    if (f.rule == "bench-determinism") bench.push_back(f);
+    // raw-io and io-context cover src/ only; federation and reactor
+    // containment do not reach bench/.
+    for (const char* rule : {"raw-io", "io-context", "fed-socket-containment", "reactor-containment"})
+      EXPECT_NE(f.rule, rule) << describe(findings);
+  }
+  EXPECT_EQ(lineRules(bench), markedLines(text, "expect-bench:")) << describe(findings);
+  EXPECT_GT(countWithRule(findings, "raw-mutex"), 0) << describe(findings);
+}
+
+TEST(UtecheckInvariants, GoodFixtureIsCleanEverywhere) {
+  const std::string text = readFixture("containment_good.cpp");
+  for (const char* path : {"src/fed/containment_good.cpp", "bench/containment_good.cpp"}) {
+    const auto findings = checkAs(path, text);
+    EXPECT_TRUE(findings.empty()) << path << "\n" << describe(findings);
+  }
+}
+
+TEST(UtecheckInvariants, QualifiedPosixCallsAreFlagged) {
+  // `::f(` and `std::f(` name the same C function as `f(`.
+  const struct {
+    const char* path;
+    const char* code;
+    const char* rule;
+  } cases[] = {
+      {"src/fed/x.cpp", "int f() { return ::socket(2, 1, 0); }", "fed-socket-containment"},
+      {"src/fed/x.cpp", "void f(int s) { ::connect(s, nullptr, 0); }", "fed-socket-containment"},
+      {"src/trace/x.cpp", "int f() { return ::open(\"p\", 0); }", "raw-io"},
+      {"src/trace/x.cpp", "void f() { std::fopen(\"p\", \"r\"); }", "raw-io"},
+      {"src/stream/x.cpp", "void f(int e) { ::epoll_wait(e, nullptr, 1, 0); }",
+       "reactor-containment"},
+  };
+  for (const auto& c : cases) {
+    const auto findings = checkAs(c.path, c.code);
+    ASSERT_EQ(findings.size(), 1u) << c.code << "\n" << describe(findings);
+    EXPECT_EQ(findings[0].rule, c.rule) << c.code;
+  }
+  // A call qualified by any other class or namespace is a different function.
+  EXPECT_TRUE(checkAs("src/trace/x.cpp", "void f() { Archive::open(\"p\"); }").empty());
+  EXPECT_TRUE(checkAs("src/fed/x.cpp", "void f() { net::Pool<int>::connect(1); }").empty());
+}
+
+TEST(UtecheckInvariants, PathScopes) {
+  const std::string socketCall = "int f() { return ::socket(2, 1, 0); }";
+  EXPECT_EQ(checkAs("src/fed/x.cpp", socketCall).size(), 1u);
+  EXPECT_EQ(checkAs("tools/uterouter.cpp", socketCall).size(), 1u);
+  EXPECT_TRUE(checkAs("src/server/tcp.cpp", socketCall).empty());
+
+  const std::string rawMutex = "std::mutex m;";
+  for (const char* path : {"src/server/x.cpp", "tools/x.cpp", "bench/x.cpp", "src/support/x.h"})
+    EXPECT_EQ(checkAs(path, rawMutex).size(), 1u) << path;
+  EXPECT_TRUE(checkAs("src/support/thread_annotations.h", rawMutex).empty());
+
+  const std::string fcntlCall = "void f(int fd) { fcntl(fd, 4, 0); }";
+  for (const char* path : {"src/server/conn.cpp", "src/stream/x.cpp", "tools/x.cpp"})
+    EXPECT_EQ(checkAs(path, fcntlCall).size(), 1u) << path;
+  // bench/ drives its own client harness and is outside the rule.
+  for (const char* path :
+       {"src/server/reactor.cpp", "src/server/reactor.h", "src/server/tcp.cpp", "bench/x.cpp"})
+    EXPECT_TRUE(checkAs(path, fcntlCall).empty()) << path;
+
+  // Nothing outside src/, tools/ and bench/ is in any invariant's scope.
+  EXPECT_TRUE(checkAs("tests/x.cpp", rawMutex + socketCall + fcntlCall).empty());
+}
+
+TEST(UtecheckInvariants, JustifiedAllowSuppressesReasonlessDoesNot) {
+  const std::string call = "  FILE* f = fopen(\"p\", \"r\");\n";
+  EXPECT_EQ(countWithRule(checkAs("src/trace/x.cpp", call), "raw-io"), 1);
+  const auto waived =
+      checkAs("src/trace/x.cpp", "  // utecheck: allow(raw-io) — test: waived\n" + call);
+  EXPECT_TRUE(waived.empty()) << describe(waived);
+  const auto bare = checkAs("src/trace/x.cpp", "  // utecheck: allow(raw-io)\n" + call);
+  EXPECT_EQ(countWithRule(bare, "raw-io"), 1) << describe(bare);
+  EXPECT_EQ(countWithRule(bare, "bad-suppression"), 1) << describe(bare);
 }
 
 // Runs a command, captures stdout to a temp file, and returns
@@ -131,8 +261,9 @@ RunResult runUtecheck(const std::string& args) {
 }
 
 TEST(UtecheckSmoke, RealTreeIsCleanAndExitsZero) {
-  // The whole tree (src/ + tools/) must be finding-free: every true
-  // positive in this repo is either fixed or carries a justified allow().
+  // The whole tree (src/, tools/ and bench/) must be finding-free under
+  // every rule, the project invariants included: each true positive in
+  // this repo is either fixed or carries a justified allow().
   const auto r = runUtecheck("--root " UTE_SOURCE_DIR);
   EXPECT_EQ(r.status, 0);
   EXPECT_EQ(r.findingLines, 0);

@@ -41,8 +41,9 @@ LexedFile lexFile(std::string path, const std::string& text) {
   int line = 1;
   bool atLineStart = true;  // only whitespace seen since the newline
 
+  // Every push happens while `i` still indexes the token's first byte.
   auto push = [&](Token::Kind kind, std::string tok) {
-    out.tokens.push_back({kind, std::move(tok), line});
+    out.tokens.push_back({kind, std::move(tok), line, i});
   };
   auto addComment = [&](int atLine, const std::string& body) {
     std::string& slot = out.comments[atLine];
@@ -64,8 +65,23 @@ LexedFile lexFile(std::string path, const std::string& text) {
     }
     // Preprocessor directive: skip the whole logical line (honoring
     // backslash continuations). Macro *definitions* are invisible to the
-    // analysis; macro *uses* in code are plain identifier tokens.
+    // analysis; macro *uses* in code are plain identifier tokens. Only an
+    // `#include` leaves a trace: its target, for the header rules.
     if (c == '#' && atLineStart) {
+      std::size_t j = i + 1;
+      while (j < n && (text[j] == ' ' || text[j] == '\t')) ++j;
+      if (text.compare(j, 7, "include") == 0) {
+        j += 7;
+        while (j < n && (text[j] == ' ' || text[j] == '\t')) ++j;
+        const char close = j < n && text[j] == '<' ? '>' : '"';
+        const std::size_t end =
+            j < n && (text[j] == '<' || text[j] == '"')
+                ? text.find(close, j + 1)
+                : std::string::npos;
+        if (end != std::string::npos && text.find('\n', j) > end) {
+          out.includes.push_back({text.substr(j, end + 1 - j), line});
+        }
+      }
       while (i < n) {
         if (text[i] == '\\' && i + 1 < n && text[i + 1] == '\n') {
           i += 2;

@@ -1,12 +1,13 @@
 // utecheck lexer: a minimal C++ tokenizer for whole-project static
 // analysis (docs/STATIC_ANALYSIS.md "utecheck").
 //
-// It produces just enough structure for call-graph extraction: four
-// token kinds with line numbers, comments captured per line (the
-// suppression syntax `// utecheck: allow(<rule>) — reason` lives in
-// comments), preprocessor directives skipped, and string/char literals
-// collapsed to single tokens so identifiers inside them never reach the
-// extractor. Multi-character operators are merged only where later
+// It produces just enough structure for call-graph extraction and the
+// token-level invariant rules: four token kinds with line numbers and
+// byte offsets, comments captured per line (the suppression syntax
+// `// utecheck: allow(<rule>) — reason` lives in comments), preprocessor
+// directives skipped except that `#include` targets are recorded, and
+// string/char literals collapsed to single tokens so identifiers inside
+// them never reach the rules. Multi-character operators are merged only where later
 // passes need the distinction (`::` vs two colons, `==` vs assignment);
 // `<`/`>` stay single so template-argument matching can use its own
 // heuristics.
@@ -23,6 +24,12 @@ struct Token {
   Kind kind = Kind::kEnd;
   std::string text;
   int line = 0;
+  std::size_t offset = 0;  ///< byte offset of the first character
+};
+
+struct Include {
+  std::string target;  ///< with its delimiters: `<mutex>`, `"support/x.h"`
+  int line = 0;
 };
 
 struct LexedFile {
@@ -31,6 +38,7 @@ struct LexedFile {
   /// Comment text by the line it starts on (both // and /* */ forms),
   /// concatenated when a line carries several.
   std::unordered_map<int, std::string> comments;
+  std::vector<Include> includes;  ///< every `#include`, in file order
 };
 
 /// Tokenizes `text`; never throws on malformed input (analysis is

@@ -1301,7 +1301,7 @@ std::vector<std::string> collectSourceFiles(
   namespace fs = std::filesystem;
   std::set<std::string> headers;
   std::set<std::string> sources;
-  for (const char* sub : {"src", "tools"}) {
+  for (const char* sub : {"src", "tools", "bench"}) {
     const fs::path base = fs::path(root) / sub;
     if (!fs::exists(base)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(base)) {

@@ -125,8 +125,8 @@ Project buildProject(std::vector<LexedFile> files);
 
 std::vector<BodyEvent> walkBody(const Project& p, int funcId);
 
-/// The analysis file set: every *.h / *.cpp under root/src and
-/// root/tools, optionally narrowed to compile-command entries (plus all
+/// The analysis file set: every *.h / *.cpp under root/src, root/tools
+/// and root/bench, optionally narrowed to compile-command entries (plus all
 /// headers, which compile commands do not list). Sorted, deduplicated.
 std::vector<std::string> collectSourceFiles(const std::string& root,
                                             const std::string& compileCommands);

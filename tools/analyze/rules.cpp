@@ -1,7 +1,9 @@
 #include "analyze/rules.h"
 
 #include <algorithm>
+#include <cctype>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <set>
 
@@ -109,6 +111,275 @@ bool isReactorEntry(const Project& p, const FunctionDef& f) {
   return ci != nullptr && hasWord(ci->basesText, "Handler");
 }
 
+// ---------------------------------------------------------------------------
+// Token-level project invariants. Each applies to repo-relative path
+// prefixes; a finding is waived by a justified allow() like any other.
+
+/// One containment row: what may not appear in the files it covers. A
+/// rule with several messages spans several rows.
+struct Containment {
+  const char* rule;
+  std::vector<std::string> calls;     ///< banned free calls (see isFreeCall)
+  std::vector<std::string> idents;    ///< banned anywhere; `std::x` needs std::
+  std::vector<std::string> includes;  ///< target prefixes: `<x>` or `<dir/`
+  std::vector<std::string> dirs;      ///< path prefixes the row applies to
+  std::vector<std::string> exempt;    ///< path prefixes exempt from it
+  const char* message;                ///< `%s` is replaced by what matched
+};
+
+const std::vector<Containment>& containmentTable() {
+  static const std::vector<std::string> kTree = {"src/", "tools/", "bench/"};
+  static const std::vector<std::string> kServing = {"src/", "tools/"};
+  static const std::vector<std::string> kFed = {"src/fed/",
+                                                "tools/uterouter.cpp"};
+  static const std::vector<std::string> kReactor = {"src/server/reactor."};
+  static const std::vector<std::string> kReactorTcp = {"src/server/reactor.",
+                                                       "src/server/tcp.cpp"};
+  static const std::vector<Containment> kRows = {
+      {"raw-io", {"fopen", "open", "mmap", "munmap"}, {}, {}, {"src/"},
+       {"src/support/"},
+       "raw %s outside src/support — go through FileReader / ByteSource"},
+      {"raw-mutex", {},
+       {"std::mutex", "std::condition_variable", "std::condition_variable_any",
+        "std::lock_guard", "std::unique_lock", "std::scoped_lock",
+        "std::shared_mutex", "std::shared_lock"},
+       {"<mutex>", "<condition_variable>"}, kTree,
+       {"src/support/thread_annotations.h"},
+       "%s outside support/thread_annotations.h — use ute::Mutex / "
+       "ute::MutexLock / ute::CondVar"},
+      {"bench-determinism", {"time", "rand", "srand"},
+       {"system_clock", "random_device", "localtime", "gmtime"}, {},
+       {"bench/"}, {},
+       "%s in bench code — BENCH_*.json must be reproducible (steady_clock "
+       "for timing, seeded ute::Rng for workloads)"},
+      {"codec-containment", {},
+       {"putVarint", "getVarint", "zigzagEncode", "zigzagDecode"}, {}, kTree,
+       {"src/slog/"},
+       "%s() outside src/slog — the varint/zigzag codec has exactly one "
+       "implementation (src/slog/slog_codec.h)"},
+      {"fed-socket-containment", {}, {},
+       {"<sys/socket.h>", "<netinet/", "<arpa/inet.h>", "<netdb.h>"}, kFed,
+       {},
+       "%s in federation code — sockets are reached only through "
+       "src/server/tcp.h"},
+      {"fed-socket-containment",
+       {"socket", "connect", "bind", "listen", "accept", "accept4",
+        "setsockopt", "getsockopt", "recv", "send", "recvfrom", "sendto",
+        "getaddrinfo", "freeaddrinfo", "inet_pton", "inet_ntop", "inet_addr",
+        "htons", "ntohs", "htonl", "ntohl"},
+       {}, {}, kFed, {},
+       "raw %s in federation code — use TcpListener/TcpSocket from "
+       "src/server/tcp.h"},
+      {"reactor-containment", {}, {}, {"<sys/epoll.h>", "<sys/eventfd.h>"},
+       kServing, kReactor,
+       "%s outside src/server/reactor.* — the event loop has exactly one "
+       "home; implement Reactor::Handler instead"},
+      {"reactor-containment",
+       {"epoll_create", "epoll_create1", "epoll_ctl", "epoll_wait",
+        "epoll_pwait", "epoll_pwait2", "eventfd"},
+       {}, {}, kServing, kReactor,
+       "%s outside src/server/reactor.* — implement Reactor::Handler "
+       "instead of running a readiness loop"},
+      {"reactor-containment", {"fcntl"}, {"O_NONBLOCK", "SOCK_NONBLOCK"}, {},
+       kServing, kReactorTcp,
+       "%s outside src/server/reactor.* and src/server/tcp.cpp — "
+       "non-blocking fd plumbing belongs to the reactor"},
+      {"reactor-containment", {"poll", "ppoll", "select", "pselect"}, {}, {},
+       kServing, kReactorTcp,
+       "%s outside src/server/reactor.* and src/server/tcp.cpp — readiness "
+       "belongs to the reactor's epoll loop"},
+  };
+  return kRows;
+}
+
+bool underAny(const std::string& path,
+              const std::vector<std::string>& prefixes) {
+  return std::any_of(prefixes.begin(), prefixes.end(),
+                     [&](const std::string& pre) {
+                       return path.compare(0, pre.size(), pre) == 0;
+                     });
+}
+
+bool isPunct(const Token& t, const char* text) {
+  return t.kind == Token::Kind::kPunct && t.text == text;
+}
+
+/// True when t[i] opens a call to the C/POSIX function of that name:
+/// `f(`, `::f(` or `std::f(`. Member calls (`x.f(`, `x->f(`) and calls
+/// qualified by any other class or namespace (`Foo::f(`) name a
+/// different function.
+bool isFreeCall(const std::vector<Token>& t, std::size_t i) {
+  if (!isPunct(t[i + 1], "(")) return false;
+  if (i == 0) return true;
+  if (isPunct(t[i - 1], ".") || isPunct(t[i - 1], "->")) return false;
+  if (!isPunct(t[i - 1], "::") || i == 1) return true;
+  // Keywords that can precede a globally qualified call (`return ::f(`).
+  static const std::set<std::string> kKeywords = {
+      "return", "throw", "case", "else", "do", "co_return", "co_yield",
+      "co_await", "and", "or", "not",
+  };
+  const Token& scope = t[i - 2];
+  if (scope.kind == Token::Kind::kIdent) {
+    return scope.text == "std" || kKeywords.count(scope.text) != 0;
+  }
+  return !isPunct(scope, ">");  // Foo<T>::f
+}
+
+/// True when t[i] is the identifier `name`; a `std::` prefix on `name`
+/// must be spelled out in the source too.
+bool isIdent(const std::vector<Token>& t, std::size_t i,
+             const std::string& name) {
+  static const std::string kStd = "std::";
+  if (name.compare(0, kStd.size(), kStd) != 0) return t[i].text == name;
+  return t[i].text == name.substr(kStd.size()) && i >= 2 &&
+         isPunct(t[i - 1], "::") && t[i - 2].text == "std";
+}
+
+bool isNumber(const Token& t, const char* lowerText) {
+  if (t.kind != Token::Kind::kNumber) return false;
+  std::string lower = t.text;
+  for (char& c : lower) c = static_cast<char>(std::tolower(c));
+  return lower == lowerText;
+}
+
+/// End offset of the LEB128 continuation partner (`| 0x80`, `|= 0x80`,
+/// `>>= 7`) starting at t[k], or 0 when there is none.
+std::size_t lebPartnerEnd(const std::vector<Token>& t, std::size_t k) {
+  if ((isPunct(t[k], "|") || isPunct(t[k], "|=")) &&
+      isNumber(t[k + 1], "0x80")) {
+    return t[k + 1].offset + t[k + 1].text.size();
+  }
+  if (k + 3 < t.size() && isPunct(t[k], ">") && isPunct(t[k + 1], ">") &&
+      isPunct(t[k + 2], "=") && t[k + 1].offset == t[k].offset + 1 &&
+      t[k + 2].offset == t[k].offset + 2 && isNumber(t[k + 3], "7")) {
+    return t[k + 3].offset + 1;
+  }
+  return 0;
+}
+
+void checkInvariants(const Project& p, std::vector<Finding>& findings) {
+  auto report = [&](std::size_t fi, int line, const std::string& rule,
+                    const std::string& message) {
+    if (p.allowed(static_cast<int>(fi), line, rule)) return;
+    findings.push_back({p.files[fi].path, line, rule, message});
+  };
+  auto format = [](const char* message, const std::string& what) {
+    std::string out = message;
+    out.replace(out.find("%s"), 2, what);
+    return out;
+  };
+  static const std::vector<std::string> kFileIoHeaders = {
+      "\"support/file_io.h\"", "\"support/mapped_file.h\"",
+      "\"support/byte_source.h\""};
+  // A hand-rolled LEB128 loop needs the 7-bit mask and, within this many
+  // bytes, the continuation bit or the 7-bit shift; requiring the pair
+  // keeps unrelated 0x7f masks out of the rule.
+  constexpr std::size_t kLebWindow = 200;
+
+  for (std::size_t fi = 0; fi < p.files.size(); ++fi) {
+    const LexedFile& f = p.files[fi];
+    const std::vector<Token>& t = f.tokens;
+
+    for (const Containment& row : containmentTable()) {
+      if (!underAny(f.path, row.dirs) || underAny(f.path, row.exempt)) {
+        continue;
+      }
+      for (const Include& inc : f.includes) {
+        for (const std::string& banned : row.includes) {
+          if (inc.target.compare(0, banned.size(), banned) == 0) {
+            report(fi, inc.line, row.rule,
+                   format(row.message, "#include " + inc.target));
+          }
+        }
+      }
+      for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+        if (t[i].kind != Token::Kind::kIdent) continue;
+        for (const std::string& call : row.calls) {
+          if (t[i].text == call && isFreeCall(t, i)) {
+            report(fi, t[i].line, row.rule, format(row.message, call + "()"));
+          }
+        }
+        for (const std::string& ident : row.idents) {
+          if (isIdent(t, i, ident)) {
+            report(fi, t[i].line, row.rule, format(row.message, ident));
+          }
+        }
+      }
+    }
+
+    // io-context: IoError is held to it only in file-I/O code (socket
+    // code reports peers, not file offsets); CorruptFileError always.
+    if (underAny(f.path, {"src/"})) {
+      const bool fileIo = std::any_of(
+          f.includes.begin(), f.includes.end(), [](const Include& inc) {
+            return std::find(kFileIoHeaders.begin(), kFileIoHeaders.end(),
+                             inc.target) != kFileIoHeaders.end();
+          });
+      for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+        if (t[i].text != "throw" || !isPunct(t[i + 2], "(")) continue;
+        const std::string& kind = t[i + 1].text;
+        if (kind != "CorruptFileError" && (kind != "IoError" || !fileIo)) {
+          continue;
+        }
+        bool hasContext = false;
+        for (std::size_t j = i; j < t.size() && !isPunct(t[j], ";"); ++j) {
+          hasContext = hasContext || t[j].text == "ioContext";
+        }
+        if (!hasContext) {
+          report(fi, t[i].line, "io-context",
+                 "throw " + kind + "(...) without ioContext(path[, offset])");
+        }
+      }
+    }
+
+    if (!underAny(f.path, {"src/", "tools/", "bench/"})) continue;
+
+    // ts-escape: the escape hatch needs its reason on the lines above.
+    if (!underAny(f.path, {"src/support/thread_annotations.h"})) {
+      int lastLine = 0;
+      for (const Token& tok : t) {
+        if (tok.text != "UTE_NO_THREAD_SAFETY_ANALYSIS" ||
+            tok.line == lastLine) {
+          continue;
+        }
+        lastLine = tok.line;
+        bool justified = false;
+        for (int l = tok.line - 3; l < tok.line; ++l) {
+          justified = justified || f.comments.count(l) != 0;
+        }
+        if (!justified) {
+          report(fi, tok.line, "ts-escape",
+                 "UTE_NO_THREAD_SAFETY_ANALYSIS without a justification "
+                 "comment on the preceding lines");
+        }
+      }
+    }
+
+    // codec-containment, second half: hand-rolled LEB128 loops.
+    if (underAny(f.path, {"src/slog/"})) continue;
+    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+      if (!isPunct(t[i], "&") || !isNumber(t[i + 1], "0x7f")) continue;
+      const std::size_t lo = t[i].offset > kLebWindow
+                                 ? t[i].offset - kLebWindow
+                                 : 0;
+      const std::size_t hi = t[i + 1].offset + t[i + 1].text.size() +
+                             kLebWindow;
+      std::size_t k = i;
+      while (k > 0 && t[k - 1].offset >= lo) --k;
+      bool paired = false;
+      for (; k + 1 < t.size() && t[k].offset < hi && !paired; ++k) {
+        const std::size_t end = lebPartnerEnd(t, k);
+        paired = end != 0 && end <= hi;
+      }
+      if (paired) {
+        report(fi, t[i].line, "codec-containment",
+               "hand-rolled LEB128 loop outside src/slog — use "
+               "putVarint/getVarint from src/slog/slog_codec.h");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> ruleList() {
@@ -121,6 +392,17 @@ std::vector<std::string> ruleList() {
       "(UTE_MAY_INVALIDATE)",
       "lockorder — ute::Mutex acquisition nesting across the project must be "
       "acyclic",
+      "raw-io — fopen/open/mmap confined to src/support "
+      "(FileReader/ByteSource)",
+      "io-context — throw IoError/CorruptFileError carries "
+      "ioContext(path[, off])",
+      "raw-mutex — no std:: sync primitives outside thread_annotations.h",
+      "ts-escape — UTE_NO_THREAD_SAFETY_ANALYSIS carries a justification",
+      "bench-determinism — no wall-clock or nondeterministic rand in bench/",
+      "codec-containment — varint/zigzag codec only in src/slog",
+      "fed-socket-containment — federation uses tcp.h, never raw sockets",
+      "reactor-containment — epoll/eventfd/fcntl/poll/select only in "
+      "reactor.* (+ tcp.cpp)",
       "bad-suppression — every `utecheck: allow(rule)` must carry a reason "
       "after an em-dash",
   };
@@ -504,6 +786,8 @@ std::vector<Finding> runChecks(const Project& p) {
     }
   }
 
+  checkInvariants(p, findings);
+
   // --- Suppression hygiene -------------------------------------------------
   for (const Project::BadAllow& bad : p.badAllows) {
     findings.push_back(
@@ -521,12 +805,21 @@ std::vector<Finding> runChecks(const Project& p) {
   return findings;
 }
 
-std::vector<Finding> runChecksOnFiles(
-    const std::vector<std::string>& paths) {
+std::vector<Finding> runChecksOnFiles(const std::vector<std::string>& paths,
+                                      const std::string& root) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path base = root.empty() ? fs::path() : fs::weakly_canonical(root, ec);
   std::vector<LexedFile> files;
   files.reserve(paths.size());
   for (const std::string& path : paths) {
     files.push_back(lexPath(path));
+    if (base.empty()) continue;
+    const std::string rel =
+        fs::weakly_canonical(path, ec).lexically_relative(base).generic_string();
+    if (!ec && !rel.empty() && rel.compare(0, 2, "..") != 0) {
+      files.back().path = rel;
+    }
   }
   return runChecks(buildProject(std::move(files)));
 }

@@ -1,16 +1,18 @@
-// utecheck — whole-project static analyzer for the reactor serving
-// stack (docs/STATIC_ANALYSIS.md "utecheck").
+// utecheck — whole-project static analyzer and project-invariant linter
+// (docs/STATIC_ANALYSIS.md "utecheck").
 //
 //   utecheck [--root DIR] [--compile-commands FILE] [--list-rules] [path...]
 //
 // With explicit paths, analyzes exactly those files. Otherwise globs
-// every *.h / *.cpp under <root>/src and <root>/tools, narrowing the
-// .cpp set to the compile-command file list when one is given (headers
-// are always included — compile commands do not list them).
+// every *.h / *.cpp under <root>/src, <root>/tools and <root>/bench,
+// narrowing the .cpp set to the compile-command file list when one is
+// given (headers are always included — compile commands do not list
+// them). Files under <root> are reported, and matched against the
+// path-scoped rules, relative to it.
 //
 // Output: `path:line: [rule] message`, one finding per line. Exit
-// status is the unsuppressed finding count, capped at 125 (the utelint
-// convention).
+// status is the unsuppressed finding count, capped at 125 so it never
+// reads as a shell signal status; 126 on usage errors.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
       return 126;
     }
     const std::vector<ute::check::Finding> findings =
-        ute::check::runChecksOnFiles(paths);
+        ute::check::runChecksOnFiles(paths, root);
     for (const ute::check::Finding& f : findings) {
       std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line,
                   f.rule.c_str(), f.message.c_str());
