@@ -1,10 +1,12 @@
 // Ablation for Section 3.1's merge data structure: the balanced
-// (tournament/loser) tree holding one node per input interval file vs a
-// naive O(k) linear scan per output record. Prints a table of merge
-// times across input-file counts, with the faster path of each row as
-// measured, and benchmarks both paths.
+// (tournament) tree holding one node per input interval file vs a naive
+// O(k) linear scan per output record. Prints a table of merge times
+// across input-file counts (synthetic inputs up to k=1024), with the
+// faster path of each row as measured, and benchmarks both paths.
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "interval/file_writer.h"
@@ -54,6 +56,11 @@ std::string writeInputFile(NodeId node, int records, std::uint64_t seed) {
   return path;
 }
 
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 std::vector<std::string> inputsFor(int k, int recordsEach) {
   std::vector<std::string> paths;
   for (int i = 0; i < k; ++i) {
@@ -69,25 +76,44 @@ void printAblation() {
               "===\n");
   std::printf("%6s %12s %12s %12s %8s  %s\n", "k", "records", "tree ms",
               "naive ms", "speedup", "faster");
+  // One merge here takes ~0.1 s, and noise from other processes moves
+  // a single run by more than the selection cost at small k. So the
+  // paths run in kRuns back-to-back pairs, alternating which goes
+  // first; a row reports each path's median and the median of the
+  // per-pair speedups, which cancels drift slower than one pair.
+  constexpr int kRuns = 11;
+  std::printf("(medians of %d alternating tree/naive pairs; speedup is "
+              "the median of the per-pair naive/tree ratios)\n",
+              kRuns);
   std::string treeWinsAt;
   std::string naiveWinsAt;
-  for (int k : {2, 4, 8, 16, 32, 64}) {
+  for (int k : {2, 4, 8, 16, 32, 64, 256, 1024}) {
     const int recordsEach = 200000 / k;
     const auto inputs = inputsFor(k, recordsEach);
-    double treeMs = 0;
-    double naiveMs = 0;
-    for (int mode = 0; mode < 2; ++mode) {
-      MergeOptions options;
-      options.useNaiveMerge = mode == 1;
-      const auto t0 = benchutil::now();
-      IntervalMerger merger(inputs, profile, options);
-      merger.mergeTo(gDir + "/out.uti");
-      (mode == 0 ? treeMs : naiveMs) = benchutil::secondsSince(t0) * 1e3;
+    std::vector<double> treeRuns;
+    std::vector<double> naiveRuns;
+    std::vector<double> speedups;
+    for (int run = 0; run < kRuns; ++run) {
+      double pairMs[2] = {0, 0};
+      for (int step = 0; step < 2; ++step) {
+        const int mode = (run + step) % 2;
+        MergeOptions options;
+        options.useNaiveMerge = mode == 1;
+        const auto t0 = benchutil::now();
+        IntervalMerger merger(inputs, profile, options);
+        merger.mergeTo(gDir + "/out.uti");
+        pairMs[mode] = benchutil::secondsSince(t0) * 1e3;
+      }
+      treeRuns.push_back(pairMs[0]);
+      naiveRuns.push_back(pairMs[1]);
+      speedups.push_back(pairMs[1] / pairMs[0]);
     }
-    const bool treeWins = treeMs < naiveMs;
+    const double treeMs = median(treeRuns);
+    const double naiveMs = median(naiveRuns);
+    const double speedup = median(speedups);
+    const bool treeWins = speedup > 1;
     std::printf("%6d %12d %12.2f %12.2f %8.2f  %s\n", k, k * recordsEach,
-                treeMs, naiveMs, naiveMs / treeMs,
-                treeWins ? "tree" : "naive");
+                treeMs, naiveMs, speedup, treeWins ? "tree" : "naive");
     (treeWins ? treeWinsAt : naiveWinsAt) += " " + std::to_string(k);
   }
   std::printf("(tree faster at k =%s; naive scan faster at k =%s)\n\n",

@@ -19,7 +19,6 @@ struct InputFile {
 
   IntervalFileReader reader;
   IntervalFileReader::RecordStream stream;
-  bool done = false;
 };
 
 /// Extracts the (global, local) timestamp pairs from a per-node interval
@@ -68,16 +67,7 @@ MergeResult IntervalMerger::mergeTo(const std::string& outPath,
   // adjustment, pseudo-record injection and output framing all happen in
   // one shared code path — which is what guarantees the streamed and
   // batch pipelines stay byte-identical (docs/STREAMING.md).
-  StreamMergeOptions streamOptions;
-  streamOptions.syncMethod = options_.syncMethod;
-  streamOptions.threadTypeMask = options_.threadTypeMask;
-  streamOptions.filterOutliers = options_.filterOutliers;
-  streamOptions.outlierTolerance = options_.outlierTolerance;
-  streamOptions.keepClockRecords = options_.keepClockRecords;
-  streamOptions.targetFrameBytes = options_.targetFrameBytes;
-  streamOptions.framesPerDirectory = options_.framesPerDirectory;
-  streamOptions.useNaiveMerge = options_.useNaiveMerge;
-  StreamMerger merger(profile_, streamOptions);
+  StreamMerger merger(profile_, options_);
 
   // Pass 1: thread tables, markers, clock pairs. Metadata merging stays
   // sequential (cheap, order-sensitive validation); the per-input clock
@@ -107,28 +97,17 @@ MergeResult IntervalMerger::mergeTo(const std::string& outPath,
 
   merger.openOutput(outPath, sink);
 
-  // Pass 2: drive the state machine to completion. Each round refills
-  // every input the merge has drained (one lookahead record apiece, so
-  // memory stays O(inputs)) and advances; the merge stalls exactly when
-  // some input's lookahead empties.
+  // Pass 2: drive the state machine to completion. The merge stalls only
+  // on the input at the tree's root once its lookahead drains, so each
+  // step feeds (or closes) exactly that input: one record in flight per
+  // input, and no scan over the k inputs per record.
   RecordView raw;
-  std::size_t open = inputs.size();
-  while (open > 0) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      InputFile& in = *inputs[i];
-      if (in.done) continue;
-      while (merger.needsData(i)) {
-        if (in.stream.next(raw)) {
-          merger.addRecord(i, raw.body);
-        } else {
-          merger.closeInput(i);
-          in.done = true;
-          --open;
-          break;
-        }
-      }
+  for (merger.advance(); auto i = merger.waitingOn(); merger.advance()) {
+    if (inputs[*i]->stream.next(raw)) {
+      merger.addRecord(*i, raw.body);
+    } else {
+      merger.closeInput(*i);
     }
-    merger.advance();
   }
   const StreamMergeResult streamed = merger.finish();
 

@@ -19,32 +19,15 @@
 #include <string>
 #include <vector>
 
-#include "clock/sync.h"
 #include "interval/file_reader.h"
-#include "interval/file_writer.h"
 #include "interval/profile.h"
+#include "stream/stream_merger.h"
 
 namespace ute {
 
-struct MergeOptions {
-  SyncMethod syncMethod = SyncMethod::kRmsSegments;
-  /// Which thread categories to merge (Section 2.3.3: the thread table's
-  /// three categories "provide a way to choose specific threads for
-  /// merging"). Bit per ThreadType value; default: all.
-  std::uint8_t threadTypeMask = 0x7;
-  static std::uint8_t threadTypeBit(ThreadType t) {
-    return static_cast<std::uint8_t>(1u << static_cast<std::uint8_t>(t));
-  }
-  /// Drop global-clock pairs corrupted by daemon descheduling before
-  /// estimating the ratio (the paper's Summary remark).
-  bool filterOutliers = true;
-  double outlierTolerance = 5e-5;
-  /// Keep the per-node ClockSync pseudo-records in the merged output.
-  bool keepClockRecords = false;
-  std::size_t targetFrameBytes = 32 << 10;
-  int framesPerDirectory = 64;
-  /// Ablation switch: O(k) linear scan instead of the loser tree.
-  bool useNaiveMerge = false;
+/// The streaming merge's options (src/stream/stream_merger.h) plus
+/// pass-1 parallelism.
+struct MergeOptions : StreamMergeOptions {
   /// Parallelism: with jobs != 1, the per-input clock-map fits of pass 1
   /// run on a thread pool. Pass 2 reads every input in order on the
   /// calling thread at any jobs value. Output is byte-identical to

@@ -25,8 +25,7 @@ std::uint64_t leU64At(std::span<const std::uint8_t> bytes, std::size_t at) {
 }  // namespace
 
 /// One input stream: clock fit, raw-record buffer, and a one-record
-/// lookahead already adjusted onto the global time base (the streaming
-/// twin of the batch merger's InputStream).
+/// lookahead already adjusted onto the global time base.
 struct StreamMerger::Input {
   OnlineClockFit fit;
   std::vector<ThreadEntry> threadTable;
@@ -160,6 +159,10 @@ void StreamMerger::addRecord(std::size_t i,
   }
   in.frontierRaw = v.end();
   in.sawRecord = true;
+  // Without a lookahead or a buffered head, this input's key is its
+  // frontier stall, which this record moves whether it is kept or
+  // dropped. Otherwise the key stays put until the merge consumes it.
+  if (!in.ok && in.pending.empty()) dirty_.push_back(i);
 
   if (v.eventType() == kClockSyncState) {
     if (body.size() < kCommonPrefixBytes + 8) {
@@ -179,7 +182,6 @@ void StreamMerger::addRecord(std::size_t i,
   in.pending.emplace_back(body.begin(), body.end());
   bufferedBytes_ += body.size();
   in.bufferedBytes += body.size();
-  dirty_.push_back(i);
 }
 
 void StreamMerger::closeInput(std::size_t i) {
@@ -205,9 +207,11 @@ std::size_t StreamMerger::bufferedBytes(std::size_t i) const {
   return input(i).bufferedBytes;
 }
 
-bool StreamMerger::needsData(std::size_t i) const {
-  const Input& in = input(i);
-  return !in.closed && !in.ok && in.pending.empty();
+std::optional<std::size_t> StreamMerger::waitingOn() const {
+  if (!tree_ || tree_->exhausted()) return std::nullopt;
+  const std::size_t i = tree_->min();
+  if (inputs_[i]->ok) return std::nullopt;
+  return i;
 }
 
 /// Synthesizes zero-duration end pieces at the input's frontier for
@@ -245,9 +249,8 @@ void StreamMerger::queueAbortClosures(Input& in) {
   }
 }
 
-/// Loads the input's next buffered record into the adjusted lookahead —
-/// the streaming twin of the batch InputStream::advance (filtering
-/// already happened in addRecord).
+/// Loads the input's next buffered record into the adjusted lookahead
+/// (filtering already happened in addRecord).
 void StreamMerger::loadNext(Input& in) {
   if (in.pending.empty() && in.aborted && !in.closuresQueued) {
     queueAbortClosures(in);
@@ -335,8 +338,8 @@ void StreamMerger::openOutput(const std::string& outPath, RecordSink sink) {
   result_.outputPath = outPath;
 }
 
-/// Writes the input's adjusted lookahead record and maintains the
-/// per-thread open-state stacks — verbatim the batch merger's emit step.
+/// Writes the input's adjusted lookahead record, maintains the
+/// per-thread open-state stacks, and loads the input's next record.
 void StreamMerger::emitCurrent(Input& in) {
   const RecordView& v = in.view;
   writer_->addRecord(v.body);
@@ -380,7 +383,7 @@ bool StreamMerger::fitsFrozen() {
   return all;
 }
 
-std::pair<Tick, std::size_t> StreamMerger::keyOf(std::size_t i) const {
+StreamMerger::Key StreamMerger::keyOf(std::size_t i) const {
   const Input& in = *inputs_[i];
   if (in.ok) return {in.view.end(), i};
   if (!in.pending.empty()) {
@@ -399,59 +402,32 @@ std::pair<Tick, std::size_t> StreamMerger::keyOf(std::size_t i) const {
   return {in.fit.map().toGlobal(in.frontierRaw), i};
 }
 
-void StreamMerger::buildTree() {
-  std::vector<std::pair<Tick, std::size_t>> keys;
-  keys.reserve(inputs_.size());
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (!inputs_[i]->ok) loadNext(*inputs_[i]);
-    keys.push_back(keyOf(i));
-  }
-  tree_ = std::make_unique<LoserTree<std::pair<Tick, std::size_t>>>(
-      std::move(keys), std::pair<Tick, std::size_t>{kSentinelEnd,
-                                                    inputs_.size()});
-}
-
 void StreamMerger::advance() {
   if (!writer_) throw UsageError("StreamMerger: advance() before openOutput()");
   if (finished_) return;
-  // Hold everything back until every input's time base is pinned: a
-  // record adjusted through a still-moving fit could be emitted out of
-  // order relative to records adjusted after the next re-fit.
-  if (!fitsFrozen()) return;
-  if (!ratiosRecorded_) {
-    for (const auto& in : inputs_) result_.ratios.push_back(in->fit.ratio());
-    ratiosRecorded_ = true;
-  }
-
-  if (options_.useNaiveMerge || inputs_.size() == 1) {
-    dirty_.clear();
-    for (;;) {
-      for (auto& in : inputs_) {
-        if (!in->ok) loadNext(*in);
-      }
-      // Min by (end, index) over record and stall keys — the same order
-      // the batch naive scan produces, plus the watermark stall.
-      std::optional<std::pair<Tick, std::size_t>> best;
-      for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        const auto key = keyOf(i);
-        if (key.second >= inputs_.size()) continue;  // exhausted
-        if (!best || key < *best) best = key;
-      }
-      if (!best) return;                         // all drained and closed
-      if (!inputs_[best->second]->ok) return;    // stalled: watermark barrier
-      emitCurrent(*inputs_[best->second]);
+  if (!tree_) {
+    // Hold everything back until every input's time base is pinned: a
+    // record adjusted through a still-moving fit could be emitted out of
+    // order relative to records adjusted after the next re-fit. Frozen
+    // fits never thaw, so the tree is built exactly once.
+    if (!fitsFrozen()) return;
+    std::vector<Key> keys;
+    keys.reserve(inputs_.size());
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+      result_.ratios.push_back(inputs_[i]->fit.ratio());
+      loadNext(*inputs_[i]);
+      keys.push_back(keyOf(i));
     }
-  }
-
-  if (!tree_ || !dirty_.empty()) {
-    // A loser tree can only be replayed from the winning leaf
-    // (LoserTree::update's contract — the stored losers along that one
-    // path are exactly the winner's candidate set), but newly arrived
-    // records move arbitrary leaves, so rebuild the whole tournament.
-    // O(#inputs), dwarfed by the per-record work the tree then does.
-    buildTree();
+    tree_ = std::make_unique<TournamentTree<Key>>(
+        std::move(keys), Key{kSentinelEnd, inputs_.size()},
+        options_.useNaiveMerge);
     dirty_.clear();
   }
+  for (const std::size_t i : dirty_) {
+    if (!inputs_[i]->ok) loadNext(*inputs_[i]);
+    tree_->update(i, keyOf(i));
+  }
+  dirty_.clear();
   while (!tree_->exhausted()) {
     const std::size_t i = tree_->min();
     Input& in = *inputs_[i];
@@ -488,14 +464,14 @@ Tick StreamMerger::watermark() const {
     const Input& in = *inputs_[i];
     if (!in.fit.frozen()) return 0;
     const auto key = keyOf(i);
-    if (key.second >= inputs_.size()) {  // exhausted
+    if (key.input >= inputs_.size()) {  // exhausted
       if (in.sawRecord) {
         drained = std::max(drained, in.fit.map().toGlobal(in.frontierRaw));
       }
       continue;
     }
     sawOpen = true;
-    wm = std::min(wm, key.first);
+    wm = std::min(wm, key.end);
   }
   return sawOpen ? wm : drained;
 }

@@ -1,7 +1,7 @@
-// The resumable incremental merge — the batch merger's one-shot pass
-// (src/merge/merger.cpp) recast as a state machine that can be fed
-// records as they arrive over the network and asked to emit whatever is
-// safe so far.
+// The resumable incremental merge (Section 3.1): a state machine that
+// can be fed records as they arrive over the network and asked to emit
+// whatever is safe so far. The batch merger (src/merge/merger.cpp)
+// drives it to completion.
 //
 // The state machine per input:
 //
@@ -17,9 +17,9 @@
 // records blocks emission past its *frontier* — the adjusted end of the
 // last record it shipped (records arrive in ascending end order per
 // input, so the frontier is a lower bound on its future). Ties are
-// broken by input index, exactly like the batch tournament tree, which
-// is what makes a fully-fed StreamMerger reproduce the batch output
-// byte for byte (docs/STREAMING.md).
+// broken by input index. The batch merger is this class driven to
+// completion, which is what makes streamed output byte-identical to
+// batch output (docs/STREAMING.md).
 //
 // No emission happens until every input's clock fit is frozen — either
 // the batch fit via setClockPairs(final=true), or the windowed online
@@ -58,17 +58,22 @@ namespace ute {
 
 struct StreamMergeOptions {
   SyncMethod syncMethod = SyncMethod::kRmsSegments;
-  /// Thread categories to merge; bit per ThreadType (as MergeOptions).
+  /// Which thread categories to merge (Section 2.3.3: the thread table's
+  /// three categories "provide a way to choose specific threads for
+  /// merging"). Bit per ThreadType value; default: all.
   std::uint8_t threadTypeMask = 0x7;
   static std::uint8_t threadTypeBit(ThreadType t) {
     return static_cast<std::uint8_t>(1u << static_cast<std::uint8_t>(t));
   }
+  /// Drop global-clock pairs corrupted by daemon descheduling before
+  /// estimating the ratio (the paper's Summary remark).
   bool filterOutliers = true;
   double outlierTolerance = 5e-5;
+  /// Keep the per-node ClockSync pseudo-records in the merged output.
   bool keepClockRecords = false;
   std::size_t targetFrameBytes = 32 << 10;
   int framesPerDirectory = 64;
-  /// Ablation switch: O(k) scan instead of the loser tree.
+  /// Ablation switch: O(k) linear scan instead of the tournament tree.
   bool useNaiveMerge = false;
   /// Online (non-final) clock fitting; method/filter settings above take
   /// precedence over the copies inside.
@@ -133,9 +138,10 @@ class StreamMerger {
 
   bool inputOpen(std::size_t input) const;
 
-  /// True when the input is open and the merge has consumed everything
-  /// it buffered — the driver's cue to feed (or close) it.
-  bool needsData(std::size_t input) const;
+  /// The input the merge is stalled on: open, with nothing buffered, and
+  /// holding the smallest key — the caller's cue to feed (or close) it.
+  /// nullopt once the merge is drained, or while it waits for clock fits.
+  std::optional<std::size_t> waitingOn() const;
 
   /// Creates the merged output file. Requires >= 1 input, every input's
   /// thread table, and performs the cross-input duplicate-thread check.
@@ -177,6 +183,18 @@ class StreamMerger {
  private:
   struct Input;
 
+  /// A tree key: adjusted end time, ties broken by input index. The
+  /// comparison is branch-free: end times interleave across inputs, so
+  /// a branch on them would mispredict about half the time.
+  struct Key {
+    Tick end = 0;
+    std::size_t input = 0;
+    friend bool operator<(const Key& a, const Key& b) {
+      const int tie = a.end == b.end;
+      return static_cast<int>(a.end < b.end) | (tie & (a.input < b.input));
+    }
+  };
+
   /// Open-state tracking for frame-start pseudo-intervals (Section 3.3)
   /// and for abort-closure synthesis.
   struct OpenState {
@@ -193,9 +211,7 @@ class StreamMerger {
   void queueAbortClosures(Input& in);
   void emitCurrent(Input& in);
   bool fitsFrozen();
-  std::pair<Tick, std::size_t> keyOf(std::size_t i) const;
-  void buildTree();
-  void drainLoop();
+  Key keyOf(std::size_t i) const;
 
   const Profile& profile_;
   StreamMergeOptions options_;
@@ -211,9 +227,9 @@ class StreamMerger {
 
   std::unique_ptr<IntervalFileWriter> writer_;
   RecordSink sink_;
-  std::unique_ptr<LoserTree<std::pair<Tick, std::size_t>>> tree_;
+  /// Built once, when every fit has frozen.
+  std::unique_ptr<TournamentTree<Key>> tree_;
   std::vector<std::size_t> dirty_;  ///< inputs whose tree key may have moved
-  bool ratiosRecorded_ = false;
   bool finished_ = false;
   Tick lastEmittedEnd_ = 0;
   std::size_t bufferedBytes_ = 0;

@@ -9,6 +9,9 @@
 namespace ute {
 namespace {
 
+// The suites keep the names they had when the selection was a loser
+// tree, so their test ids stay stable across the switch.
+
 TEST(LoserTree, MergesSortedStreams) {
   // Three sorted streams merged through the tree reproduce a full sort.
   std::vector<std::vector<int>> streams = {
@@ -17,7 +20,7 @@ TEST(LoserTree, MergesSortedStreams) {
   const int sentinel = 1 << 30;
   std::vector<int> keys;
   for (const auto& s : streams) keys.push_back(s[0]);
-  LoserTree<int> tree(keys, sentinel);
+  TournamentTree<int> tree(keys, sentinel);
 
   std::vector<int> merged;
   while (!tree.exhausted()) {
@@ -32,10 +35,10 @@ TEST(LoserTree, MergesSortedStreams) {
 }
 
 TEST(LoserTree, SingleStream) {
-  LoserTree<int> tree({5}, 100);
+  TournamentTree<int> tree({5}, 100);
   EXPECT_EQ(tree.min(), 0u);
   EXPECT_FALSE(tree.exhausted());
-  tree.close(0);
+  tree.update(0, 100);
   EXPECT_TRUE(tree.exhausted());
 }
 
@@ -45,28 +48,68 @@ TEST(LoserTree, NonPowerOfTwoStreamCounts) {
     for (std::size_t i = 0; i < k; ++i) {
       keys.push_back(static_cast<int>(k - i));  // descending initial keys
     }
-    LoserTree<int> tree(keys, 1 << 30);
+    TournamentTree<int> tree(keys, 1 << 30);
     EXPECT_EQ(tree.min(), k - 1) << "k=" << k;  // smallest key is 1
   }
 }
 
 TEST(LoserTree, EmptyRejected) {
-  EXPECT_THROW(LoserTree<int>({}, 0), UsageError);
+  EXPECT_THROW(TournamentTree<int>({}, 0), UsageError);
 }
 
-TEST(LoserTree, RefusesUpdateOnNonWinnerLeaf) {
-  // The replay path only competes against the stored losers — exactly
-  // the winner's candidate set. Updating any other leaf would silently
-  // drop the reigning winner (it is stored at no interior node), so the
-  // tree enforces the winner-only contract. Callers that need to move a
-  // non-winner's key (the streaming merge, when new records land on
-  // arbitrary inputs) must rebuild instead.
-  LoserTree<int> tree({1, 2, 3, 4}, 1 << 30);
-  ASSERT_EQ(tree.min(), 0u);
-  EXPECT_THROW(tree.update(3, 10), UsageError);
-  EXPECT_EQ(tree.min(), 0u);  // winner survives the refused update
-  tree.update(0, 5);          // winner update is the supported path
-  EXPECT_EQ(tree.min(), 1u);
+TEST(LoserTree, UpdatesOnAnyLeafTrackMinElement) {
+  // Arbitrary leaves move (new records land on any input), not only the
+  // winner; after every update the root must name the first smallest key
+  // in both selection modes.
+  Rng rng(7);
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t k = 1 + rng.below(40);
+    const int sentinel = 1 << 30;
+    std::vector<int> keys(k);
+    for (int& key : keys) key = static_cast<int>(rng.below(20));
+    TournamentTree<int> tree(keys, sentinel);
+    TournamentTree<int> naive(keys, sentinel, /*naive=*/true);
+    for (int step = 0; step < 200; ++step) {
+      const std::size_t i = rng.below(k);
+      keys[i] = rng.below(8) == 0 ? sentinel : static_cast<int>(rng.below(20));
+      tree.update(i, keys[i]);
+      naive.update(i, keys[i]);
+      const auto expected = static_cast<std::size_t>(
+          std::min_element(keys.begin(), keys.end()) - keys.begin());
+      ASSERT_EQ(tree.min(), expected) << "k=" << k << " step=" << step;
+      ASSERT_EQ(naive.min(), expected) << "k=" << k << " step=" << step;
+      ASSERT_EQ(tree.exhausted(), keys[expected] == sentinel);
+    }
+  }
+}
+
+/// An int key that counts the comparisons made on it.
+struct CountedKey {
+  int value = 0;
+  static inline int comparisons = 0;
+  bool operator<(const CountedKey& other) const {
+    ++comparisons;
+    return value < other.value;
+  }
+};
+
+TEST(LoserTree, UpdateCostsLogTwoComparisons) {
+  // One update replays one leaf-to-root path: log2(m) comparisons, m
+  // being k rounded up to a power of two, whichever leaf moves.
+  for (std::size_t k : {1u, 2u, 3u, 5u, 8u, 9u, 64u, 100u, 1024u}) {
+    std::vector<CountedKey> keys;
+    for (std::size_t i = 0; i < k; ++i) {
+      keys.push_back({static_cast<int>(i)});
+    }
+    TournamentTree<CountedKey> tree(keys, {1 << 30});
+    int levels = 0;
+    for (std::size_t m = 1; m < k; m <<= 1) ++levels;
+    for (std::size_t i : {std::size_t{0}, k / 2, k - 1}) {
+      CountedKey::comparisons = 0;
+      tree.update(i, {static_cast<int>(k + i)});
+      EXPECT_EQ(CountedKey::comparisons, levels) << "k=" << k << " i=" << i;
+    }
+  }
 }
 
 class LoserTreeFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -89,7 +132,7 @@ TEST_P(LoserTreeFuzzTest, MatchesStdSortOnRandomStreams) {
   std::vector<std::uint64_t> keys;
   std::vector<std::size_t> cursor(k, 0);
   for (const auto& s : streams) keys.push_back(s.empty() ? sentinel : s[0]);
-  LoserTree<std::uint64_t> tree(keys, sentinel);
+  TournamentTree<std::uint64_t> tree(keys, sentinel);
 
   std::vector<std::uint64_t> merged;
   while (!tree.exhausted()) {

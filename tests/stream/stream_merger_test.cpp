@@ -1,14 +1,16 @@
-// StreamMerger (docs/STREAMING.md): the batch merge recast as a
-// resumable state machine. The load-bearing property: a StreamMerger fed
-// the same inputs — in arbitrary interleaved chunks, with advance()
-// sprinkled anywhere — writes a merged file byte-identical to the batch
-// IntervalMerger, because the watermark rule emits records in exactly
-// the batch tournament order.
+// StreamMerger (docs/STREAMING.md): the merge as a resumable state
+// machine. The load-bearing property: a StreamMerger fed the same inputs
+// — in arbitrary interleaved chunks, with advance() sprinkled anywhere —
+// writes a merged file byte-identical to the batch IntervalMerger,
+// because the watermark rule emits records in exactly the batch
+// tournament order.
 #include "stream/stream_merger.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "clock/clock_model.h"
@@ -98,39 +100,40 @@ InputFeed loadFeed(const std::string& path) {
   return feed;
 }
 
-TEST(StreamMerger, ChunkedInterleavedFeedMatchesBatchByteForByte) {
-  const Profile profile = makeStandardProfile();
-  std::vector<std::string> inputs;
-  for (int node = 0; node < 4; ++node) {
-    inputs.push_back(writeNodeFile(
-        "smerge_eq_" + std::to_string(node) + ".uti", node,
-        node * 12.5 - 20.0, node * 750, 300));
-  }
-
-  IntervalMerger batch(inputs, profile);
-  const MergeResult batchResult = batch.mergeTo(tempPath("smerge_batch.uti"));
-
-  StreamMerger stream(profile);
+/// Streams `paths` through a StreamMerger the way records trickle in
+/// over the network: uneven chunks, inputs interleaved, advance() between
+/// every burst. With `abortAt`, input `abortAt->first` is torn down after
+/// shipping `abortAt->second` records.
+StreamMergeResult streamChunked(
+    const Profile& profile, const std::vector<std::string>& paths,
+    bool naive, const std::string& out,
+    std::optional<std::pair<std::size_t, std::size_t>> abortAt = {}) {
+  StreamMergeOptions options;
+  options.useNaiveMerge = naive;
+  StreamMerger stream(profile, options);
   std::vector<InputFeed> feeds;
-  for (const std::string& path : inputs) {
+  for (const std::string& path : paths) {
     const std::size_t i = stream.addInput();
     feeds.push_back(loadFeed(path));
     stream.setThreads(i, feeds.back().threads);
     stream.setClockPairs(i, feeds.back().pairs, /*final=*/true);
   }
-  stream.openOutput(tempPath("smerge_stream.uti"));
+  stream.openOutput(out);
 
-  // Uneven chunks, inputs interleaved, advance() between every burst —
-  // the shape of records trickling in over the network.
-  std::vector<std::size_t> cursor(inputs.size(), 0);
+  std::vector<std::size_t> cursor(feeds.size(), 0);
   bool progressed = true;
   std::size_t round = 0;
   while (progressed) {
     progressed = false;
     for (std::size_t i = 0; i < feeds.size(); ++i) {
+      if (!stream.inputOpen(i)) continue;
       const std::size_t chunk = 1 + (round + i * 3) % 17;
       for (std::size_t k = 0; k < chunk && cursor[i] < feeds[i].records.size();
            ++k) {
+        if (abortAt && abortAt->first == i && cursor[i] == abortAt->second) {
+          stream.abortInput(i);
+          break;
+        }
         stream.addRecord(i, feeds[i].records[cursor[i]++]);
         progressed = true;
       }
@@ -140,17 +143,57 @@ TEST(StreamMerger, ChunkedInterleavedFeedMatchesBatchByteForByte) {
   }
   const Tick beforeClose = stream.watermark();
   for (std::size_t i = 0; i < feeds.size(); ++i) stream.closeInput(i);
-  const StreamMergeResult streamResult = stream.finish();
+  StreamMergeResult result = stream.finish();
   EXPECT_GE(stream.watermark(), beforeClose);  // watermark is monotone
+  return result;
+}
 
-  EXPECT_EQ(streamResult.recordsOut, batchResult.recordsOut);
-  EXPECT_EQ(streamResult.pseudoRecords, batchResult.pseudoRecords);
-  ASSERT_EQ(streamResult.ratios.size(), batchResult.ratios.size());
-  for (std::size_t i = 0; i < streamResult.ratios.size(); ++i) {
-    EXPECT_EQ(streamResult.ratios[i], batchResult.ratios[i]) << i;
+TEST(StreamMerger, ChunkedInterleavedFeedMatchesBatchByteForByte) {
+  const Profile profile = makeStandardProfile();
+  // k=1 and k=4, each streamed under the tree and the naive scan: one
+  // drain loop serves every case, so all must match the batch file.
+  std::uint64_t fullRecordsOut = 0;
+  for (int k : {4, 1}) {
+    std::vector<std::string> inputs;
+    for (int node = 0; node < k; ++node) {
+      inputs.push_back(writeNodeFile(
+          "smerge_eq_" + std::to_string(node) + ".uti", node,
+          node * 12.5 - 20.0, node * 750, 300));
+    }
+    IntervalMerger batch(inputs, profile);
+    const MergeResult batchResult =
+        batch.mergeTo(tempPath("smerge_batch.uti"));
+    if (k == 4) fullRecordsOut = batchResult.recordsOut;
+    for (bool naive : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + (naive ? " naive" : " tree"));
+      const StreamMergeResult streamResult =
+          streamChunked(profile, inputs, naive, tempPath("smerge_stream.uti"));
+      EXPECT_EQ(streamResult.recordsOut, batchResult.recordsOut);
+      EXPECT_EQ(streamResult.pseudoRecords, batchResult.pseudoRecords);
+      ASSERT_EQ(streamResult.ratios.size(), batchResult.ratios.size());
+      for (std::size_t i = 0; i < streamResult.ratios.size(); ++i) {
+        EXPECT_EQ(streamResult.ratios[i], batchResult.ratios[i]) << i;
+      }
+      EXPECT_EQ(readWholeFile(tempPath("smerge_stream.uti")),
+                readWholeFile(tempPath("smerge_batch.uti")));
+    }
   }
-  EXPECT_EQ(readWholeFile(tempPath("smerge_stream.uti")),
-            readWholeFile(tempPath("smerge_batch.uti")));
+
+  // One input torn down mid-feed: no batch twin exists, but the tree and
+  // the naive scan must still agree byte for byte.
+  std::vector<std::string> inputs;
+  for (int node = 0; node < 4; ++node) {
+    inputs.push_back(tempPath("smerge_eq_" + std::to_string(node) + ".uti"));
+  }
+  const auto abortAt = std::make_pair(std::size_t{2}, std::size_t{150});
+  const StreamMergeResult tree = streamChunked(
+      profile, inputs, false, tempPath("smerge_abort_tree.uti"), abortAt);
+  const StreamMergeResult naive = streamChunked(
+      profile, inputs, true, tempPath("smerge_abort_naive.uti"), abortAt);
+  EXPECT_EQ(tree.recordsOut, naive.recordsOut);
+  EXPECT_LT(tree.recordsOut, fullRecordsOut);
+  EXPECT_EQ(readWholeFile(tempPath("smerge_abort_tree.uti")),
+            readWholeFile(tempPath("smerge_abort_naive.uti")));
 }
 
 TEST(StreamMerger, OutOfOrderRecordsWithinAnInputRejected) {
@@ -214,7 +257,7 @@ TEST(StreamMerger, AbortSynthesizesEndPiecesForOpenStates) {
   EXPECT_TRUE(sawClosure);
 }
 
-TEST(StreamMerger, NeedsDataTracksBufferedRecords) {
+TEST(StreamMerger, WaitingOnNamesTheStarvedInput) {
   const Profile profile = makeStandardProfile();
   const auto a = writeNodeFile("smerge_needs_a.uti", 0, 0.0, 0, 10);
   const auto b = writeNodeFile("smerge_needs_b.uti", 1, 0.0, 0, 10);
@@ -228,7 +271,9 @@ TEST(StreamMerger, NeedsDataTracksBufferedRecords) {
   merger.setClockPairs(ia, fa.pairs, /*final=*/true);
   merger.setClockPairs(ib, fb.pairs, /*final=*/true);
   merger.openOutput(tempPath("smerge_needs_out.uti"));
-  EXPECT_TRUE(merger.needsData(ia));
+  EXPECT_EQ(merger.waitingOn(), std::nullopt);  // no advance() yet
+  merger.advance();
+  EXPECT_EQ(merger.waitingOn(), ia);  // nothing anywhere: lowest index
 
   for (const auto& r : fa.records) merger.addRecord(ia, r);
   EXPECT_GT(merger.bufferedBytes(ia), 0u);
@@ -236,14 +281,52 @@ TEST(StreamMerger, NeedsDataTracksBufferedRecords) {
   merger.advance();
   // Input b sent nothing, so nothing can be emitted yet and a still
   // holds bytes; b is the one starving the merge.
-  EXPECT_TRUE(merger.needsData(ib));
+  EXPECT_EQ(merger.waitingOn(), ib);
   EXPECT_GT(merger.bufferedBytes(ia), 0u);
 
   for (const auto& r : fb.records) merger.addRecord(ib, r);
   merger.closeInput(ia);
   merger.closeInput(ib);
   merger.finish();
+  EXPECT_EQ(merger.waitingOn(), std::nullopt);
   EXPECT_EQ(merger.bufferedBytes(), 0u);
+}
+
+TEST(StreamMerger, DroppedRecordUnblocksAStalledInput) {
+  // A stalled input's key is its frontier. A record the merge drops (a
+  // ClockSync record, unless kept) still moves that frontier, and the
+  // merge must notice without waiting for another input to change.
+  const Profile profile = makeStandardProfile();
+  StreamMerger merger(profile);
+  const std::size_t ia = merger.addInput();
+  const std::size_t ib = merger.addInput();
+  merger.setThreads(ia, {{0, 1000, 10000, 0, 0, ThreadType::kMpi}});
+  merger.setThreads(ib, {{1, 1001, 10001, 1, 0, ThreadType::kMpi}});
+  merger.setClockPairs(ia, {}, /*final=*/true);  // identity fits, frozen
+  merger.setClockPairs(ib, {}, /*final=*/true);
+  merger.openOutput(tempPath("smerge_stale_out.uti"));
+
+  const auto running = [](NodeId node, Tick start, Tick dura) {
+    return encodeRecordBody(
+        makeIntervalType(kRunningState, Bebits::kComplete), start, dura, 0,
+        node, 0);
+  };
+  merger.addRecord(ia, running(0, 5, 5).view());     // ends at 10
+  merger.addRecord(ib, running(1, 50, 50).view());   // ends at 100
+  merger.advance();
+  EXPECT_EQ(merger.recordsOut(), 1u);  // a's record; stalled on a
+  EXPECT_EQ(merger.waitingOn(), ia);
+
+  ByteWriter global;
+  global.u64(200);
+  merger.addRecord(
+      ia, encodeRecordBody(
+              makeIntervalType(kClockSyncState, Bebits::kComplete), 200, 0,
+              0, 0, 0, global.view())
+              .view());
+  merger.advance();
+  EXPECT_EQ(merger.recordsOut(), 2u);  // b's record, past a's old frontier
+  EXPECT_EQ(merger.waitingOn(), ib);
 }
 
 }  // namespace

@@ -62,6 +62,11 @@ void sockets() {
   unsigned short port = htons(80);  // expect: fed-socket-containment
 }
 
+// Macro bodies, continuation lines included, are held to the same rules.
+#define FIXTURE_OPEN(path) ::fopen(path, "r")  // expect: raw-io
+#define FIXTURE_LOCK(m) \
+  std::lock_guard fixtureGuard(m)  // expect: raw-mutex
+
 // reactor-containment: one event loop, in src/server/reactor.*.
 void ownLoop() {
   int ep = epoll_create1(0);  // expect: reactor-containment

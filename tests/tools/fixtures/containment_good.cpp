@@ -58,4 +58,9 @@ void drain(Backend& backend) {
   Backend::select(1);
 }
 
+// Macro bodies: member calls and the annotated wrappers stay clean.
+#define FIXTURE_OPEN(reader, path) (reader).open(path)
+#define FIXTURE_LOCK(mu) \
+  ute::MutexLock fixtureLock(mu)
+
 }  // namespace fixture

@@ -40,10 +40,12 @@ LexedFile lexFile(std::string path, const std::string& text) {
   const std::size_t n = text.size();
   int line = 1;
   bool atLineStart = true;  // only whitespace seen since the newline
+  bool inDefine = false;    // lexing a #define's logical line
 
   // Every push happens while `i` still indexes the token's first byte.
   auto push = [&](Token::Kind kind, std::string tok) {
-    out.tokens.push_back({kind, std::move(tok), line, i});
+    (inDefine ? out.macroTokens : out.tokens)
+        .push_back({kind, std::move(tok), line, i});
   };
   auto addComment = [&](int atLine, const std::string& body) {
     std::string& slot = out.comments[atLine];
@@ -54,9 +56,16 @@ LexedFile lexFile(std::string path, const std::string& text) {
   while (i < n) {
     const char c = text[i];
     if (c == '\n') {
+      if (inDefine) push(Token::Kind::kEnd, "");
+      inDefine = false;
       ++line;
       ++i;
       atLineStart = true;
+      continue;
+    }
+    if (inDefine && c == '\\' && i + 1 < n && text[i + 1] == '\n') {
+      ++line;
+      i += 2;
       continue;
     }
     if (std::isspace(static_cast<unsigned char>(c)) != 0) {
@@ -64,12 +73,20 @@ LexedFile lexFile(std::string path, const std::string& text) {
       continue;
     }
     // Preprocessor directive: skip the whole logical line (honoring
-    // backslash continuations). Macro *definitions* are invisible to the
-    // analysis; macro *uses* in code are plain identifier tokens. Only an
-    // `#include` leaves a trace: its target, for the header rules.
+    // backslash continuations), with two exceptions. An `#include`
+    // records its target, for the header rules. A `#define` is lexed on
+    // into macroTokens, so the containment rules see its body; macro
+    // *uses* in code are plain identifier tokens.
     if (c == '#' && atLineStart) {
       std::size_t j = i + 1;
       while (j < n && (text[j] == ' ' || text[j] == '\t')) ++j;
+      if (text.compare(j, 6, "define") == 0 && j + 6 < n &&
+          (text[j + 6] == ' ' || text[j + 6] == '\t')) {
+        inDefine = true;
+        atLineStart = false;
+        i = j + 6;
+        continue;
+      }
       if (text.compare(j, 7, "include") == 0) {
         j += 7;
         while (j < n && (text[j] == ' ' || text[j] == '\t')) ++j;
@@ -166,6 +183,8 @@ LexedFile lexFile(std::string path, const std::string& text) {
     push(Token::Kind::kPunct, std::string(1, c));
     ++i;
   }
+  if (inDefine) push(Token::Kind::kEnd, "");
+  inDefine = false;
   push(Token::Kind::kEnd, "");
   return out;
 }

@@ -5,7 +5,8 @@
 // token-level invariant rules: four token kinds with line numbers and
 // byte offsets, comments captured per line (the suppression syntax
 // `// utecheck: allow(<rule>) — reason` lives in comments), preprocessor
-// directives skipped except that `#include` targets are recorded, and
+// directives skipped except that `#include` targets are recorded and
+// `#define` lines are lexed into a token list of their own, and
 // string/char literals collapsed to single tokens so identifiers inside
 // them never reach the rules. Multi-character operators are merged only where later
 // passes need the distinction (`::` vs two colons, `==` vs assignment);
@@ -35,6 +36,10 @@ struct Include {
 struct LexedFile {
   std::string path;
   std::vector<Token> tokens;  ///< terminated by one kEnd token
+  /// Every `#define` line after the directive name (macro name,
+  /// parameters, body), each terminated by a kEnd token. Only the
+  /// containment rules read these; the call graph never sees them.
+  std::vector<Token> macroTokens;
   /// Comment text by the line it starts on (both // and /* */ forms),
   /// concatenated when a line carries several.
   std::unordered_map<int, std::string> comments;

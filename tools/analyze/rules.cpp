@@ -292,16 +292,22 @@ void checkInvariants(const Project& p, std::vector<Finding>& findings) {
           }
         }
       }
-      for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (t[i].kind != Token::Kind::kIdent) continue;
-        for (const std::string& call : row.calls) {
-          if (t[i].text == call && isFreeCall(t, i)) {
-            report(fi, t[i].line, row.rule, format(row.message, call + "()"));
+      // Code and #define bodies alike: a banned call cannot hide in a
+      // macro.
+      for (const std::vector<Token>* toks : {&t, &f.macroTokens}) {
+        const std::vector<Token>& m = *toks;
+        for (std::size_t i = 0; i + 1 < m.size(); ++i) {
+          if (m[i].kind != Token::Kind::kIdent) continue;
+          for (const std::string& call : row.calls) {
+            if (m[i].text == call && isFreeCall(m, i)) {
+              report(fi, m[i].line, row.rule,
+                     format(row.message, call + "()"));
+            }
           }
-        }
-        for (const std::string& ident : row.idents) {
-          if (isIdent(t, i, ident)) {
-            report(fi, t[i].line, row.rule, format(row.message, ident));
+          for (const std::string& ident : row.idents) {
+            if (isIdent(m, i, ident)) {
+              report(fi, m[i].line, row.rule, format(row.message, ident));
+            }
           }
         }
       }
