@@ -6,8 +6,10 @@ namespace ute {
 
 IntervalFileWriter::IntervalFileWriter(const std::string& path,
                                        const IntervalFileOptions& options,
-                                       std::vector<ThreadEntry> threads)
+                                       std::vector<ThreadEntry> threads,
+                                       const Profile* restate)
     : path_(path), options_(options), file_(path) {
+  if (restate) openStates_.emplace(*restate);
   if (options_.framesPerDirectory <= 0) options_.framesPerDirectory = 64;
   if (options_.targetFrameBytes < 1024) options_.targetFrameBytes = 1024;
 
@@ -53,49 +55,47 @@ void IntervalFileWriter::addMarker(std::uint32_t id, const std::string& name) {
 void IntervalFileWriter::addRecord(std::span<const std::uint8_t> body) {
   if (closed_) throw UsageError("IntervalFileWriter: addRecord after close");
   const RecordView view = RecordView::parse(body);
-  if (view.end() < lastEnd_ && !inHook_) {
+  if (view.end() < lastEnd_) {
     throw UsageError("interval records must be appended in ascending "
                      "end-time order (" +
                      std::to_string(view.end()) + " after " +
                      std::to_string(lastEnd_) + ")");
   }
 
-  // A fresh frame (other than the first) begins: let the hook inject its
-  // pseudo-intervals so a reader jumping into this frame sees the states
-  // that are still open at its beginning.
-  if (current_.records == 0 && totalRecords_ > 0 && hook_ && !inHook_) {
-    inHook_ = true;
-    std::vector<ByteWriter> extra;
-    hook_(lastEnd_, extra);
-    for (const ByteWriter& w : extra) {
-      appendToFrame(w.view(), RecordView::parse(w.view()));
+  if (openStates_) {
+    // A fresh frame restates the still-open states at its boundary.
+    if (current_.records == 0) {
+      openStates_->restate(lastEnd_, [this](const RecordView& pseudo) {
+        appendToFrame(pseudo.body, pseudo);
+        ++current_.pseudo;
+        ++pseudoRecords_;
+      });
     }
-    inHook_ = false;
+    openStates_->track(view);
   }
 
   appendToFrame(body, view);
-  if (!inHook_) lastEnd_ = std::max(lastEnd_, view.end());
-  if (current_.bytes.size() >= options_.targetFrameBytes) finalizeFrame();
+  lastEnd_ = view.end();
+  if (frameMayClose(current_.bytes.size() >= options_.targetFrameBytes,
+                    current_.pseudo, current_.records - current_.pseudo)) {
+    finalizeFrame();
+  }
 }
 
 void IntervalFileWriter::appendToFrame(std::span<const std::uint8_t> body,
                                        const RecordView& view) {
-  if (current_.records == 0) {
-    current_.minStart = view.start;
-    current_.maxEnd = view.end();
-  } else {
-    current_.minStart = std::min(current_.minStart, view.start);
-    current_.maxEnd = std::max(current_.maxEnd, view.end());
-  }
+  current_.minStart = std::min(current_.minStart, view.start);
+  current_.maxEnd = view.end();  // records arrive in ascending end order
   appendRecordWithLength(current_.bytes, body);
   ++current_.records;
   ++totalRecords_;
   minStart_ = std::min(minStart_, view.start);
-  maxEnd_ = std::max(maxEnd_, view.end());
 }
 
 void IntervalFileWriter::finalizeFrame() {
   if (current_.records == 0) return;
+  // A sealed frame waits for its directory; keep no growth slack.
+  current_.bytes.shrink_to_fit();
   pendingFrames_.push_back(std::move(current_));
   current_ = PendingFrame{};
   if (pendingFrames_.size() >=
@@ -117,7 +117,6 @@ void IntervalFileWriter::flushDirectory() {
   dir.u64(0);  // next directory offset; patched when it exists
 
   std::uint64_t frameOffset = dirOffset + dirSize;
-  std::size_t frameBytesTotal = 0;
   for (const PendingFrame& f : pendingFrames_) {
     dir.u64(frameOffset);
     dir.u32(static_cast<std::uint32_t>(f.bytes.size()));
@@ -125,18 +124,11 @@ void IntervalFileWriter::flushDirectory() {
     dir.u64(f.minStart);
     dir.u64(f.maxEnd);
     frameOffset += f.bytes.size();
-    frameBytesTotal += f.bytes.size();
   }
-  // One contiguous write per directory flush (directory + all frames)
-  // instead of 1 + framesPerDirectory separate writes.
-  std::vector<std::uint8_t> batch;
-  batch.reserve(dirSize + frameBytesTotal);
-  const auto dirView = dir.view();
-  batch.insert(batch.end(), dirView.begin(), dirView.end());
-  for (const PendingFrame& f : pendingFrames_) {
-    batch.insert(batch.end(), f.bytes.begin(), f.bytes.end());
-  }
-  file_.write(batch);
+  // The frames are written from where they wait, not copied into one
+  // batch first: a directory's frames are then in memory only once.
+  file_.write(dir);
+  for (const PendingFrame& f : pendingFrames_) file_.write(f.bytes);
   pendingFrames_.clear();
 
   if (prevDirOffset_ != 0) {
@@ -172,7 +164,7 @@ void IntervalFileWriter::close() {
   ByteWriter aggregates;
   aggregates.u64(totalRecords_);
   aggregates.u64(totalRecords_ == 0 ? 0 : minStart_);
-  aggregates.u64(maxEnd_);
+  aggregates.u64(lastEnd_);
   file_.writeAt(48, aggregates.view());
 
   file_.close();

@@ -4,23 +4,21 @@
 //
 // Records must be appended in ascending end-time order (the invariant the
 // merge utility and all readers rely on). Frames close when they reach a
-// target byte size; a directory is flushed to disk when it holds its full
-// complement of frames, and its "next directory" link is back-patched
-// when the following directory's position becomes known. The marker
-// string table (marker id -> string, Section 2.4) is written as a trailer
-// whose offset the header carries.
-//
-// A frame-start hook lets the merge utility inject its zero-duration
-// continuation pseudo-intervals at the beginning of every frame
-// (Section 3.3) without this writer knowing anything about state nesting.
+// target byte size, under the frame rule of interval/open_states.h; a
+// directory is flushed to disk when it holds its full complement of
+// frames, and its "next directory" link is back-patched when the
+// following directory's position becomes known. The marker string table
+// (marker id -> string, Section 2.4) is written as a trailer whose offset
+// the header carries.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "interval/open_states.h"
 #include "interval/profile.h"
 #include "interval/record.h"
 #include "support/file_io.h"
@@ -50,18 +48,13 @@ struct IntervalFileOptions {
 
 class IntervalFileWriter {
  public:
-  /// Called when a new frame is about to start; may append record bodies
-  /// (zero-duration continuation pseudo-intervals) that become the first
-  /// records of the frame. `frameStart` is the end time of the last
-  /// record of the previous frame.
-  using FrameStartHook =
-      std::function<void(Tick frameStart, std::vector<ByteWriter>& out)>;
-
+  /// With `restate` (the records' profile), the writer tracks open
+  /// states and restates them at every frame start (Section 3.3); the
+  /// records must then be merged-file bodies.
   IntervalFileWriter(const std::string& path,
                      const IntervalFileOptions& options,
-                     std::vector<ThreadEntry> threads);
-
-  void setFrameStartHook(FrameStartHook hook) { hook_ = std::move(hook); }
+                     std::vector<ThreadEntry> threads,
+                     const Profile* restate = nullptr);
 
   /// Registers one marker string/identifier pair; duplicates by id are
   /// ignored, conflicting strings for one id throw.
@@ -75,14 +68,17 @@ class IntervalFileWriter {
   /// the header, and closes the file.
   void close();
 
-  std::uint64_t recordsWritten() const { return totalRecords_; }
+  std::uint64_t pseudoRecordsWritten() const { return pseudoRecords_; }
+  /// The open states as of the last record; requires `restate`.
+  const OpenStates& openStates() const { return openStates_.value(); }
   const std::string& path() const { return path_; }
 
  private:
   struct PendingFrame {
     std::vector<std::uint8_t> bytes;
     std::uint32_t records = 0;
-    Tick minStart = 0;
+    std::uint32_t pseudo = 0;
+    Tick minStart = ~Tick{0};
     Tick maxEnd = 0;
   };
 
@@ -94,17 +90,16 @@ class IntervalFileWriter {
   std::string path_;
   IntervalFileOptions options_;
   FileWriter file_;
-  FrameStartHook hook_;
+  std::optional<OpenStates> openStates_;
   std::map<std::uint32_t, std::string> markers_;
 
   PendingFrame current_;
   std::vector<PendingFrame> pendingFrames_;
   std::uint64_t prevDirOffset_ = 0;  ///< 0 = none yet
   std::uint64_t totalRecords_ = 0;
+  std::uint64_t pseudoRecords_ = 0;
   Tick lastEnd_ = 0;
   Tick minStart_ = ~Tick{0};
-  Tick maxEnd_ = 0;
-  bool inHook_ = false;
   bool closed_ = false;
 };
 

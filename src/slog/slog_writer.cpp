@@ -25,7 +25,8 @@ SlogWriter::SlogWriter(const std::string& path, const SlogOptions& options,
                        std::vector<ThreadEntry> threads,
                        const std::map<std::uint32_t, std::string>& markers)
     : path_(path), options_(options), profile_(profile), file_(path),
-      threads_(std::move(threads)), preview_(options.previewBins) {
+      threads_(std::move(threads)), preview_(options.previewBins),
+      openStates_(profile) {
   if (options_.recordsPerFrame == 0) options_.recordsPerFrame = 4096;
   if (options_.formatVersion < kSlogMinVersion ||
       options_.formatVersion > kSlogVersion) {
@@ -125,34 +126,22 @@ void SlogWriter::addRecord(const RecordView& record) {
   const std::uint32_t stateId = stateIdFor(record);
   registerState(stateId, "state" + std::to_string(stateId));
 
-  maybeStartFrame(record.start);
+  // A fresh frame restates the still-open states at its boundary.
+  if (frameRecords_ == 0) {
+    openStates_.restate(frameTimeStart_, [this](const RecordView& pseudo) {
+      appendInterval(pseudo, stateIdFor(pseudo), /*pseudo=*/true);
+      ++framePseudo_;
+    });
+  }
+  openStates_.track(record);
 
-  SlogInterval interval;
-  interval.stateId = stateId;
-  interval.bebits = static_cast<std::uint8_t>(record.bebits());
-  interval.pseudo = false;
-  interval.start = record.start;
-  interval.dura = record.dura;
-  interval.node = record.node;
-  interval.cpu = record.cpu;
-  interval.thread = record.thread;
-  appendInterval(interval);
+  appendInterval(record, stateId, /*pseudo=*/false);
   preview_.add(stateId, record.start, record.dura);
   minStart_ = std::min(minStart_, record.start);
 
-  // Open-state bookkeeping for the pseudo-intervals of later frames.
-  const Bebits bebits = record.bebits();
-  const auto threadKey = std::make_pair(record.node, record.thread);
-  if (bebits == Bebits::kBegin) {
-    openStates_[threadKey].push_back(
-        {stateId, record.node, record.cpu, record.thread});
-  } else if (bebits == Bebits::kEnd) {
-    auto& stack = openStates_[threadKey];
-    if (!stack.empty()) stack.pop_back();
-  }
-
   // Arrow matching via the per-message sequence numbers.
   const EventType event = record.eventType();
+  const Bebits bebits = record.bebits();
   if ((event == EventType::kMpiSend || event == EventType::kMpiIsend) &&
       isFirstPiece(bebits)) {
     const auto seqno = accessor(record.intervalType, kFieldSeqNo).get(record);
@@ -184,33 +173,17 @@ void SlogWriter::addRecord(const RecordView& record) {
   }
 
   maxEnd_ = std::max(maxEnd_, record.end());
-  if (frameRecords_ >= options_.recordsPerFrame) finalizeFrame();
-}
-
-void SlogWriter::maybeStartFrame(Tick) {
-  if (frameRecords_ != 0 || (index_.empty() && intervalsWritten_ == 0)) {
-    return;
-  }
-  // First records of a new (non-initial) frame: restate the still-open
-  // states as zero-duration pseudo-intervals at the frame boundary.
-  const Tick boundary = frameTimeStart_;
-  for (const auto& [key, stack] : openStates_) {
-    for (const OpenState& s : stack) {
-      SlogInterval pseudo;
-      pseudo.stateId = s.stateId;
-      pseudo.bebits = static_cast<std::uint8_t>(Bebits::kContinuation);
-      pseudo.pseudo = true;
-      pseudo.start = boundary;
-      pseudo.dura = 0;
-      pseudo.node = s.node;
-      pseudo.cpu = s.cpu;
-      pseudo.thread = s.thread;
-      appendInterval(pseudo);
-    }
+  if (frameMayClose(frameRecords_ >= options_.recordsPerFrame, framePseudo_,
+                    frameRecords_ - framePseudo_)) {
+    finalizeFrame();
   }
 }
 
-void SlogWriter::appendInterval(const SlogInterval& interval) {
+void SlogWriter::appendInterval(const RecordView& record,
+                                std::uint32_t stateId, bool pseudo) {
+  const SlogInterval interval{
+      stateId,      static_cast<std::uint8_t>(record.bebits()), pseudo,
+      record.start, record.dura, record.node, record.cpu, record.thread};
   const bool columnar = options_.formatVersion >= 2;
   if (columnar || sealHook_) frameData_.intervals.push_back(interval);
   if (!columnar) encodeRowInterval(frameBytes_, interval);
@@ -254,6 +227,7 @@ void SlogWriter::finalizeFrame() {
   frameData_.arrows.clear();
   frameBytes_.clear();
   frameRecords_ = 0;
+  framePseudo_ = 0;
   frameTimeStart_ = entry.timeEnd;  // frames tile the run's time
 }
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "interval/open_states.h"
 #include "interval/profile.h"
 #include "interval/record.h"
 #include "slog/preview.h"
@@ -22,7 +23,7 @@
 namespace ute {
 
 struct SlogOptions {
-  std::uint32_t recordsPerFrame = 4096;
+  std::uint32_t recordsPerFrame = 4096;  ///< budget, see frameMayClose
   std::uint32_t previewBins = 240;
   /// SLOG file format version to write: kSlogVersion (2, columnar
   /// compressed frames) by default, or kSlogMinVersion (1, row-major)
@@ -69,12 +70,6 @@ class SlogWriter {
   std::uint64_t arrowsWritten() const { return arrowsWritten_; }
 
  private:
-  struct OpenState {
-    std::uint32_t stateId = 0;
-    NodeId node = 0;
-    std::int32_t cpu = 0;
-    LogicalThreadId thread = 0;
-  };
   struct PendingSend {
     NodeId node = 0;
     LogicalThreadId thread = 0;
@@ -83,9 +78,9 @@ class SlogWriter {
   };
 
   std::uint32_t stateIdFor(const RecordView& record);
-  void appendInterval(const SlogInterval& interval);
+  void appendInterval(const RecordView& record, std::uint32_t stateId,
+                      bool pseudo);
   void appendArrow(const SlogArrow& arrow);
-  void maybeStartFrame(Tick boundary);
   void finalizeFrame();
   const FieldAccessor& accessor(IntervalType type, const char* name);
 
@@ -106,14 +101,14 @@ class SlogWriter {
   /// incrementally into frameBytes_ and fills this only for a seal hook.
   SlogFrameData frameData_;
   FrameSealHook sealHook_;
-  std::uint32_t frameRecords_ = 0;
+  std::uint32_t frameRecords_ = 0;  ///< entries: intervals and arrows
+  std::uint32_t framePseudo_ = 0;   ///< of which restated pseudo-intervals
   Tick frameTimeStart_ = 0;
   Tick maxEnd_ = 0;
   Tick minStart_ = ~Tick{0};
   std::vector<SlogFrameIndexEntry> index_;
 
-  std::map<std::pair<NodeId, LogicalThreadId>, std::vector<OpenState>>
-      openStates_;
+  OpenStates openStates_;
   std::map<std::uint32_t, PendingSend> pendingSends_;
   std::map<std::pair<IntervalType, std::string>,
            std::unique_ptr<FieldAccessor>>

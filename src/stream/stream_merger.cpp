@@ -53,17 +53,6 @@ StreamMerger::StreamMerger(const Profile& profile, StreamMergeOptions options)
   options_.onlineFit.method = options_.syncMethod;
   options_.onlineFit.filterOutliers = options_.filterOutliers;
   options_.onlineFit.outlierTolerance = options_.outlierTolerance;
-
-  // Byte length of the "always" fields (those on every piece) per event
-  // type, from the continuation specs — what a pseudo-interval copies.
-  for (const auto& [type, spec] : profile_.specs()) {
-    if (intervalBebits(type) != Bebits::kContinuation) continue;
-    std::size_t len = 0;
-    for (std::size_t i = 6; i < spec.fields.size(); ++i) {
-      if (spec.fields[i].attr == 0) len += spec.fields[i].elemLen;
-    }
-    alwaysLen_[intervalEventType(type)] = len;
-  }
 }
 
 StreamMerger::~StreamMerger() = default;
@@ -218,13 +207,13 @@ std::optional<std::size_t> StreamMerger::waitingOn() const {
 /// every state still open on its nodes — the disconnect analogue of the
 /// converter's end-of-trace thread sealing. The pieces are enqueued as
 /// ordinary raw records so they flow through the normal adjust/emit
-/// path (and pop the open-state stacks they close).
+/// path (and pop the writer's open-state stacks they close).
 void StreamMerger::queueAbortClosures(Input& in) {
   in.closuresQueued = true;
-  for (auto& [key, stack] : openStates_) {
+  for (const auto& [key, stack] : writer_->openStates().stacks()) {
     if (in.nodes.count(key.first) == 0) continue;
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      const OpenState& s = *it;
+      const OpenStates::State& s = *it;
       ByteWriter extra;
       extra.bytes(s.alwaysBytes);
       // End-only fields, zero-padded exactly as the converter pads a
@@ -314,64 +303,12 @@ void StreamMerger::openOutput(const std::string& outPath, RecordSink sink) {
   writerOptions.merged = true;
   writerOptions.targetFrameBytes = options_.targetFrameBytes;
   writerOptions.framesPerDirectory = options_.framesPerDirectory;
+  // The writer restates open states at frame starts (Section 3.3).
   writer_ = std::make_unique<IntervalFileWriter>(outPath, writerOptions,
-                                                 mergedThreads_);
+                                                 mergedThreads_, &profile_);
   for (const auto& [id, name] : mergedMarkers_) writer_->addMarker(id, name);
-
-  // Frame-start hook: zero-duration continuation pseudo-intervals for
-  // every state open at the boundary (Section 3.3).
-  writer_->setFrameStartHook(
-      [this](Tick frameStart, std::vector<ByteWriter>& out) {
-        for (const auto& [key, stack] : openStates_) {
-          for (const OpenState& s : stack) {
-            ByteWriter extra;
-            extra.bytes(s.alwaysBytes);
-            extra.u64(frameStart);  // origStart of a pseudo record: itself
-            out.push_back(encodeRecordBody(
-                makeIntervalType(s.type, Bebits::kContinuation), frameStart,
-                /*dura=*/0, s.cpu, s.node, s.thread, extra.view()));
-            ++result_.pseudoRecords;
-          }
-        }
-      });
   sink_ = std::move(sink);
   result_.outputPath = outPath;
-}
-
-/// Writes the input's adjusted lookahead record, maintains the
-/// per-thread open-state stacks, and loads the input's next record.
-void StreamMerger::emitCurrent(Input& in) {
-  const RecordView& v = in.view;
-  writer_->addRecord(v.body);
-  ++result_.recordsOut;
-  lastEmittedEnd_ = v.end();
-  if (sink_) sink_(v);
-
-  // ClockSync records are complete-only and never tracked.
-  const Bebits bebits = v.bebits();
-  if (bebits == Bebits::kBegin) {
-    OpenState s;
-    s.type = v.eventType();
-    s.cpu = v.cpu;
-    s.node = v.node;
-    s.thread = v.thread;
-    const auto lenIt = alwaysLen_.find(s.type);
-    const std::size_t n = lenIt == alwaysLen_.end() ? 0 : lenIt->second;
-    if (v.body.size() >= kCommonPrefixBytes + n) {
-      s.alwaysBytes.assign(v.body.begin() + kCommonPrefixBytes,
-                           v.body.begin() + kCommonPrefixBytes + n);
-    }
-    openStates_[{v.node, v.thread}].push_back(std::move(s));
-  } else if (bebits == Bebits::kEnd) {
-    auto& stack = openStates_[{v.node, v.thread}];
-    if (stack.empty() || stack.back().type != v.eventType()) {
-      throw FormatError("end piece without a matching begin piece "
-                        "(node " + std::to_string(v.node) + ", thread " +
-                        std::to_string(v.thread) + ")");
-    }
-    stack.pop_back();
-  }
-  loadNext(in);
 }
 
 bool StreamMerger::fitsFrozen() {
@@ -432,7 +369,11 @@ void StreamMerger::advance() {
     const std::size_t i = tree_->min();
     Input& in = *inputs_[i];
     if (!in.ok) return;  // stalled: watermark barrier
-    emitCurrent(in);
+    writer_->addRecord(in.view.body);
+    ++result_.recordsOut;
+    lastEmittedEnd_ = in.view.end();
+    if (sink_) sink_(in.view);
+    loadNext(in);
     tree_->update(i, keyOf(i));
   }
 }
@@ -448,6 +389,7 @@ StreamMergeResult StreamMerger::finish() {
   }
   advance();
   writer_->close();
+  result_.pseudoRecords = writer_->pseudoRecordsWritten();
   finished_ = true;
   return result_;
 }

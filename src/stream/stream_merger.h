@@ -195,35 +195,19 @@ class StreamMerger {
     }
   };
 
-  /// Open-state tracking for frame-start pseudo-intervals (Section 3.3)
-  /// and for abort-closure synthesis.
-  struct OpenState {
-    EventType type = kRunningState;
-    std::int32_t cpu = 0;
-    NodeId node = 0;
-    LogicalThreadId thread = 0;
-    std::vector<std::uint8_t> alwaysBytes;
-  };
-
   Input& input(std::size_t i);
   const Input& input(std::size_t i) const;
   void loadNext(Input& in);
   void queueAbortClosures(Input& in);
-  void emitCurrent(Input& in);
   bool fitsFrozen();
   Key keyOf(std::size_t i) const;
 
   const Profile& profile_;
   StreamMergeOptions options_;
-  /// Always-fields byte length per event type (what a pseudo-interval
-  /// must copy), from the profile's continuation specs.
-  std::map<EventType, std::size_t> alwaysLen_;
 
   std::vector<std::unique_ptr<Input>> inputs_;
   std::vector<ThreadEntry> mergedThreads_;
   std::map<std::uint32_t, std::string> mergedMarkers_;
-  std::map<std::pair<NodeId, LogicalThreadId>, std::vector<OpenState>>
-      openStates_;
 
   std::unique_ptr<IntervalFileWriter> writer_;
   RecordSink sink_;

@@ -3,6 +3,7 @@
 // framework promises.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 
 #include "interval/standard_profile.h"
@@ -167,6 +168,29 @@ TEST(Pipeline, MergedCountsAddUp) {
   EXPECT_EQ(merged.header().totalRecords,
             r.merge.recordsOut + r.merge.pseudoRecords);
   EXPECT_GT(r.merge.pseudoRecords, 0u);
+}
+
+TEST(Pipeline, WideRunKeepsFramesMostlyPayload) {
+  // 128 tasks x 4 threads leave hundreds of states open at every frame
+  // boundary. Restating them all must not crowd out the payload: at most
+  // one pseudo record per four real ones, and a merged file that stays
+  // small per real record (~62 B). Frames sized by bytes alone put 1.25
+  // pseudo records beside each real one here (105 B per record), and
+  // the file grows without bound as the run lengthens.
+  TestProgramOptions workload;
+  workload.tasks = 128;
+  workload.nodes = 16;
+  workload.iterations = 120;
+  PipelineOptions options;
+  options.dir = makeScratchDir("pipeline_wide");
+  options.name = "wide";
+  const PipelineResult r = runPipeline(testProgram(workload), options);
+  ASSERT_GT(r.merge.recordsOut, 0u);
+  EXPECT_GT(r.merge.pseudoRecords, 0u);
+  EXPECT_LE(4 * r.merge.pseudoRecords, r.merge.recordsOut);
+  EXPECT_LT(std::filesystem::file_size(r.mergedFile),
+            80 * r.merge.recordsOut);
+  std::filesystem::remove_all(options.dir);
 }
 
 TEST(Pipeline, ClockRatiosReflectConfiguredDrifts) {

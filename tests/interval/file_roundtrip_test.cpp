@@ -251,43 +251,124 @@ TEST(IntervalFile, FrameContainingLocatesByTime) {
   EXPECT_FALSE(r.frameContaining(10'000'000).has_value());
 }
 
-TEST(IntervalFile, FrameStartHookInjectsPseudoRecords) {
-  const std::string path = tempPath("ifile_hook.uti");
-  int hookCalls = 0;
-  {
-    IntervalFileWriter w(path, smallFrames(), sampleThreads());
-    w.setFrameStartHook([&](Tick frameStart, std::vector<ByteWriter>& out) {
-      ++hookCalls;
-      out.push_back(runningPiece(frameStart, 0, 2, Bebits::kContinuation));
-    });
-    for (int i = 0; i < 500; ++i) {
-      w.addRecord(runningPiece(static_cast<Tick>(i) * 10, 9, 0).view());
-    }
-    w.close();
-  }
-  EXPECT_GT(hookCalls, 3);
+IntervalFileOptions mergedSmallFrames() {
+  IntervalFileOptions o = smallFrames();
+  o.fieldSelectionMask = kMergedFileMask;
+  o.merged = true;
+  return o;
+}
 
-  // Every frame after the first starts with the injected zero-duration
-  // continuation record on thread 2.
+/// A merged-file Running piece on node 0 (origStart appended).
+ByteWriter mergedRunning(Tick start, Tick dura, LogicalThreadId thread,
+                         Bebits bebits = Bebits::kComplete) {
+  ByteWriter origStart;
+  origStart.u64(start);
+  return encodeRecordBody(makeIntervalType(kRunningState, bebits), start,
+                          dura, 0, 0, thread, origStart.view());
+}
+
+/// Per frame, in file order: (pseudo records, real records). Pseudo
+/// records are the zero-duration continuations a frame starts with.
+std::vector<std::pair<int, int>> frameShares(const std::string& path) {
+  std::vector<std::pair<int, int>> shares;
   IntervalFileReader r(path);
-  int frameIdx = 0;
   for (FrameDirectory dir = r.firstDirectory(); !dir.frames.empty();
        dir = r.readDirectory(dir.nextOffset)) {
     for (const FrameInfo& frame : dir.frames) {
       const FrameBuf bytes = r.readFrame(frame);
       ByteReader br = bytes.reader();
-      const auto body = readLengthPrefixedRecord(br);
-      const RecordView first = RecordView::parse(body);
+      int pseudo = 0;
+      int real = 0;
+      bool leading = shares.size() > 0;
+      while (!br.atEnd()) {
+        const RecordView v = RecordView::parse(readLengthPrefixedRecord(br));
+        leading = leading && v.bebits() == Bebits::kContinuation &&
+                  v.dura == 0;
+        ++(leading ? pseudo : real);
+      }
+      shares.emplace_back(pseudo, real);
+    }
+    if (dir.nextOffset == 0) break;
+  }
+  return shares;
+}
+
+TEST(IntervalFile, MergedWriterRestatesOpenStatesAtFrameStarts) {
+  const Profile profile = makeStandardProfile();
+  const std::string path = tempPath("ifile_restate.uti");
+  std::uint64_t pseudo = 0;
+  {
+    IntervalFileWriter w(path, mergedSmallFrames(), sampleThreads(),
+                         &profile);
+    // A Running state on thread 2 stays open across every frame.
+    w.addRecord(mergedRunning(0, 5, 2, Bebits::kBegin).view());
+    for (int i = 1; i < 500; ++i) {
+      w.addRecord(mergedRunning(static_cast<Tick>(i) * 10, 9, 0).view());
+    }
+    EXPECT_EQ(w.openStates().stacks().at({0, 2}).size(), 1u);
+    w.close();
+    pseudo = w.pseudoRecordsWritten();
+  }
+  EXPECT_GT(pseudo, 3u);
+
+  // Every frame after the first starts with the open state's
+  // zero-duration continuation, at the previous frame's last end time.
+  IntervalFileReader r(path);
+  std::uint64_t frameIdx = 0;
+  Tick prevEnd = 0;
+  for (FrameDirectory dir = r.firstDirectory(); !dir.frames.empty();
+       dir = r.readDirectory(dir.nextOffset)) {
+    for (const FrameInfo& frame : dir.frames) {
+      const FrameBuf bytes = r.readFrame(frame);
+      ByteReader br = bytes.reader();
+      const RecordView first = RecordView::parse(readLengthPrefixedRecord(br));
       if (frameIdx > 0) {
         EXPECT_EQ(first.bebits(), Bebits::kContinuation);
         EXPECT_EQ(first.dura, 0u);
         EXPECT_EQ(first.thread, 2);
+        EXPECT_EQ(first.start, prevEnd);
       }
+      prevEnd = frame.endTime;
       ++frameIdx;
     }
     if (dir.nextOffset == 0) break;
   }
-  EXPECT_EQ(frameIdx, hookCalls + 1);
+  EXPECT_EQ(frameIdx, pseudo + 1);
+}
+
+TEST(IntervalFile, RestatementStaysWithinItsShareOfEachFrame) {
+  // 64 threads hold open states: restating them takes 64 records, more
+  // bytes than the whole 1 KiB frame budget. Sized by bytes alone, every
+  // later frame would be 64 pseudo records and one real one.
+  const Profile profile = makeStandardProfile();
+  std::vector<ThreadEntry> threads;
+  for (int t = 0; t <= 64; ++t) {
+    threads.push_back({0, 1000, 10000 + t, 0, t, ThreadType::kUser});
+  }
+  const std::string path = tempPath("ifile_share.uti");
+  constexpr int kReal = 4000;
+  {
+    IntervalFileWriter w(path, mergedSmallFrames(), threads, &profile);
+    for (int t = 0; t < 64; ++t) {
+      w.addRecord(mergedRunning(0, static_cast<Tick>(t), t,
+                                Bebits::kBegin).view());
+    }
+    for (int i = 0; i < kReal; ++i) {
+      w.addRecord(mergedRunning(100 + static_cast<Tick>(i) * 10, 9, 64)
+                      .view());
+    }
+    w.close();
+  }
+  const auto shares = frameShares(path);
+  ASSERT_GT(shares.size(), 2u);
+  // close() seals the last frame whatever its share; every other frame
+  // after the first holds at least four real records per pseudo record.
+  for (std::size_t f = 1; f + 1 < shares.size(); ++f) {
+    EXPECT_LE(shares[f].first * 4, shares[f].second) << "frame " << f;
+  }
+  // One frame per 4 x 64 real records, plus the first few; by bytes
+  // alone this file had one frame per real record.
+  EXPECT_LE(shares.size(), 4u + kReal / (4 * 64));
 }
 
 TEST(IntervalFile, EmptyFileIsValid) {

@@ -140,6 +140,71 @@ TEST(Slog, PseudoIntervalsRestateOpenStates) {
   }
 }
 
+TEST(Slog, RestatementStaysWithinItsShareOfEachFrame) {
+  // 32 open states against a 16-entry budget: counting pseudo-intervals
+  // toward the budget alone, every later frame would be 32 restatements
+  // and one real interval.
+  const Profile profile = makeStandardProfile();
+  const std::string path = tempPath("slog_share.slog");
+  std::vector<ThreadEntry> threads;
+  for (int t = 0; t <= 32; ++t) {
+    threads.push_back({t, 1000 + t, 10000 + t, 0, t, ThreadType::kMpi});
+  }
+  SlogOptions options;
+  options.recordsPerFrame = 16;
+  constexpr int kReal = 2000;
+  {
+    SlogWriter w(path, options, profile, threads, {});
+    for (int t = 0; t < 32; ++t) {
+      w.addRecord(viewOf(mergedBody(kRunningState, Bebits::kBegin, 0,
+                                    static_cast<Tick>(t), 0, t)));
+    }
+    for (int i = 0; i < kReal; ++i) {
+      w.addRecord(viewOf(mergedBody(kRunningState, Bebits::kComplete,
+                                    100 + static_cast<Tick>(i) * 10, 9, 0,
+                                    32)));
+    }
+    w.close();
+  }
+  SlogReader r(path);
+  const std::size_t frames = r.frameIndex().size();
+  ASSERT_GT(frames, 2u);
+  // close() seals the last frame whatever its share; every other frame
+  // holds at least four real intervals per pseudo-interval.
+  for (std::size_t f = 1; f + 1 < frames; ++f) {
+    const SlogFramePtr frame = r.readFrame(f);
+    std::size_t pseudo = 0;
+    for (const SlogInterval& iv : frame->intervals) pseudo += iv.pseudo;
+    EXPECT_GT(pseudo, 0u) << "frame " << f;
+    EXPECT_LE(pseudo * 4, frame->intervals.size() - pseudo) << "frame " << f;
+  }
+  EXPECT_LE(frames, 4u + kReal / (4 * 32));
+}
+
+TEST(Slog, EndPieceWithoutMatchingBeginThrows) {
+  const Profile profile = makeStandardProfile();
+  {
+    SlogWriter w(tempPath("slog_orphan_end.slog"), SlogOptions{}, profile,
+                 twoThreads(), {});
+    EXPECT_THROW(w.addRecord(viewOf(mergedBody(kRunningState, Bebits::kEnd,
+                                               0, 10, 0, 0))),
+                 FormatError);
+  }
+  {
+    // The end piece of another state than the one open on the thread.
+    SlogWriter w(tempPath("slog_wrong_end.slog"), SlogOptions{}, profile,
+                 twoThreads(), {});
+    w.addRecord(viewOf(mergedBody(kRunningState, Bebits::kBegin, 0, 10, 0,
+                                  0)));
+    ByteWriter barrierArgs;
+    barrierArgs.i32(0);
+    EXPECT_THROW(w.addRecord(viewOf(mergedBody(EventType::kMpiBarrier,
+                                               Bebits::kEnd, 10, 10, 0, 0,
+                                               barrierArgs))),
+                 FormatError);
+  }
+}
+
 TEST(Slog, ArrowsMatchedBySequenceNumber) {
   const Profile profile = makeStandardProfile();
   const std::string path = tempPath("slog_arrows.slog");
