@@ -53,8 +53,11 @@ void IntervalFileWriter::addMarker(std::uint32_t id, const std::string& name) {
 }
 
 void IntervalFileWriter::addRecord(std::span<const std::uint8_t> body) {
+  addRecord(RecordView::parse(body));
+}
+
+void IntervalFileWriter::addRecord(const RecordView& view) {
   if (closed_) throw UsageError("IntervalFileWriter: addRecord after close");
-  const RecordView view = RecordView::parse(body);
   if (view.end() < lastEnd_) {
     throw UsageError("interval records must be appended in ascending "
                      "end-time order (" +
@@ -66,7 +69,7 @@ void IntervalFileWriter::addRecord(std::span<const std::uint8_t> body) {
     // A fresh frame restates the still-open states at its boundary.
     if (current_.records == 0) {
       openStates_->restate(lastEnd_, [this](const RecordView& pseudo) {
-        appendToFrame(pseudo.body, pseudo);
+        appendToFrame(pseudo);
         ++current_.pseudo;
         ++pseudoRecords_;
       });
@@ -74,7 +77,7 @@ void IntervalFileWriter::addRecord(std::span<const std::uint8_t> body) {
     openStates_->track(view);
   }
 
-  appendToFrame(body, view);
+  appendToFrame(view);
   lastEnd_ = view.end();
   if (frameMayClose(current_.bytes.size() >= options_.targetFrameBytes,
                     current_.pseudo, current_.records - current_.pseudo)) {
@@ -82,11 +85,10 @@ void IntervalFileWriter::addRecord(std::span<const std::uint8_t> body) {
   }
 }
 
-void IntervalFileWriter::appendToFrame(std::span<const std::uint8_t> body,
-                                       const RecordView& view) {
+void IntervalFileWriter::appendToFrame(const RecordView& view) {
   current_.minStart = std::min(current_.minStart, view.start);
   current_.maxEnd = view.end();  // records arrive in ascending end order
-  appendRecordWithLength(current_.bytes, body);
+  appendRecordWithLength(current_.bytes, view.body);
   ++current_.records;
   ++totalRecords_;
   minStart_ = std::min(minStart_, view.start);

@@ -63,6 +63,9 @@ class IntervalFileWriter {
   /// Appends one record body (as produced by encodeRecordBody). Bodies
   /// must arrive in ascending end-time order.
   void addRecord(std::span<const std::uint8_t> body);
+  /// The same, for a body already parsed: `record.body` is written and
+  /// its common fields are taken as parsed, not read again.
+  void addRecord(const RecordView& record);
 
   /// Finalizes frames and directories, writes the marker table, patches
   /// the header, and closes the file.
@@ -82,8 +85,7 @@ class IntervalFileWriter {
     Tick maxEnd = 0;
   };
 
-  void appendToFrame(std::span<const std::uint8_t> body,
-                     const RecordView& view);
+  void appendToFrame(const RecordView& view);
   void finalizeFrame();
   void flushDirectory();
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -43,8 +42,23 @@ class OpenStates {
     /// The begin piece's always-fields, which a pseudo-interval copies.
     std::vector<std::uint8_t> alwaysBytes;
   };
-  using Stacks =
-      std::map<std::pair<NodeId, LogicalThreadId>, std::vector<State>>;
+
+  /// One (node, thread)'s open states, bottom to top. An end piece pops
+  /// by moving the depth down and keeps the slot, so the next begin piece
+  /// reuses its always-field buffer instead of allocating one.
+  class Stack {
+   public:
+    std::size_t size() const { return depth_; }
+    const State& operator[](std::size_t i) const { return slots_[i]; }
+    const State* begin() const { return slots_.data(); }
+    const State* end() const { return slots_.data() + depth_; }
+
+   private:
+    friend class OpenStates;
+    std::vector<State> slots_;
+    std::size_t depth_ = 0;  ///< live slots; the rest wait for reuse
+  };
+  using Stacks = std::map<std::pair<NodeId, LogicalThreadId>, Stack>;
 
   /// Sizes each state type's always-fields (attr 0 beyond the common
   /// six) from its continuation spec.
@@ -65,42 +79,57 @@ class OpenStates {
   void track(const RecordView& record) {
     const Bebits bebits = record.bebits();
     if (bebits != Bebits::kBegin && bebits != Bebits::kEnd) return;
-    auto& stack = stacks_[{record.node, record.thread}];
+    Stack& stack = stacks_[{record.node, record.thread}];
     if (bebits == Bebits::kEnd) {
-      if (stack.empty() || stack.back().type != record.eventType()) {
+      if (stack.depth_ == 0 ||
+          stack.slots_[stack.depth_ - 1].type != record.eventType()) {
         throw FormatError("end piece without a matching begin piece (node " +
                           std::to_string(record.node) + ", thread " +
                           std::to_string(record.thread) + ")");
       }
-      stack.pop_back();
+      --stack.depth_;
       return;
     }
-    State& s = stack.emplace_back(State{record.eventType(), record.cpu,
-                                        record.node, record.thread, {}});
+    if (stack.depth_ == stack.slots_.size()) stack.slots_.emplace_back();
+    State& s = stack.slots_[stack.depth_++];
+    s.type = record.eventType();
+    s.cpu = record.cpu;
+    s.node = record.node;
+    s.thread = record.thread;
     const std::size_t n = alwaysLen_[s.type];
     if (record.body.size() >= kCommonPrefixBytes + n) {
       s.alwaysBytes.assign(record.body.begin() + kCommonPrefixBytes,
                            record.body.begin() + kCommonPrefixBytes + n);
+    } else {
+      s.alwaysBytes.clear();
     }
   }
 
   /// Open states in (node, thread) order, each stack bottom to top.
   const Stacks& stacks() const { return stacks_; }
 
-  /// Calls `fn` with the continuation pseudo-record of every open state,
-  /// in stacks() order: a merged-file body of zero duration at `at`,
-  /// carrying the state's always-fields and origStart = `at`.
-  void restate(Tick at,
-               const std::function<void(const RecordView&)>& fn) const {
+  /// Calls `fn(const RecordView&)` with the continuation pseudo-record of
+  /// every open state, in stacks() order: a merged-file body of zero
+  /// duration at `at`, carrying the state's always-fields and origStart =
+  /// `at`. Each body is encoded into one reused buffer, valid only for
+  /// the duration of its call.
+  template <typename Fn>
+  void restate(Tick at, Fn&& fn) {
     for (const auto& [key, stack] : stacks_) {
       for (const State& s : stack) {
-        ByteWriter extra;
-        extra.bytes(s.alwaysBytes);
-        extra.u64(at);
-        const ByteWriter body = encodeRecordBody(
-            makeIntervalType(s.type, Bebits::kContinuation), at, /*dura=*/0,
-            s.cpu, s.node, s.thread, extra.view());
-        fn(RecordView::parse(body.view()));
+        RecordView view;
+        view.intervalType = makeIntervalType(s.type, Bebits::kContinuation);
+        view.start = at;
+        view.dura = 0;
+        view.cpu = s.cpu;
+        view.node = s.node;
+        view.thread = s.thread;
+        pseudo_.clear();
+        appendRecordBody(pseudo_, view.intervalType, at, /*dura=*/0, s.cpu,
+                         s.node, s.thread, s.alwaysBytes);
+        pseudo_.u64(at);
+        view.body = pseudo_.view();
+        fn(view);
       }
     }
   }
@@ -108,6 +137,7 @@ class OpenStates {
  private:
   std::map<EventType, std::size_t> alwaysLen_;
   Stacks stacks_;
+  ByteWriter pseudo_;  ///< restate's encode buffer
 };
 
 }  // namespace ute

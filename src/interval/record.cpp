@@ -39,18 +39,25 @@ RecordView RecordView::parse(std::span<const std::uint8_t> body) {
   return v;
 }
 
+void appendRecordBody(ByteWriter& out, IntervalType type, Tick start,
+                      Tick dura, std::int32_t cpu, NodeId node,
+                      LogicalThreadId thread,
+                      std::span<const std::uint8_t> extra) {
+  out.u32(type);
+  out.u64(start);
+  out.u64(dura);
+  out.i32(cpu);
+  out.i32(node);
+  out.i32(thread);
+  out.bytes(extra);
+}
+
 ByteWriter encodeRecordBody(IntervalType type, Tick start, Tick dura,
                             std::int32_t cpu, NodeId node,
                             LogicalThreadId thread,
                             std::span<const std::uint8_t> extra) {
   ByteWriter w;
-  w.u32(type);
-  w.u64(start);
-  w.u64(dura);
-  w.i32(cpu);
-  w.i32(node);
-  w.i32(thread);
-  w.bytes(extra);
+  appendRecordBody(w, type, start, dura, cpu, node, thread, extra);
   return w;
 }
 

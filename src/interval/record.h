@@ -54,8 +54,14 @@ struct RecordView {
   static RecordView parse(std::span<const std::uint8_t> body);
 };
 
-/// Encodes a record body: common fields followed by pre-encoded
-/// type-specific field bytes (append them in spec order).
+/// Appends a record body to `out`: common fields followed by
+/// pre-encoded type-specific field bytes (append them in spec order).
+void appendRecordBody(ByteWriter& out, IntervalType type, Tick start,
+                      Tick dura, std::int32_t cpu, NodeId node,
+                      LogicalThreadId thread,
+                      std::span<const std::uint8_t> extra = {});
+
+/// The same body in a fresh buffer.
 ByteWriter encodeRecordBody(IntervalType type, Tick start, Tick dura,
                             std::int32_t cpu, NodeId node,
                             LogicalThreadId thread,

@@ -29,8 +29,9 @@ namespace ute {
 /// pass-1 parallelism.
 struct MergeOptions : StreamMergeOptions {
   /// Parallelism: with jobs != 1, the per-input clock-map fits of pass 1
-  /// run on a thread pool. Pass 2 reads every input in order on the
-  /// calling thread at any jobs value. Output is byte-identical to
+  /// run on a thread pool, and a record sink runs on its own thread
+  /// beside pass 2 (see RecordSink). Pass 2 reads every input in order on
+  /// the calling thread at any jobs value. Output is byte-identical to
   /// jobs == 1. 1 = sequential reference path; <= 0 = one per hardware
   /// thread.
   int jobs = 1;
@@ -54,6 +55,15 @@ class IntervalMerger {
   /// Observes every merged record (after adjustment) as it is written —
   /// the hook the slogmerge utility uses to build the SLOG file in the
   /// same pass.
+  ///
+  /// Contract: the sink is called from one thread at a time, once per
+  /// merged record, in output order. At jobs == 1 that is the calling
+  /// thread, inside the merge loop. At jobs != 1 it is a worker thread
+  /// that replays batches of copied records while the merge runs ahead,
+  /// so the sink must not touch state the caller uses during mergeTo.
+  /// The view and its body are valid only for the duration of the call.
+  /// Either way mergeTo returns only after the sink's last call. An
+  /// exception from the sink stops the merge and is rethrown by mergeTo.
   using RecordSink = std::function<void(const RecordView&)>;
 
   MergeResult mergeTo(const std::string& outPath,

@@ -1,6 +1,5 @@
 #include "slog/slog_codec.h"
 
-#include <algorithm>
 #include <array>
 
 #include "slog/kernels.h"
@@ -95,6 +94,33 @@ void encodeDeltaLane(const std::vector<std::uint64_t>& lane,
   }
 }
 
+/// The dictionary candidate: `lane`'s distinct values in first-appearance
+/// order, and each record's index into them. False past kMaxDictValues
+/// distinct values. Values are found through an open-addressed table of
+/// twice that many slots, not by scanning the dictionary.
+bool buildDictionary(const std::vector<std::uint64_t>& lane,
+                     std::vector<std::uint64_t>& dict,
+                     std::vector<std::uint32_t>& indexes) {
+  constexpr int kSlotBits = 7;
+  constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static_assert(kSlots >= 2 * kMaxDictValues);
+  std::array<std::uint8_t, kSlots> slots{};  ///< dict index + 1; 0 = empty
+  indexes.reserve(lane.size());
+  for (const std::uint64_t v : lane) {
+    std::size_t h = (v * 0x9e3779b97f4a7c15ull) >> (64 - kSlotBits);
+    while (slots[h] != 0 && dict[slots[h] - 1u] != v) {
+      h = (h + 1) & (kSlots - 1);
+    }
+    if (slots[h] == 0) {
+      if (dict.size() >= kMaxDictValues) return false;
+      dict.push_back(v);
+      slots[h] = static_cast<std::uint8_t>(dict.size());
+    }
+    indexes.push_back(slots[h] - 1u);
+  }
+  return true;
+}
+
 /// Emits one column block: u8 id, u8 encoding, varint length, payload.
 /// Non-time columns deterministically pick the smaller of plain-varint
 /// and dictionary (dictionary in first-appearance order; plain wins ties).
@@ -112,22 +138,7 @@ void emitColumn(std::uint8_t id, bool isTime,
     // Dictionary candidate: distinct values in first-appearance order.
     std::vector<std::uint64_t> dict;
     std::vector<std::uint32_t> indexes;
-    indexes.reserve(lane.size());
-    bool viable = true;
-    for (std::uint64_t v : lane) {
-      const auto it = std::find(dict.begin(), dict.end(), v);
-      if (it == dict.end()) {
-        if (dict.size() >= kMaxDictValues) {
-          viable = false;
-          break;
-        }
-        indexes.push_back(static_cast<std::uint32_t>(dict.size()));
-        dict.push_back(v);
-      } else {
-        indexes.push_back(static_cast<std::uint32_t>(it - dict.begin()));
-      }
-    }
-    if (viable && !lane.empty()) {
+    if (buildDictionary(lane, dict, indexes) && !lane.empty()) {
       std::vector<std::uint8_t> dictBytes;
       putVarint(dictBytes, dict.size());
       for (std::uint64_t v : dict) putVarint(dictBytes, v);

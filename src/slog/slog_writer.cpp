@@ -97,16 +97,15 @@ SlogWriter::~SlogWriter() {
 }
 
 const FieldAccessor& SlogWriter::accessor(IntervalType type,
-                                          const char* name) {
-  const auto key = std::make_pair(type, std::string(name));
+                                          std::string_view name) {
+  const auto key = std::make_pair(type, name);
   auto it = accessors_.find(key);
   if (it == accessors_.end()) {
     it = accessors_
-             .emplace(key, std::make_unique<FieldAccessor>(
-                               profile_, type, kMergedFileMask, name))
+             .try_emplace(key, profile_, type, kMergedFileMask, name)
              .first;
   }
-  return *it->second;
+  return it->second;
 }
 
 std::uint32_t SlogWriter::stateIdFor(const RecordView& record) {
@@ -124,7 +123,9 @@ void SlogWriter::addRecord(const RecordView& record) {
   if (record.eventType() == kClockSyncState) return;
 
   const std::uint32_t stateId = stateIdFor(record);
-  registerState(stateId, "state" + std::to_string(stateId));
+  if (stateIndex_.find(stateId) == stateIndex_.end()) {
+    registerState(stateId, "state" + std::to_string(stateId));
+  }
 
   // A fresh frame restates the still-open states at its boundary.
   if (frameRecords_ == 0) {

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -82,7 +83,10 @@ class SlogWriter {
                       bool pseudo);
   void appendArrow(const SlogArrow& arrow);
   void finalizeFrame();
-  const FieldAccessor& accessor(IntervalType type, const char* name);
+  /// The cached accessor for `name` on `type`. The cache keys on the
+  /// view, so `name` must outlive the writer: the profile's field-name
+  /// constants do.
+  const FieldAccessor& accessor(IntervalType type, std::string_view name);
 
   std::string path_;
   SlogOptions options_;
@@ -110,8 +114,7 @@ class SlogWriter {
 
   OpenStates openStates_;
   std::map<std::uint32_t, PendingSend> pendingSends_;
-  std::map<std::pair<IntervalType, std::string>,
-           std::unique_ptr<FieldAccessor>>
+  std::map<std::pair<IntervalType, std::string_view>, FieldAccessor>
       accessors_;
 
   std::uint64_t intervalsWritten_ = 0;

@@ -127,6 +127,10 @@ void StreamMerger::addClockPair(std::size_t i, const TimestampPair& pair) {
 
 void StreamMerger::addRecord(std::size_t i,
                              std::span<const std::uint8_t> body) {
+  addRecord(i, RecordView::parse(body));
+}
+
+void StreamMerger::addRecord(std::size_t i, const RecordView& v) {
   Input& in = input(i);
   if (in.closed) {
     throw UsageError("StreamMerger: record for closed input " +
@@ -136,7 +140,6 @@ void StreamMerger::addRecord(std::size_t i,
     throw UsageError("StreamMerger: records before the thread table of "
                      "input " + std::to_string(i));
   }
-  const RecordView v = RecordView::parse(body);
   ++result_.recordsIn;
   // Per-input records must arrive in ascending end order (the .uti
   // writer invariant the watermark rule depends on).
@@ -154,13 +157,13 @@ void StreamMerger::addRecord(std::size_t i,
   if (!in.ok && in.pending.empty()) dirty_.push_back(i);
 
   if (v.eventType() == kClockSyncState) {
-    if (body.size() < kCommonPrefixBytes + 8) {
+    if (v.body.size() < kCommonPrefixBytes + 8) {
       throw FormatError("short ClockSync record on streamed input " +
                         std::to_string(i));
     }
     TimestampPair p;
     p.local = v.start;
-    p.global = leU64At(body, kCommonPrefixBytes);
+    p.global = leU64At(v.body, kCommonPrefixBytes);
     in.fit.addPair(p);
     if (!options_.keepClockRecords) return;
   }
@@ -168,9 +171,15 @@ void StreamMerger::addRecord(std::size_t i,
       in.excludedThreads.count({v.node, v.thread}) != 0) {
     return;
   }
-  in.pending.emplace_back(body.begin(), body.end());
-  bufferedBytes_ += body.size();
-  in.bufferedBytes += body.size();
+  if (tree_ && !in.ok && in.pending.empty()) {
+    // The merge is stalled on this input (or will stall on it next):
+    // the record is its lookahead, with no trip through `pending`.
+    loadAdjusted(in, v);
+    return;
+  }
+  in.pending.emplace_back(v.body.begin(), v.body.end());
+  bufferedBytes_ += v.body.size();
+  in.bufferedBytes += v.body.size();
 }
 
 void StreamMerger::closeInput(std::size_t i) {
@@ -212,8 +221,8 @@ void StreamMerger::queueAbortClosures(Input& in) {
   in.closuresQueued = true;
   for (const auto& [key, stack] : writer_->openStates().stacks()) {
     if (in.nodes.count(key.first) == 0) continue;
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      const OpenStates::State& s = *it;
+    for (std::size_t depth = stack.size(); depth-- > 0;) {
+      const OpenStates::State& s = stack[depth];
       ByteWriter extra;
       extra.bytes(s.alwaysBytes);
       // End-only fields, zero-padded exactly as the converter pads a
@@ -252,22 +261,31 @@ void StreamMerger::loadNext(Input& in) {
   in.pending.pop_front();
   bufferedBytes_ -= raw.size();
   in.bufferedBytes -= raw.size();
-  const RecordView rawView = RecordView::parse(raw);
-  in.body.assign(raw.begin(), raw.end());
+  loadAdjusted(in, RecordView::parse(raw));
+}
+
+/// Makes `raw` (not aliasing in.body) the input's lookahead, adjusted
+/// onto the global time base in the lookahead's reused buffer. The view
+/// is built from `raw`'s parse, not parsed again.
+void StreamMerger::loadAdjusted(Input& in, const RecordView& raw) {
   // Map both endpoints through the (monotone) clock map and derive the
   // duration from them: mapping start and duration independently can
   // round equal end times to values 1 ns apart, breaking the merged
   // file's end-time ordering. The difference equals the paper's R*D up
   // to rounding.
-  const Tick newStart = in.fit.map().toGlobal(rawView.start);
-  const Tick newEnd = in.fit.map().toGlobal(rawView.end());
+  const Tick newStart = in.fit.map().toGlobal(raw.start);
+  const Tick newEnd = in.fit.map().toGlobal(raw.end());
+  in.body.assign(raw.body.begin(), raw.body.end());
   patchRecordTimes(in.body, newStart, newEnd - newStart);
   // Merged files carry the pre-adjustment local start time (attr-1
   // field origStart, last in every spec).
   for (int i = 0; i < 8; ++i) {
-    in.body.push_back(static_cast<std::uint8_t>(rawView.start >> (8 * i)));
+    in.body.push_back(static_cast<std::uint8_t>(raw.start >> (8 * i)));
   }
-  in.view = RecordView::parse(in.body);
+  in.view = raw;
+  in.view.body = in.body;
+  in.view.start = newStart;
+  in.view.dura = newEnd - newStart;
   in.ok = true;
 }
 
@@ -369,12 +387,15 @@ void StreamMerger::advance() {
     const std::size_t i = tree_->min();
     Input& in = *inputs_[i];
     if (!in.ok) return;  // stalled: watermark barrier
-    writer_->addRecord(in.view.body);
+    writer_->addRecord(in.view);
     ++result_.recordsOut;
     lastEmittedEnd_ = in.view.end();
     if (sink_) sink_(in.view);
     loadNext(in);
-    tree_->update(i, keyOf(i));
+    // An input drained onto its frontier stalls at the end it just
+    // emitted, which is the key the tree already holds: no replay.
+    const Key next = keyOf(i);
+    if (next.end != lastEmittedEnd_ || next.input != i) tree_->update(i, next);
   }
 }
 

@@ -124,8 +124,11 @@ class StreamMerger {
   /// in a per-node .uti file). Records must arrive in ascending end
   /// order per input; ClockSync records feed the online fit and are
   /// dropped unless keepClockRecords; records of threads excluded by the
-  /// type mask are dropped.
+  /// type mask are dropped. Once every fit is frozen, a record for an
+  /// input with nothing buffered becomes its adjusted lookahead at once.
   void addRecord(std::size_t input, std::span<const std::uint8_t> body);
+  /// The same, for a body already parsed (`record.body` is the body).
+  void addRecord(std::size_t input, const RecordView& record);
 
   /// Marks the input complete (graceful end of its stream). Freezes a
   /// still-open clock fit.
@@ -198,6 +201,7 @@ class StreamMerger {
   Input& input(std::size_t i);
   const Input& input(std::size_t i) const;
   void loadNext(Input& in);
+  void loadAdjusted(Input& in, const RecordView& raw);
   void queueAbortClosures(Input& in);
   bool fitsFrozen();
   Key keyOf(std::size_t i) const;

@@ -257,6 +257,63 @@ TEST(StreamMerger, AbortSynthesizesEndPiecesForOpenStates) {
   EXPECT_TRUE(sawClosure);
 }
 
+TEST(StreamMerger, AbortClosesOnlyLiveStatesAfterSlotReuse) {
+  const Profile profile = makeStandardProfile();
+  std::vector<ThreadEntry> threads = {
+      {0, 1000, 10000, 0, 0, ThreadType::kMpi},
+      {0, 1000, 10001, 0, 1, ThreadType::kUser}};
+  StreamMerger merger(profile);
+  const std::size_t i = merger.addInput();
+  merger.setThreads(i, threads);
+  merger.addMarker(7, "outer");
+  merger.addMarker(9, "inner");
+  merger.setClockPairs(i, {}, /*final=*/true);  // identity fit, frozen
+  const std::string out = tempPath("smerge_reuse_out.uti");
+  merger.openOutput(out);
+
+  Tick t = 0;
+  const auto feed = [&](EventType type, Bebits bebits, LogicalThreadId thread,
+                        std::uint32_t markerId = 0) {
+    ByteWriter extra;
+    if (type == EventType::kUserMarker) {
+      extra.u32(markerId);
+      extra.u64(0);  // instrAddrBegin / instrAddrEnd
+    }
+    t += 10;
+    merger.addRecord(i, encodeRecordBody(makeIntervalType(type, bebits), t,
+                                         1, 0, 0, thread, extra.view())
+                            .view());
+    merger.advance();
+  };
+  // Push three begins, pop two, push one into a freed slot.
+  feed(EventType::kUserMarker, Bebits::kBegin, 1, 7);
+  feed(kRunningState, Bebits::kBegin, 0);
+  feed(EventType::kUserMarker, Bebits::kBegin, 1, 9);
+  feed(EventType::kUserMarker, Bebits::kEnd, 1, 9);
+  feed(EventType::kUserMarker, Bebits::kEnd, 1, 7);
+  feed(kRunningState, Bebits::kBegin, 1);
+  merger.abortInput(i);
+  const StreamMergeResult result = merger.finish();
+
+  // One closure per live state — the two Running states — and none for
+  // the markers whose slots were popped.
+  EXPECT_EQ(result.abortClosures, 2u);
+  IntervalFileReader merged(out);
+  auto stream = merged.records();
+  RecordView view;
+  std::vector<std::pair<EventType, LogicalThreadId>> closures;
+  int markerEnds = 0;
+  while (stream.next(view)) {
+    if (view.bebits() != Bebits::kEnd) continue;
+    if (view.eventType() == EventType::kUserMarker) ++markerEnds;
+    if (view.dura == 0) closures.emplace_back(view.eventType(), view.thread);
+  }
+  EXPECT_EQ(markerEnds, 2);
+  EXPECT_EQ(closures,
+            (std::vector<std::pair<EventType, LogicalThreadId>>{
+                {kRunningState, 0}, {kRunningState, 1}}));
+}
+
 TEST(StreamMerger, WaitingOnNamesTheStarvedInput) {
   const Profile profile = makeStandardProfile();
   const auto a = writeNodeFile("smerge_needs_a.uti", 0, 0.0, 0, 10);
