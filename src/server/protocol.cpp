@@ -77,10 +77,11 @@ void putFrameData(ByteWriter& w, std::span<const SlogInterval> intervals,
                   std::span<const SlogArrow> arrows,
                   FrameEncoding enc = FrameEncoding::kRow) {
   if (enc == FrameEncoding::kColumnar) {
-    std::vector<std::uint8_t> blob;
-    encodeColumnarFrame(intervals, arrows, blob);
-    w.u32(static_cast<std::uint32_t>(blob.size()));
-    w.bytes(blob);
+    // Encoded in place; the u32 length is patched once it is known.
+    const std::size_t lengthAt = w.size();
+    w.u32(0);
+    encodeColumnarFrame(intervals, arrows, w.buffer());
+    w.patchU32(lengthAt, static_cast<std::uint32_t>(w.size() - lengthAt - 4));
     return;
   }
   w.u32(static_cast<std::uint32_t>(intervals.size()));

@@ -1,14 +1,19 @@
 // Width-agnostic columnar inner-loop kernels.
 //
-// The v2 columnar frame layout (slog_codec.h) exists so the hot loops —
-// frame decode, `.utm` metric accumulation, preview-histogram binning —
-// run over contiguous same-typed lanes instead of strided structs. The
-// helpers here are deliberately plain C++: each is one tight loop with
-// no cross-iteration dependence beyond a declared reduction, which is
-// the shape clang and gcc autovectorize at -O2 for whatever SIMD width
+// The v2 columnar frame layout (slog_codec.h) keeps each field's values
+// together so the hot loops run over one contiguous lane at a time.
+// Frame decode writes each column block straight into its record field:
+// a block that spends exactly one byte per value is checked with one
+// byteMax reduction (no continuation bit, every dictionary index in
+// range) and then widened byte by byte, and only other blocks take the
+// varint loop. `.utm` metric accumulation and preview binning share
+// binOf. The helpers here are deliberately plain C++: each is one tight
+// loop with no cross-iteration dependence beyond a declared reduction,
+// which is the shape clang and gcc autovectorize for whatever SIMD width
 // the target has (SSE/AVX/NEON/SVE) without a single intrinsic. Keep
-// them branch-free inside the loop body; bench_io's decode sweep records
-// the measured effect (see the vectorization note in BENCH_io.json).
+// them branch-free inside the loop body; bench_io's encoding sweep
+// records the measured decode rate (see the vectorization note in
+// BENCH_io.json).
 #pragma once
 
 #include <cstddef>
@@ -16,18 +21,11 @@
 
 namespace ute::kernels {
 
-/// OR-reduction over a u64 lane — validate a whole column's value range
-/// with one vectorizable pass instead of a branch per element.
-inline std::uint64_t laneOr(const std::uint64_t* lane, std::size_t n) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc |= lane[i];
-  return acc;
-}
-
-/// Sum-reduction over a u64 lane (wrapping; callers own overflow).
-inline std::uint64_t laneSum(const std::uint64_t* lane, std::size_t n) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += lane[i];
+/// Max-reduction over a byte lane: checks a whole block's bytes against
+/// one bound in a single vectorizable pass instead of a branch per byte.
+inline std::uint8_t byteMax(const std::uint8_t* bytes, std::size_t n) {
+  std::uint8_t acc = 0;
+  for (std::size_t i = 0; i < n; ++i) acc = bytes[i] > acc ? bytes[i] : acc;
   return acc;
 }
 

@@ -1,6 +1,9 @@
 #include "slog/slog_codec.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <type_traits>
 
 #include "slog/kernels.h"
 #include "support/errors.h"
@@ -15,12 +18,29 @@ const char* frameEncodingName(FrameEncoding encoding) {
   return "?";
 }
 
-void putVarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+namespace {
+
+/// Bytes writeVarint spends on `v` (1..10).
+constexpr std::size_t varintSize(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+/// Writes `v` as 1..10 LEB128 bytes at `p`; returns the end.
+std::uint8_t* writeVarint(std::uint8_t* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+}  // namespace
+
+void putVarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  const std::size_t at = out.size();
+  out.resize(at + varintSize(v));
+  writeVarint(out.data() + at, v);
 }
 
 std::uint64_t getVarint(std::span<const std::uint8_t> data,
@@ -78,81 +98,108 @@ enum : std::uint8_t {
 /// Dictionaries only pay for themselves on genuinely small-cardinality
 /// columns; past this many distinct values the scan stops early.
 constexpr std::size_t kMaxDictValues = 64;
+// Every dictionary index then fits one varint byte.
+static_assert(kMaxDictValues <= 0x80);
 
-void encodePlainLane(const std::vector<std::uint64_t>& lane,
-                     std::vector<std::uint8_t>& out) {
-  for (std::uint64_t v : lane) putVarint(out, v);
+/// A delta column's value for record i > 0.
+std::uint64_t deltaOf(std::uint64_t prev, std::uint64_t v) {
+  return zigzagEncode(static_cast<std::int64_t>(v - prev));
 }
 
-void encodeDeltaLane(const std::vector<std::uint64_t>& lane,
-                     std::vector<std::uint8_t>& out) {
-  if (lane.empty()) return;
-  putVarint(out, lane[0]);
-  for (std::size_t i = 1; i < lane.size(); ++i) {
-    putVarint(out, zigzagEncode(static_cast<std::int64_t>(lane[i] -
-                                                          lane[i - 1])));
+/// A column's dictionary candidate: its distinct values in
+/// first-appearance order. Values are found through an open-addressed
+/// table of twice kMaxDictValues slots, not by scanning the dictionary.
+class Dictionary {
+ public:
+  /// Adds `v` unless already present. False once the column has more
+  /// than kMaxDictValues distinct values.
+  bool add(std::uint64_t v) {
+    const std::size_t h = slotOf(v);
+    if (slots_[h] != 0) return true;
+    if (size_ >= kMaxDictValues) return false;
+    values_[size_++] = v;
+    slots_[h] = static_cast<std::uint8_t>(size_);
+    valueBytes_ += varintSize(v);
+    return true;
   }
-}
 
-/// The dictionary candidate: `lane`'s distinct values in first-appearance
-/// order, and each record's index into them. False past kMaxDictValues
-/// distinct values. Values are found through an open-addressed table of
-/// twice that many slots, not by scanning the dictionary.
-bool buildDictionary(const std::vector<std::uint64_t>& lane,
-                     std::vector<std::uint64_t>& dict,
-                     std::vector<std::uint32_t>& indexes) {
-  constexpr int kSlotBits = 7;
-  constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  /// Block payload size: the varint size, the values, one byte per index.
+  std::size_t encodedSize(std::size_t records) const {
+    return varintSize(size_) + valueBytes_ + records;
+  }
+
+  /// Writes the varint size and the values; returns the end.
+  std::uint8_t* writeValues(std::uint8_t* p) const {
+    p = writeVarint(p, size_);
+    for (std::size_t i = 0; i < size_; ++i) p = writeVarint(p, values_[i]);
+    return p;
+  }
+
+  /// The index (and one-byte varint) of a value add() accepted.
+  std::uint8_t indexOf(std::uint64_t v) const {
+    return static_cast<std::uint8_t>(slots_[slotOf(v)] - 1u);
+  }
+
+ private:
+  static constexpr int kSlotBits = 7;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
   static_assert(kSlots >= 2 * kMaxDictValues);
-  std::array<std::uint8_t, kSlots> slots{};  ///< dict index + 1; 0 = empty
-  indexes.reserve(lane.size());
-  for (const std::uint64_t v : lane) {
+
+  std::size_t slotOf(std::uint64_t v) const {
     std::size_t h = (v * 0x9e3779b97f4a7c15ull) >> (64 - kSlotBits);
-    while (slots[h] != 0 && dict[slots[h] - 1u] != v) {
+    while (slots_[h] != 0 && values_[slots_[h] - 1u] != v) {
       h = (h + 1) & (kSlots - 1);
     }
-    if (slots[h] == 0) {
-      if (dict.size() >= kMaxDictValues) return false;
-      dict.push_back(v);
-      slots[h] = static_cast<std::uint8_t>(dict.size());
-    }
-    indexes.push_back(slots[h] - 1u);
+    return h;
   }
-  return true;
-}
+
+  std::array<std::uint8_t, kSlots> slots_{};  ///< value index + 1; 0 = empty
+  std::array<std::uint64_t, kMaxDictValues> values_{};
+  std::size_t size_ = 0;
+  std::size_t valueBytes_ = 0;  ///< varint bytes of values_[0, size_)
+};
 
 /// Emits one column block: u8 id, u8 encoding, varint length, payload.
-/// Non-time columns deterministically pick the smaller of plain-varint
-/// and dictionary (dictionary in first-appearance order; plain wins ties).
-void emitColumn(std::uint8_t id, bool isTime,
-                const std::vector<std::uint64_t>& lane,
-                std::vector<std::uint8_t>& out,
-                std::vector<std::uint8_t>& scratch) {
-  scratch.clear();
-  std::uint8_t encoding = kEncVarint;
-  if (isTime) {
-    encoding = kEncDelta;
-    encodeDeltaLane(lane, scratch);
-  } else {
-    encodePlainLane(lane, scratch);
-    // Dictionary candidate: distinct values in first-appearance order.
-    std::vector<std::uint64_t> dict;
-    std::vector<std::uint32_t> indexes;
-    if (buildDictionary(lane, dict, indexes) && !lane.empty()) {
-      std::vector<std::uint8_t> dictBytes;
-      putVarint(dictBytes, dict.size());
-      for (std::uint64_t v : dict) putVarint(dictBytes, v);
-      for (std::uint32_t idx : indexes) putVarint(dictBytes, idx);
-      if (dictBytes.size() < scratch.size()) {
-        encoding = kEncDict;
-        scratch.swap(dictBytes);
-      }
-    }
+/// Time columns are delta coded. Other columns deterministically pick
+/// the smaller of plain varint and dictionary (dictionary in
+/// first-appearance order; plain wins ties). Every candidate's size is
+/// computed arithmetically and only the winner is written, straight
+/// into `out`.
+template <typename Rec, typename Get>
+void emitColumn(std::uint8_t id, bool isTime, std::span<const Rec> recs,
+                Get get, std::vector<std::uint8_t>& out) {
+  const std::size_t n = recs.size();
+  // Record i's value as the varint and delta encodings write it.
+  const auto coded = [&](std::size_t i) {
+    const std::uint64_t v = get(recs[i]);
+    return isTime && i > 0 ? deltaOf(get(recs[i - 1]), v) : v;
+  };
+  std::size_t len = 0;
+  Dictionary dict;
+  bool dictFits = !isTime;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t v = coded(i);
+    len += varintSize(v);
+    dictFits = dictFits && dict.add(v);
   }
-  out.push_back(id);
-  out.push_back(encoding);
-  putVarint(out, scratch.size());
-  out.insert(out.end(), scratch.begin(), scratch.end());
+  std::uint8_t encoding = isTime ? kEncDelta : kEncVarint;
+  if (dictFits && dict.encodedSize(n) < len) {
+    encoding = kEncDict;
+    len = dict.encodedSize(n);
+  }
+
+  const std::size_t at = out.size();
+  out.resize(at + 2 + varintSize(len) + len);
+  std::uint8_t* p = out.data() + at;
+  *p++ = id;
+  *p++ = encoding;
+  p = writeVarint(p, len);
+  if (encoding == kEncDict) {
+    p = dict.writeValues(p);
+    for (const Rec& r : recs) *p++ = dict.indexOf(get(r));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) p = writeVarint(p, coded(i));
+  }
 }
 
 std::uint64_t packFlags(const SlogInterval& r) {
@@ -167,22 +214,11 @@ void encodeColumnarFrame(std::span<const SlogInterval> intervals,
                          std::vector<std::uint8_t>& out) {
   putVarint(out, intervals.size());
   putVarint(out, arrows.size());
-
-  std::vector<std::uint64_t> lane;
-  std::vector<std::uint8_t> scratch;
   const auto column = [&](std::uint8_t id, bool isTime, auto&& get) {
-    lane.clear();
-    if (id < 16) {
-      lane.reserve(intervals.size());
-      for (const SlogInterval& r : intervals) lane.push_back(get(r));
-    }
-    emitColumn(id, isTime, lane, out, scratch);
+    emitColumn(id, isTime, intervals, get, out);
   };
   const auto arrowColumn = [&](std::uint8_t id, bool isTime, auto&& get) {
-    lane.clear();
-    lane.reserve(arrows.size());
-    for (const SlogArrow& a : arrows) lane.push_back(get(a));
-    emitColumn(id, isTime, lane, out, scratch);
+    emitColumn(id, isTime, arrows, get, out);
   };
 
   if (!intervals.empty()) {
@@ -222,24 +258,68 @@ void encodeColumnarFrame(std::span<const SlogInterval> intervals,
 
 namespace {
 
-void decodeLane(std::span<const std::uint8_t> block, std::uint8_t encoding,
-                std::size_t count, std::vector<std::uint64_t>& lane) {
-  lane.resize(count);
+/// getVarint without a bounds check per byte, for callers that know at
+/// least 10 bytes remain at `pos`. Every malformed encoding (a 10th byte
+/// that continues or carries more than bit 63) goes to getVarint, which
+/// throws its message.
+std::uint64_t getVarintUnchecked(std::span<const std::uint8_t> data,
+                                 std::size_t& pos) {
+  const std::uint8_t* p = data.data() + pos;
+  std::uint64_t v = 0;
+  for (int i = 0; i < 10; ++i) {
+    const std::uint64_t b = p[i];
+    v |= (b & 0x7f) << (7 * i);
+    if (b < 0x80) {
+      if (i == 9 && b > 1) break;
+      pos += static_cast<std::size_t>(i) + 1;
+      return v;
+    }
+  }
+  return getVarint(data, pos);
+}
+
+/// Decodes the varints for records [first, count) at `pos` and hands
+/// each to `fn(i, value)`. A block with exactly one byte left per value
+/// and no continuation bit among them (one max-reduction) is a one-byte
+/// lane and is widened straight; otherwise varints decode unchecked
+/// while 10 bytes remain, then checked.
+template <typename Fn>
+void readVarints(std::span<const std::uint8_t> block, std::size_t& pos,
+                 std::size_t first, std::size_t count, Fn&& fn) {
+  const std::uint8_t* p = block.data() + pos;
+  const std::size_t n = count - first;
+  if (block.size() - pos == n && kernels::byteMax(p, n) < 0x80) {
+    for (std::size_t i = 0; i < n; ++i) fn(first + i, std::uint64_t{p[i]});
+    pos += n;
+    return;
+  }
+  std::size_t i = first;
+  for (; i < count && block.size() - pos >= 10; ++i) {
+    fn(i, getVarintUnchecked(block, pos));
+  }
+  for (; i < count; ++i) fn(i, getVarint(block, pos));
+}
+
+/// Decodes one column block of `count` records, handing record i's
+/// value to `store(i, value)`. All of a block's checks run here, on the
+/// block alone.
+template <typename Store>
+void decodeColumn(std::span<const std::uint8_t> block, std::uint8_t encoding,
+                  std::size_t count, Store&& store) {
   std::size_t pos = 0;
   switch (encoding) {
-    case kEncVarint: {
-      for (std::size_t i = 0; i < count; ++i) lane[i] = getVarint(block, pos);
+    case kEncVarint:
+      readVarints(block, pos, 0, count, store);
       break;
-    }
     case kEncDelta: {
-      if (count > 0) {
-        lane[0] = getVarint(block, pos);
-        for (std::size_t i = 1; i < count; ++i) {
-          lane[i] = lane[i - 1] +
-                    static_cast<std::uint64_t>(
-                        zigzagDecode(getVarint(block, pos)));
-        }
-      }
+      if (count == 0) break;
+      std::uint64_t prev = getVarint(block, pos);
+      store(0, prev);
+      readVarints(block, pos, 1, count,
+                  [&](std::size_t i, std::uint64_t delta) {
+                    prev += static_cast<std::uint64_t>(zigzagDecode(delta));
+                    store(i, prev);
+                  });
       break;
     }
     case kEncDict: {
@@ -249,15 +329,32 @@ void decodeLane(std::span<const std::uint8_t> block, std::uint8_t encoding,
       if (dictSize > count && dictSize > kMaxDictValues) {
         throw FormatError("columnar dictionary larger than the column");
       }
-      std::vector<std::uint64_t> dict(static_cast<std::size_t>(dictSize));
-      for (std::uint64_t& v : dict) v = getVarint(block, pos);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t idx = getVarint(block, pos);
-        if (idx >= dictSize) {
-          throw FormatError("columnar dictionary index out of range");
-        }
-        lane[i] = dict[static_cast<std::size_t>(idx)];
+      std::array<std::uint64_t, kMaxDictValues> small{};
+      std::vector<std::uint64_t> large;
+      std::uint64_t* dict = small.data();
+      if (dictSize > kMaxDictValues) {
+        large.resize(static_cast<std::size_t>(dictSize));
+        dict = large.data();
       }
+      readVarints(block, pos, 0, static_cast<std::size_t>(dictSize),
+                  [dict](std::size_t i, std::uint64_t v) { dict[i] = v; });
+      // One-byte indexes: one max-reduction checks them all at once.
+      const std::uint8_t* idx = block.data() + pos;
+      if (block.size() - pos == count &&
+          kernels::byteMax(idx, count) < std::min<std::uint64_t>(dictSize,
+                                                                 0x80)) {
+        for (std::size_t i = 0; i < count; ++i) store(i, dict[idx[i]]);
+        pos += count;
+        break;
+      }
+      readVarints(block, pos, 0, count,
+                  [&](std::size_t i, std::uint64_t index) {
+                    if (index >= dictSize) {
+                      throw FormatError(
+                          "columnar dictionary index out of range");
+                    }
+                    store(i, dict[index]);
+                  });
       break;
     }
     default:
@@ -271,16 +368,29 @@ void decodeLane(std::span<const std::uint8_t> block, std::uint8_t encoding,
   }
 }
 
+/// Decodes a column block straight into one field of `recs`: narrowed,
+/// or zigzag-decoded for the signed id columns.
+template <auto Field, bool Zigzag = false, typename Rec>
+void decodeInto(std::span<const std::uint8_t> block, std::uint8_t encoding,
+                Rec* recs, std::size_t count) {
+  using T = std::remove_reference_t<decltype(recs->*Field)>;
+  decodeColumn(block, encoding, count, [recs](std::size_t i, std::uint64_t v) {
+    if constexpr (Zigzag) {
+      recs[i].*Field = static_cast<T>(zigzagDecode(v));
+    } else {
+      recs[i].*Field = static_cast<T>(v);
+    }
+  });
+}
+
 }  // namespace
 
 void decodeColumnarFrame(std::span<const std::uint8_t> payload,
                          SlogFrameData& out, const std::string& context) {
-  const auto fail = [&context](const std::string& what) -> void {
-    throw FormatError("corrupt columnar SLOG frame: " + what + context);
+  const auto fail = [](const std::string& what) -> void {
+    throw FormatError("corrupt columnar SLOG frame: " + what);
   };
   try {
-    out.intervals.clear();
-    out.arrows.clear();
     std::size_t pos = 0;
     const std::uint64_t nIntervals = getVarint(payload, pos);
     const std::uint64_t nArrows = getVarint(payload, pos);
@@ -290,14 +400,14 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
     if (nIntervals > payload.size() || nArrows > payload.size()) {
       fail("record count exceeds payload size");
     }
+    out.intervals.resize(static_cast<std::size_t>(nIntervals));
+    out.arrows.resize(static_cast<std::size_t>(nArrows));
+    SlogInterval* iv = out.intervals.data();
+    SlogArrow* ar = out.arrows.data();
 
-    // Lanes indexed by column id; ids outside the known set are skipped
-    // by their recorded length.
-    std::array<std::vector<std::uint64_t>, 23> lanes;
-    std::array<bool, 23> seen{};
-    const auto known = [](std::uint8_t id) {
-      return id <= kColThread || (id >= kColSrcNode && id <= kColBytes);
-    };
+    // Each known column decodes straight into its record field; ids
+    // outside the known set are skipped by their recorded length.
+    std::array<bool, kColBytes + 1> seen{};
     while (pos < payload.size()) {
       if (payload.size() - pos < 2) fail("truncated column header");
       const std::uint8_t id = payload[pos++];
@@ -307,12 +417,65 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
       const std::span<const std::uint8_t> block =
           payload.subspan(pos, static_cast<std::size_t>(len));
       pos += static_cast<std::size_t>(len);
-      if (!known(id)) continue;
+      const bool known =
+          id <= kColThread || (id >= kColSrcNode && id <= kColBytes);
+      if (!known) continue;
       if (seen[id]) fail("duplicate column " + std::to_string(id));
-      const std::size_t count = static_cast<std::size_t>(
-          id < 16 ? nIntervals : nArrows);
-      decodeLane(block, encoding, count, lanes[id]);
       seen[id] = true;
+      const std::size_t ni = out.intervals.size();
+      const std::size_t na = out.arrows.size();
+      switch (id) {
+        case kColStateId:
+          decodeInto<&SlogInterval::stateId>(block, encoding, iv, ni);
+          break;
+        case kColFlags: {
+          std::uint64_t bits = 0;
+          decodeColumn(block, encoding, ni,
+                       [iv, &bits](std::size_t i, std::uint64_t v) {
+                         bits |= v;
+                         iv[i].bebits = static_cast<std::uint8_t>(v);
+                         iv[i].pseudo = (v & 0x100) != 0;
+                       });
+          if (bits & ~0x1ffull) fail("interval flags column has unknown bits");
+          break;
+        }
+        case kColStart:
+          decodeInto<&SlogInterval::start>(block, encoding, iv, ni);
+          break;
+        case kColDura:
+          decodeInto<&SlogInterval::dura>(block, encoding, iv, ni);
+          break;
+        case kColNode:
+          decodeInto<&SlogInterval::node, true>(block, encoding, iv, ni);
+          break;
+        case kColCpu:
+          decodeInto<&SlogInterval::cpu, true>(block, encoding, iv, ni);
+          break;
+        case kColThread:
+          decodeInto<&SlogInterval::thread, true>(block, encoding, iv, ni);
+          break;
+        case kColSrcNode:
+          decodeInto<&SlogArrow::srcNode, true>(block, encoding, ar, na);
+          break;
+        case kColSrcThread:
+          decodeInto<&SlogArrow::srcThread, true>(block, encoding, ar, na);
+          break;
+        case kColSendTime:
+          decodeInto<&SlogArrow::sendTime>(block, encoding, ar, na);
+          break;
+        case kColDstNode:
+          decodeInto<&SlogArrow::dstNode, true>(block, encoding, ar, na);
+          break;
+        case kColDstThread:
+          decodeInto<&SlogArrow::dstThread, true>(block, encoding, ar, na);
+          break;
+        case kColRecvTime:
+          decodeInto<&SlogArrow::recvTime>(block, encoding, ar, na);
+          break;
+        case kColBytes:
+          decodeInto<&SlogArrow::bytes>(block, encoding, ar, na);
+          break;
+      }
     }
 
     if (nIntervals > 0) {
@@ -325,77 +488,9 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
         if (!seen[id]) fail("missing arrow column " + std::to_string(id));
       }
     }
-
-    // Column-to-struct transpose: one tight loop per field over its lane
-    // (the autovectorizable shape the columnar layout exists for).
-    out.intervals.resize(static_cast<std::size_t>(nIntervals));
-    if (nIntervals > 0) {
-      SlogInterval* iv = out.intervals.data();
-      const std::size_t n = out.intervals.size();
-      if (kernels::laneOr(lanes[kColFlags].data(), n) & ~0x1ffull) {
-        fail("interval flags column has unknown bits");
-      }
-      const std::uint64_t* lane = lanes[kColStateId].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].stateId = static_cast<std::uint32_t>(lane[i]);
-      }
-      lane = lanes[kColFlags].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].bebits = static_cast<std::uint8_t>(lane[i]);
-        iv[i].pseudo = (lane[i] & 0x100) != 0;
-      }
-      lane = lanes[kColStart].data();
-      for (std::size_t i = 0; i < n; ++i) iv[i].start = lane[i];
-      lane = lanes[kColDura].data();
-      for (std::size_t i = 0; i < n; ++i) iv[i].dura = lane[i];
-      lane = lanes[kColNode].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].node = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColCpu].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].cpu = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColThread].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].thread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-    }
-
-    out.arrows.resize(static_cast<std::size_t>(nArrows));
-    if (nArrows > 0) {
-      SlogArrow* ar = out.arrows.data();
-      const std::size_t n = out.arrows.size();
-      const std::uint64_t* lane = lanes[kColSrcNode].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].srcNode = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColSrcThread].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].srcThread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColSendTime].data();
-      for (std::size_t i = 0; i < n; ++i) ar[i].sendTime = lane[i];
-      lane = lanes[kColDstNode].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].dstNode = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColDstThread].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].dstThread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColRecvTime].data();
-      for (std::size_t i = 0; i < n; ++i) ar[i].recvTime = lane[i];
-      lane = lanes[kColBytes].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].bytes = static_cast<std::uint32_t>(lane[i]);
-      }
-    }
   } catch (const FormatError& e) {
     if (context.empty()) throw;
-    std::string what = e.what();
-    if (what.find(context) != std::string::npos) throw;
-    throw FormatError(what + context);
+    throw FormatError(e.what() + context);
   }
 }
 

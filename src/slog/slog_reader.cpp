@@ -163,8 +163,12 @@ SlogFramePtr SlogReader::readFrame(std::size_t frameIdx) const {
   auto data = std::make_shared<SlogFrameData>();
   if (entry.encoding ==
       static_cast<std::uint32_t>(FrameEncoding::kColumnar)) {
-    decodeColumnarFrame(bytes.bytes(), *data,
-                        ioContext(path(), entry.offset));
+    // The error context is formatted only when decoding fails.
+    try {
+      decodeColumnarFrame(bytes.bytes(), *data);
+    } catch (const FormatError& e) {
+      throw FormatError(e.what() + ioContext(path(), entry.offset));
+    }
     if (data->intervals.size() + data->arrows.size() != entry.records) {
       throw CorruptFileError(
           "corrupt SLOG file: frame record count mismatch" +

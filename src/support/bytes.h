@@ -53,6 +53,8 @@ class ByteWriter {
   bool empty() const { return buf_.empty(); }
   void clear() { buf_.clear(); }
   std::span<const std::uint8_t> view() const { return buf_; }
+  /// The buffer itself, for encoders that append to it directly.
+  std::vector<std::uint8_t>& buffer() { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
