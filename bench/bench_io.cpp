@@ -6,6 +6,8 @@
 // hands out the shared decoded frame without allocating anything — and
 // checks that the mmap full scan is at least as fast as the stdio
 // baseline. Then google-benchmark microbenchmarks of the same paths.
+// perfbench reports the frame-read p50 (`slog.frame_read_p50_ms`); the
+// encoding and read-strategy sweeps are only here.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -13,7 +15,6 @@
 #include <cstring>
 #include <new>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -216,16 +217,13 @@ void printSweep() {
       const auto t0 = benchutil::now();
       const std::uint64_t got = decodeAllRecords(reader);
       p.decodeSeconds = std::min(p.decodeSeconds, benchutil::secondsSince(t0));
-      if (got != p.records) {
-        std::fprintf(stderr, "decode repeated differently!\n");
-        std::exit(1);
-      }
+      benchutil::require(got == p.records, "decode repeated differently");
     }
     if (encodings.empty()) {
       checksum = p.records;
-    } else if (p.records != checksum) {
-      std::fprintf(stderr, "v1 and v2 decoded different record counts!\n");
-      std::exit(1);
+    } else {
+      benchutil::require(p.records == checksum,
+                         "v1 and v2 decoded different record counts");
     }
     std::printf("%10s %14s %10s %12.2f %16s\n", p.encoding,
                 withCommas(p.frameBytes).c_str(),
@@ -270,18 +268,14 @@ void printSweep() {
     const auto t1 = benchutil::now();
     const std::uint64_t warmIntervals = readAllFrames(reader);
     p.warmSeconds = benchutil::secondsSince(t1);
-    if (warmIntervals != p.intervals) {
-      std::fprintf(stderr, "warm re-read decoded differently!\n");
-      std::exit(1);
-    }
+    benchutil::require(warmIntervals == p.intervals,
+                       "warm re-read decoded differently");
     std::printf("%8s %12.4f %12.4f %14.1f\n", p.mode, p.coldSeconds,
                 p.warmSeconds, mbPerSec(gSlogBytes, p.warmSeconds));
     frameReads.push_back(p);
   }
-  if (frameReads[0].intervals != frameReads[1].intervals) {
-    std::fprintf(stderr, "mmap and stdio decoded different intervals!\n");
-    std::exit(1);
-  }
+  benchutil::require(frameReads[0].intervals == frameReads[1].intervals,
+                     "mmap and stdio decoded different intervals");
 
   std::printf("\n=== I/O: full-scan throughput ===\n");
   std::printf("%8s %12s %14s\n", "path", "seconds", "MB/s");
@@ -305,9 +299,9 @@ void printSweep() {
     p.seconds = best;
     if (scan == Scan::kMmap) {
       reference = acc;
-    } else if (acc != reference) {
-      std::fprintf(stderr, "scan strategies disagree on file bytes!\n");
-      std::exit(1);
+    } else {
+      benchutil::require(acc == reference,
+                         "scan strategies disagree on file bytes");
     }
     std::printf("%8s %12.4f %14.1f\n", p.strategy, p.seconds,
                 mbPerSec(gSlogBytes, p.seconds));
@@ -344,71 +338,59 @@ void printSweep() {
               static_cast<unsigned long long>(allocBytes),
               allocs == 0 ? "zero-copy holds" : "COPIES ON THE WARM PATH");
 
-  std::FILE* json = std::fopen("BENCH_io.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_io.json\n");
-    return;
+  benchutil::JsonObject doc;
+  doc.add("workload", "test program, 4 nodes")
+      .add("note", "decode, read and scan rates are single-thread figures")
+      .add("slog_bytes", gSlogBytes);
+  std::vector<benchutil::JsonObject> rows;
+  for (const EncodingPoint& p : encodings) {
+    benchutil::JsonObject& row = rows.emplace_back();
+    row.add("encoding", p.encoding)
+        .add("frame_bytes", p.frameBytes)
+        .add("records", p.records)
+        .add("bytes_per_record",
+             static_cast<double>(p.frameBytes) /
+                 static_cast<double>(p.records),
+             3)
+        .add("decode_records_per_second",
+             static_cast<double>(p.records) / p.decodeSeconds, 1);
   }
-  std::fprintf(json,
-               "{\n  \"workload\": \"test program, 4 nodes\",\n"
-               "  \"caveat\": \"%u-CPU host: decode rates are "
-               "single-thread figures\",\n"
-               "  \"slog_bytes\": %llu,\n  \"encoding_sweep\": [\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(gSlogBytes));
-  for (std::size_t i = 0; i < encodings.size(); ++i) {
-    const EncodingPoint& p = encodings[i];
-    std::fprintf(json,
-                 "    {\"encoding\": \"%s\", \"frame_bytes\": %llu, "
-                 "\"records\": %llu, \"bytes_per_record\": %.3f, "
-                 "\"decode_records_per_second\": %.1f}%s\n",
-                 p.encoding, static_cast<unsigned long long>(p.frameBytes),
-                 static_cast<unsigned long long>(p.records),
-                 static_cast<double>(p.frameBytes) /
-                     static_cast<double>(p.records),
-                 static_cast<double>(p.records) / p.decodeSeconds,
-                 i + 1 < encodings.size() ? "," : "");
+  doc.add("encoding_sweep", rows)
+      .add("v2_over_v1_bytes_per_record", v2Ratio, 4)
+      .add("v2_within_0_6x_of_v1", v2Ratio <= 0.6)
+      .add("v2_over_v1_decode_speed", v2Speed, 3)
+      .add("vectorization_note",
+           "columnar decode writes each column block straight into its "
+           "record field; a block of one-byte values is checked with one "
+           "byteMax reduction (src/slog/kernels.h) and widened, other "
+           "blocks decode varints without a per-byte bounds check while 10 "
+           "bytes remain; plain C++ loops the compiler may autovectorize, "
+           "no intrinsics");
+  rows.clear();
+  for (const FrameReadPoint& p : frameReads) {
+    benchutil::JsonObject& row = rows.emplace_back();
+    row.add("mode", p.mode)
+        .add("cold_seconds", p.coldSeconds, 6)
+        .add("warm_seconds", p.warmSeconds, 6)
+        .add("warm_mb_per_second", mbPerSec(gSlogBytes, p.warmSeconds), 1);
   }
-  std::fprintf(json,
-               "  ],\n  \"v2_over_v1_bytes_per_record\": %.4f,\n"
-               "  \"v2_within_0_6x_of_v1\": %s,\n"
-               "  \"v2_over_v1_decode_speed\": %.3f,\n"
-               "  \"vectorization_note\": \"columnar decode writes each "
-               "column block straight into its record field; a block of "
-               "one-byte values is checked with one byteMax reduction "
-               "(src/slog/kernels.h) and widened, other blocks decode "
-               "varints without a per-byte bounds check while 10 bytes "
-               "remain; plain C++ loops the compiler may autovectorize, no "
-               "intrinsics\",\n"
-               "  \"frame_reads\": [\n",
-               v2Ratio, v2Ratio <= 0.6 ? "true" : "false", v2Speed);
-  for (std::size_t i = 0; i < frameReads.size(); ++i) {
-    const FrameReadPoint& p = frameReads[i];
-    std::fprintf(json,
-                 "    {\"mode\": \"%s\", \"cold_seconds\": %.6f, "
-                 "\"warm_seconds\": %.6f, \"warm_mb_per_second\": %.1f}%s\n",
-                 p.mode, p.coldSeconds, p.warmSeconds,
-                 mbPerSec(gSlogBytes, p.warmSeconds),
-                 i + 1 < frameReads.size() ? "," : "");
+  doc.add("frame_reads", rows);
+  rows.clear();
+  for (const ScanPoint& p : scans) {
+    benchutil::JsonObject& row = rows.emplace_back();
+    row.add("strategy", p.strategy)
+        .add("seconds", p.seconds, 6)
+        .add("mb_per_second", mbPerSec(gSlogBytes, p.seconds), 1);
   }
-  std::fprintf(json, "  ],\n  \"full_scan\": [\n");
-  for (std::size_t i = 0; i < scans.size(); ++i) {
-    const ScanPoint& p = scans[i];
-    std::fprintf(json,
-                 "    {\"strategy\": \"%s\", \"seconds\": %.6f, "
-                 "\"mb_per_second\": %.1f}%s\n",
-                 p.strategy, p.seconds, mbPerSec(gSlogBytes, p.seconds),
-                 i + 1 < scans.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n  \"mmap_not_slower_than_stdio\": %s,\n"
-               "  \"warm_server_path\": {\"requests\": %d, "
-               "\"allocations\": %llu, \"allocated_bytes\": %llu}\n}\n",
-               mmapNotSlower ? "true" : "false", kRequests,
-               static_cast<unsigned long long>(allocs),
-               static_cast<unsigned long long>(allocBytes));
-  std::fclose(json);
-  std::printf("wrote BENCH_io.json\n\n");
+  benchutil::JsonObject warmPath;
+  warmPath.add("requests", kRequests)
+      .add("allocations", allocs)
+      .add("allocated_bytes", allocBytes);
+  doc.add("full_scan", rows)
+      .add("mmap_not_slower_than_stdio", mmapNotSlower)
+      .add("warm_server_path", warmPath);
+  benchutil::writeBenchFile("BENCH_io.json", doc);
+  std::printf("\n");
 }
 
 void BM_DecodeByEncoding(benchmark::State& state) {

@@ -1,13 +1,15 @@
 // Metrics-engine throughput: records/s of the streaming computeMetrics()
 // pass, swept over the bin count {240, 1000, 10000} and the worker count
 // {1, hardware}. Also reports the encoded .utm size per point (the store
-// grows linearly with bins x tasks, independent of trace size) and
-// checks that every parallel run is byte-identical to the sequential
-// reference. Writes the sweep to BENCH_metrics.json, then runs
-// microbenchmarks of the scan and the encode/decode round trip.
+// grows linearly with bins x tasks, independent of trace size) and the
+// worker count metricsWorkers() picked; a parallel run whose .utm
+// differs from the sequential reference fails the bench, as does a .utm
+// that differs between the trace's row v1 and columnar v2 encodings. Writes the
+// sweep to BENCH_metrics.json, then runs microbenchmarks of the scan and
+// the encode/decode round trip. perfbench batch-wide times one 240-bin
+// --jobs 4 pass (`analysis.metrics_s`); the bin sweep is only here.
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "analysis/metrics.h"
@@ -25,13 +27,41 @@ std::string gSlog;    // columnar v2 (the default encoding)
 std::string gSlogV1;  // the same trace written row-major v1
 std::uint64_t gRecords = 0;
 
-struct SweepPoint {
-  std::uint32_t bins = 0;
-  int jobs = 0;
-  double seconds = 0;
-  std::size_t utmBytes = 0;
-  bool identical = true;
+/// Best of kReps runs, so one point is the scan, not a scheduler hiccup
+/// or a neighbour on a shared host. Points compared with each other are
+/// timed round-robin, one rep each in turn.
+constexpr int kReps = 15;
+
+struct Point {
+  const char* encoding = "columnar-v2";
+  std::uint32_t bins = 240;
+  int jobs = 1;
+  double seconds = 1e9;
+  std::vector<std::uint8_t> utm;
 };
+
+/// Times the first readers.size() points round-robin, point i over
+/// readers[i].
+void timeRoundRobin(std::vector<Point>& points,
+                    const std::vector<const SlogReader*>& readers) {
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t i = 0; i < readers.size(); ++i) {
+      MetricsOptions options;
+      options.bins = points[i].bins;
+      options.jobs = points[i].jobs;
+      const auto t0 = benchutil::now();
+      const MetricsStore store = computeMetrics(*readers[i], options);
+      points[i].seconds =
+          std::min(points[i].seconds, benchutil::secondsSince(t0));
+      if (rep == 0) points[i].utm = store.encode();
+    }
+  }
+}
+
+std::string recordsPerSec(double seconds) {
+  return withCommas(static_cast<std::uint64_t>(
+      static_cast<double>(gRecords) / seconds));
+}
 
 void printSweep() {
   TestProgramOptions workload;
@@ -49,139 +79,92 @@ void printSweep() {
   v1Options.name = "metrics_v1";
   v1Options.slog.formatVersion = 1;
   gSlogV1 = runPipeline(testProgram(workload), v1Options).slogFile;
+  const SlogReader reader(gSlog);
+  const SlogReader readerV1(gSlogV1);
 
   // Encoding sweep: the metrics scan over the same trace stored row v1
   // vs columnar v2 — the .utm bytes must be identical either way (the
   // encoding may change speed, never results).
   std::printf("=== Metrics engine: encoding sweep (240 bins, 1 job) ===\n");
-  std::printf("%12s %10s %14s %10s\n", "encoding", "seconds", "records/s",
-              "identical");
-  struct EncodingPoint {
-    const char* encoding;
-    double seconds = 0;
-    bool identical = true;
-  };
-  std::vector<EncodingPoint> encodingPoints;
-  std::vector<std::uint8_t> utmReference;
-  for (const auto& [name, path] :
-       {std::pair<const char*, const std::string*>{"row-v1", &gSlogV1},
-        {"columnar-v2", &gSlog}}) {
-    SlogReader encReader(*path);
-    MetricsOptions metricsOptions;
-    metricsOptions.bins = 240;
-    computeMetrics(encReader, metricsOptions);  // warm the page cache
-    EncodingPoint p;
-    p.encoding = name;
-    p.seconds = 1e9;
-    std::vector<std::uint8_t> utm;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = benchutil::now();
-      const MetricsStore store = computeMetrics(encReader, metricsOptions);
-      p.seconds = std::min(p.seconds, benchutil::secondsSince(t0));
-      utm = store.encode();
-    }
-    if (utmReference.empty()) {
-      utmReference = utm;
-    } else {
-      p.identical = utm == utmReference;
-    }
-    std::printf("%12s %10.4f %14s %10s\n", p.encoding, p.seconds,
-                withCommas(p.seconds == 0
-                               ? 0
-                               : static_cast<std::uint64_t>(
-                                     static_cast<double>(gRecords) /
-                                     p.seconds))
-                    .c_str(),
-                p.identical ? "yes" : "NO");
-    encodingPoints.push_back(p);
+  std::printf("%12s %10s %14s\n", "encoding", "seconds", "records/s");
+  std::vector<Point> encodings(2);
+  encodings[0].encoding = "row-v1";
+  timeRoundRobin(encodings, {&readerV1, &reader});
+  benchutil::require(encodings[0].utm == encodings[1].utm,
+                     ".utm differs between row v1 and columnar v2");
+  std::vector<benchutil::JsonObject> encodingRows;
+  for (const Point& p : encodings) {
+    std::printf("%12s %10.4f %14s\n", p.encoding, p.seconds,
+                recordsPerSec(p.seconds).c_str());
+    benchutil::JsonObject row;
+    row.add("encoding", p.encoding)
+        .add("bins", p.bins)
+        .add("jobs", p.jobs)
+        .add("seconds", p.seconds, 6)
+        .add("records_per_second",
+             static_cast<double>(gRecords) / p.seconds, 1)
+        .add("utm_identical_across_encodings", true);
+    encodingRows.push_back(row);
   }
   std::printf("\n");
 
   // At least 4 workers even on small machines, so the parallel path and
   // its byte-identity check always run.
   const int hw = std::max(4, static_cast<int>(effectiveJobs(0)));
-  SlogReader reader(gSlog);
-
+  const std::size_t tasks = makeMetricsStore(reader, {}).taskCount();
   std::printf("=== Metrics engine: bins x jobs sweep ===\n");
   std::printf("(%s merged records, %zu frames)\n",
               withCommas(gRecords).c_str(), reader.frameIndex().size());
-  std::printf("%8s %6s %10s %14s %10s %10s\n", "bins", "jobs", "seconds",
-              "records/s", ".utm size", "identical");
-
-  std::vector<SweepPoint> points;
+  std::printf("%8s %6s %8s %10s %14s %10s\n", "bins", "jobs", "workers",
+              "seconds", "records/s", ".utm size");
+  std::vector<benchutil::JsonObject> rows;
   for (const std::uint32_t bins : {240u, 1000u, 10000u}) {
-    std::vector<std::uint8_t> reference;
-    for (const int jobs : {1, hw}) {
-      MetricsOptions metricsOptions;
-      metricsOptions.bins = bins;
-      metricsOptions.jobs = jobs;
-      const auto t0 = benchutil::now();
-      const MetricsStore store = computeMetrics(reader, metricsOptions);
-      SweepPoint p;
-      p.bins = bins;
-      p.jobs = jobs;
-      p.seconds = benchutil::secondsSince(t0);
-      const std::vector<std::uint8_t> utm = store.encode();
-      p.utmBytes = utm.size();
-      if (jobs == 1) {
-        reference = utm;
-      } else {
-        p.identical = utm == reference;
-      }
-      std::printf("%8u %6d %10.4f %14s %9.1fK %10s\n", p.bins, p.jobs,
-                  p.seconds,
-                  withCommas(p.seconds == 0
-                                 ? 0
-                                 : static_cast<std::uint64_t>(
-                                       static_cast<double>(gRecords) /
-                                       p.seconds))
-                      .c_str(),
-                  static_cast<double>(p.utmBytes) / 1024,
-                  p.identical ? "yes" : "NO");
-      points.push_back(p);
+    std::vector<Point> points(2);
+    for (Point& p : points) p.bins = bins;
+    points[1].jobs = hw;
+    const std::size_t workers[2] = {
+        metricsWorkers(1, reader.frameIndex(), bins, tasks),
+        metricsWorkers(hw, reader.frameIndex(), bins, tasks)};
+    // A --jobs N that resolves to one worker runs the --jobs 1
+    // computation; it is timed once and both rows carry that timing.
+    if (workers[1] == workers[0]) {
+      timeRoundRobin(points, {&reader});
+      points[1].seconds = points[0].seconds;
+    } else {
+      timeRoundRobin(points, {&reader, &reader});
+      benchutil::require(points[0].utm == points[1].utm,
+                         ".utm differs between --jobs 1 and --jobs N");
+    }
+    for (int i = 0; i < 2; ++i) {
+      const Point& p = points[static_cast<std::size_t>(i)];
+      std::printf("%8u %6d %8zu %10.4f %14s %9.1fK\n", p.bins, p.jobs,
+                  workers[i], p.seconds, recordsPerSec(p.seconds).c_str(),
+                  static_cast<double>(points[0].utm.size()) / 1024);
+      benchutil::JsonObject& row = rows.emplace_back();
+      row.add("bins", p.bins)
+          .add("jobs", p.jobs)
+          .add("workers", workers[i])
+          .add("seconds", p.seconds, 6)
+          .add("records_per_second",
+               static_cast<double>(gRecords) / p.seconds, 1)
+          .add("utm_bytes", points[0].utm.size())
+          .add("identical_to_jobs1", true);
     }
   }
-  std::printf("\n");
+  std::printf("(every --jobs N .utm byte-identical to --jobs 1)\n\n");
 
-  std::FILE* json = std::fopen("BENCH_metrics.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_metrics.json\n");
-    return;
-  }
-  std::fprintf(json,
-               "{\n  \"workload\": \"test program, 4 nodes\",\n"
-               "  \"caveat\": \"1-CPU container: records/s figures are "
-               "single-core\",\n"
-               "  \"records\": %llu,\n  \"encoding_points\": [\n",
-               static_cast<unsigned long long>(gRecords));
-  for (std::size_t i = 0; i < encodingPoints.size(); ++i) {
-    const EncodingPoint& p = encodingPoints[i];
-    std::fprintf(json,
-                 "    {\"encoding\": \"%s\", \"bins\": 240, \"jobs\": 1, "
-                 "\"seconds\": %.6f, \"records_per_second\": %.1f, "
-                 "\"utm_identical_across_encodings\": %s}%s\n",
-                 p.encoding, p.seconds,
-                 p.seconds == 0 ? 0.0
-                                : static_cast<double>(gRecords) / p.seconds,
-                 p.identical ? "true" : "false",
-                 i + 1 < encodingPoints.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"points\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(
-        json,
-        "    {\"bins\": %u, \"jobs\": %d, \"seconds\": %.6f, "
-        "\"records_per_second\": %.1f, \"utm_bytes\": %zu, "
-        "\"identical_to_jobs1\": %s}%s\n",
-        p.bins, p.jobs, p.seconds,
-        p.seconds == 0 ? 0.0 : static_cast<double>(gRecords) / p.seconds,
-        p.utmBytes, p.identical ? "true" : "false",
-        i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_metrics.json\n\n");
+  benchutil::JsonObject doc;
+  doc.add("workload", "test program, 4 nodes")
+      .add("records", gRecords)
+      .add("frames", reader.frameIndex().size())
+      .add("best_of", kReps)
+      .add("note",
+           "a --jobs N row with the same worker count as --jobs 1 runs the "
+           "same computation and carries the --jobs 1 timing")
+      .add("encoding_points", encodingRows)
+      .add("points", rows);
+  benchutil::writeBenchFile("BENCH_metrics.json", doc);
+  std::printf("\n");
 }
 
 void BM_ComputeMetrics(benchmark::State& state) {

@@ -4,15 +4,17 @@
 // latency + throughput per point). The client side is its own epoll
 // harness in this file — bench/ is deliberately outside the utecheck
 // reactor-containment rule, which confines epoll/eventfd in src/ and
-// tools/ to src/server/reactor.*.
+// tools/ to src/server/reactor.*. perfbench reports syscalls per request
+// at its own few connections (`server.syscalls_per_req`); the sweep over
+// the connection count is only here.
 //
-// Caveat (recorded in the JSON too): this runs in a 1-CPU container, so
-// the client harness and the reactor time-slice one core and absolute
-// requests/s is a floor. The portable signal is structural: one reactor
-// thread where thread-per-connection would need N, ~constant syscalls
-// per request as N grows (buffered reads parse many pipelined frames per
-// recv), zero cross-thread handoffs for inline completions, and one
-// shared reply buffer feeding every connection's outbox.
+// The client harness shares the host with the reactor, so absolute
+// requests/s depends on the host (its CPU count is in the JSON's env
+// block). The portable signal is structural: one reactor thread where
+// thread-per-connection would need N, ~constant syscalls per request as
+// N grows (buffered reads parse many pipelined frames per recv), zero
+// cross-thread handoffs for inline completions, and one shared reply
+// buffer feeding every connection's outbox.
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -30,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "server/reactor.h"
 #include "support/bytes.h"
 
@@ -277,49 +280,39 @@ double syscallsPerRequest(const Reactor::Stats& s) {
 }
 
 void writeJson(const std::vector<SweepPoint>& points) {
-  std::FILE* json = std::fopen("BENCH_server.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_server.json\n");
-    return;
+  std::vector<benchutil::JsonObject> rows;
+  for (const SweepPoint& p : points) {
+    benchutil::JsonObject& row = rows.emplace_back();
+    row.add("connections", p.connections)
+        .add("requests", p.totalRequests)
+        .add("requests_per_second", p.requestsPerSec, 0)
+        .add("p50_us", p.p50Us, 1)
+        .add("p99_us", p.p99Us, 1)
+        .add("reactor_threads", 1)
+        .add("thread_per_connection_equivalent", p.connections)
+        .add("recv_calls", p.stats.recvCalls)
+        .add("send_calls", p.stats.sendCalls)
+        .add("epoll_waits", p.stats.epollWaits)
+        .add("syscalls_per_request", syscallsPerRequest(p.stats), 2)
+        .add("eventfd_wakeups", p.stats.eventfdWakeups)
+        .add("read_pauses", p.stats.readPauses)
+        .add("partial_writes", p.stats.partialWrites)
+        .add("shared_reply_payload_bytes", p.stats.responses * kReplyBytes)
+        .add("unique_reply_buffer_bytes", kReplyBytes);
   }
-  std::fprintf(
-      json,
-      "{\n  \"workload\": \"closed-loop %zu-byte request / %zu-byte shared "
-      "reply round trips, one reactor thread, inline completions\",\n"
-      "  \"caveat\": \"1-CPU container: the client epoll harness and the "
-      "reactor time-slice one core, so requests/s is a floor; the portable "
-      "signals are structural — syscalls per request staying ~constant as "
-      "connections grow, 1 thread instead of thread-per-connection, and one "
-      "shared reply buffer behind every connection's outbox\",\n"
-      "  \"sweep\": [\n",
-      kRequestBytes, kReplyBytes);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(
-        json,
-        "    {\"connections\": %d, \"requests\": %d, "
-        "\"requests_per_second\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
-        "\"reactor_threads\": 1, \"thread_per_connection_equivalent\": %d, "
-        "\"recv_calls\": %llu, \"send_calls\": %llu, \"epoll_waits\": %llu, "
-        "\"syscalls_per_request\": %.2f, \"eventfd_wakeups\": %llu, "
-        "\"read_pauses\": %llu, \"partial_writes\": %llu, "
-        "\"shared_reply_payload_bytes\": %llu, "
-        "\"unique_reply_buffer_bytes\": %zu}%s\n",
-        p.connections, p.totalRequests, p.requestsPerSec, p.p50Us, p.p99Us,
-        p.connections,
-        static_cast<unsigned long long>(p.stats.recvCalls),
-        static_cast<unsigned long long>(p.stats.sendCalls),
-        static_cast<unsigned long long>(p.stats.epollWaits),
-        syscallsPerRequest(p.stats),
-        static_cast<unsigned long long>(p.stats.eventfdWakeups),
-        static_cast<unsigned long long>(p.stats.readPauses),
-        static_cast<unsigned long long>(p.stats.partialWrites),
-        static_cast<unsigned long long>(p.stats.responses * kReplyBytes),
-        kReplyBytes, i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_server.json\n");
+  benchutil::JsonObject doc;
+  doc.add("workload",
+          "closed-loop " + std::to_string(kRequestBytes) + "-byte request / " +
+              std::to_string(kReplyBytes) +
+              "-byte shared reply round trips, one reactor thread, inline "
+              "completions")
+      .add("note",
+           "the client epoll harness runs on the same host as the reactor; "
+           "the structural signals are syscalls per request staying ~constant "
+           "as connections grow, 1 thread instead of thread-per-connection, "
+           "and one shared reply buffer behind every connection's outbox")
+      .add("sweep", rows);
+  benchutil::writeBenchFile("BENCH_server.json", doc);
 }
 
 }  // namespace
@@ -361,9 +354,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(point.stats.eventfdWakeups));
   }
   if (points.empty()) return 1;
-  std::printf("(1-CPU container: absolute req/s is a floor — the structural "
-              "wins are 1 reactor thread vs thread-per-connection, ~flat "
-              "syscalls/request, and zero-copy shared replies)\n");
+  std::printf("(the structural wins are 1 reactor thread vs "
+              "thread-per-connection, ~flat syscalls/request, and zero-copy "
+              "shared replies)\n");
   writeJson(points);
   return 0;
 }

@@ -408,14 +408,31 @@ MetricsStore makeMetricsStore(const SlogReader& reader,
                       reader.threads());
 }
 
+std::size_t metricsWorkers(int jobs,
+                           const std::vector<SlogFrameIndexEntry>& index,
+                           std::uint32_t bins, std::size_t tasks) {
+  // Measured on 4 vCPUs (EXPERIMENTS.md, "Metrics fan-out"): a second
+  // worker lost at 3.0 entries per cell and paid at 3.7 and above, so
+  // two workers need 4.
+  constexpr std::uint64_t kEntriesPerCell = 2;
+  std::uint64_t entries = 0;
+  for (const SlogFrameIndexEntry& e : index) entries += e.records;
+  const std::uint64_t cells =
+      std::max<std::uint64_t>(1, std::uint64_t{bins} * tasks);
+  const std::uint64_t paying =
+      std::max<std::uint64_t>(1, entries / (kEntriesPerCell * cells));
+  return static_cast<std::size_t>(std::min<std::uint64_t>(
+      {effectiveJobs(jobs), index.size(), paying}));
+}
+
 MetricsStore computeMetrics(const SlogReader& reader,
                             const MetricsOptions& options) {
   MetricsStore total = makeMetricsStore(reader, options);
   const std::size_t frames = reader.frameIndex().size();
   if (frames == 0) return total;
 
-  const std::size_t jobs =
-      std::min(effectiveJobs(options.jobs), frames);
+  const std::size_t jobs = metricsWorkers(options.jobs, reader.frameIndex(),
+                                          total.bins(), total.taskCount());
   if (jobs <= 1) {
     for (std::size_t i = 0; i < frames; ++i) {
       total.addFrame(*reader.readFrame(i));

@@ -188,9 +188,19 @@ class MetricsStore {
 MetricsStore makeMetricsStore(const SlogReader& reader,
                               const MetricsOptions& options);
 
+/// The worker count computeMetrics() scans with: at most `jobs` (<= 0
+/// means one per hardware thread) and one per frame, and no more than
+/// keep each worker's share of the frame entries (`index` record counts)
+/// at least twice the bins x tasks cells of the private store it
+/// zero-fills and merges back. Below that the per-worker store costs
+/// more than the frames the worker decodes.
+std::size_t metricsWorkers(int jobs,
+                           const std::vector<SlogFrameIndexEntry>& index,
+                           std::uint32_t bins, std::size_t tasks);
+
 /// The streaming engine: one pass over every frame of `reader`, parallel
-/// over contiguous frame chunks when options.jobs > 1 (each worker scans
-/// through its own file handle; integer accumulation makes the result
+/// over contiguous frame chunks on metricsWorkers() threads (each worker
+/// fills its own store; integer accumulation makes the result
 /// independent of the partition).
 MetricsStore computeMetrics(const SlogReader& reader,
                             const MetricsOptions& options = {});

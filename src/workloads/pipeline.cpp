@@ -3,14 +3,17 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 
 #include <unistd.h>
 
 #include "interval/standard_profile.h"
 #include "mpisim/mpi_runtime.h"
 #include "sim/simulation.h"
+#include "support/cli.h"
 
 namespace ute {
 
@@ -51,59 +54,20 @@ std::string makeScratchDir(const std::string& hint) {
   return dir.string();
 }
 
-PipelineResult runPipeline(SimulationConfig config,
-                           const PipelineOptions& options) {
-  namespace fs = std::filesystem;
-  fs::create_directories(options.dir);
-  const std::string base =
-      (fs::path(options.dir) / options.name).string();
-
-  PipelineResult result;
-
-  // --- stage 1: trace generation (the simulated run) ---------------------
-  config.trace.filePrefix = base;
-  auto t0 = std::chrono::steady_clock::now();
-  {
-    Simulation sim(std::move(config));
-    MpiRuntime mpi(sim);
-    sim.setMpiService(&mpi);
-    sim.run();
-    result.mpiStats = mpi.stats();
-    result.rawFiles = sim.traceFilePaths();
-    result.simulatedNs = sim.finishTimeNs();
-    for (NodeId n = 0;
-         static_cast<std::size_t>(n) < sim.config().nodes.size(); ++n) {
-      result.rawEvents += sim.sessionStats(n).eventsCut;
-    }
-  }
-  result.simSeconds = secondsSince(t0);
-
-  // --- stage 2: convert (one interval file per node) ----------------------
-  result.profileFile =
-      (fs::path(options.dir) / kStandardProfileFileName).string();
-  ensureStandardProfileFile(result.profileFile);
-
-  t0 = std::chrono::steady_clock::now();
-  const std::vector<ConvertResult> converted =
-      convertRun(result.rawFiles, base, options.convert);
-  result.convertSeconds = secondsSince(t0);
-  for (const ConvertResult& c : converted) {
-    result.intervalFiles.push_back(c.outputPath);
-    result.intervalRecords += c.intervalRecords;
-  }
-
-  // --- stage 3: merge (+ SLOG in the same pass) ---------------------------
-  const Profile profile = makeStandardProfile();
-  result.mergedFile = base + ".merged.uti";
-  t0 = std::chrono::steady_clock::now();
-  IntervalMerger merger(result.intervalFiles, profile, options.merge);
-  if (options.writeSlog) {
-    result.slogFile = base + ".slog";
-    // The SLOG writer needs the merged thread table and markers; collect
-    // them from the inputs the same way the merger does.
+SlogMergeResult slogMerge(const std::vector<std::string>& intervalFiles,
+                          const Profile& profile, const MergeOptions& merge,
+                          const std::string& mergedPath,
+                          const std::string& slogPath,
+                          const SlogOptions& slog) {
+  SlogMergeResult result;
+  const auto t0 = std::chrono::steady_clock::now();
+  IntervalMerger merger(intervalFiles, profile, merge);
+  if (slogPath.empty()) {
+    result.merge = merger.mergeTo(mergedPath);
+  } else {
     std::vector<ThreadEntry> threads;
     std::map<std::uint32_t, std::string> markers;
-    for (const std::string& path : result.intervalFiles) {
+    for (const std::string& path : intervalFiles) {
       IntervalFileReader reader(path);
       const auto& t = reader.threads();
       threads.insert(threads.end(), t.begin(), t.end());
@@ -111,17 +75,95 @@ PipelineResult runPipeline(SimulationConfig config,
         markers.emplace(id, name);
       }
     }
-    SlogWriter slog(result.slogFile, options.slog, profile, threads, markers);
+    SlogWriter writer(slogPath, slog, profile, threads, markers);
     result.merge = merger.mergeTo(
-        result.mergedFile,
-        [&slog](const RecordView& record) { slog.addRecord(record); });
-    slog.close();
-    result.slogIntervals = slog.intervalsWritten();
-    result.slogArrows = slog.arrowsWritten();
-  } else {
-    result.merge = merger.mergeTo(result.mergedFile);
+        mergedPath,
+        [&writer](const RecordView& record) { writer.addRecord(record); });
+    writer.close();
+    result.slogIntervals = writer.intervalsWritten();
+    result.slogArrows = writer.arrowsWritten();
   }
-  result.mergeSeconds = secondsSince(t0);
+  result.seconds = secondsSince(t0);
+  return result;
+}
+
+ChainResult convertAndMerge(const std::vector<std::string>& rawFiles,
+                            const std::string& prefix, const Profile& profile,
+                            const ChainOptions& options) {
+  ChainResult result;
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<ConvertResult> converted =
+      convertRun(rawFiles, prefix, options.convert);
+  result.convertSeconds = secondsSince(t0);
+  for (const ConvertResult& c : converted) {
+    result.intervalFiles.push_back(c.outputPath);
+    result.rawEvents += c.rawEvents;
+    result.intervalRecords += c.intervalRecords;
+  }
+
+  result.mergedFile = prefix + ".merged.uti";
+  if (options.writeSlog) result.slogFile = prefix + ".slog";
+  const SlogMergeResult merged =
+      slogMerge(result.intervalFiles, profile, options.merge,
+                result.mergedFile, result.slogFile, options.slog);
+  result.merge = merged.merge;
+  result.slogIntervals = merged.slogIntervals;
+  result.slogArrows = merged.slogArrows;
+  result.mergeSeconds = merged.seconds;
+  return result;
+}
+
+bool applyChainFlags(const CliParser& cli, StreamMergeOptions& merge,
+                     SlogOptions& slog) {
+  const std::string method = cli.valueOr("method", std::string("rms"));
+  if (method == "rms") merge.syncMethod = SyncMethod::kRmsSegments;
+  else if (method == "last") merge.syncMethod = SyncMethod::kLastPair;
+  else if (method == "piecewise") merge.syncMethod = SyncMethod::kPiecewise;
+  else {
+    std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
+    return false;
+  }
+  if (cli.hasFlag("slog-v1")) slog.formatVersion = 1;
+  if (cli.hasFlag("slog-v2")) slog.formatVersion = kSlogVersion;
+  return true;
+}
+
+PipelineResult runPipeline(SimulationConfig config,
+                           const PipelineOptions& options) {
+  namespace fs = std::filesystem;
+  fs::create_directories(options.dir);
+  const std::string base =
+      (fs::path(options.dir) / options.name).string();
+
+  // --- stage 1: trace generation (the simulated run) ---------------------
+  config.trace.filePrefix = base;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::string> rawFiles;
+  MpiRuntimeStats mpiStats;
+  Tick simulatedNs = 0;
+  {
+    Simulation sim(std::move(config));
+    MpiRuntime mpi(sim);
+    sim.setMpiService(&mpi);
+    sim.run();
+    mpiStats = mpi.stats();
+    rawFiles = sim.traceFilePaths();
+    simulatedNs = sim.finishTimeNs();
+  }
+  const double simSeconds = secondsSince(t0);
+
+  // --- stages 2-3: convert, then merge (+ SLOG in the same pass) ----------
+  const std::string profileFile =
+      (fs::path(options.dir) / kStandardProfileFileName).string();
+  ensureStandardProfileFile(profileFile);
+  PipelineResult result;
+  static_cast<ChainResult&>(result) =
+      convertAndMerge(rawFiles, base, makeStandardProfile(), options);
+  result.rawFiles = std::move(rawFiles);
+  result.profileFile = profileFile;
+  result.mpiStats = mpiStats;
+  result.simSeconds = simSeconds;
+  result.simulatedNs = simulatedNs;
   return result;
 }
 

@@ -416,14 +416,53 @@ TEST(MetricsOracle, ParallelJobsProduceByteIdenticalUtm) {
   const PipelineResult run = goldenRun("metrics_jobs");
   SlogReader reader(run.slogFile);
 
-  MetricsOptions seq;
-  seq.bins = 240;
-  seq.jobs = 1;
-  MetricsOptions par = seq;
-  par.jobs = 4;
-  const std::vector<std::uint8_t> a = computeMetrics(reader, seq).encode();
-  const std::vector<std::uint8_t> b = computeMetrics(reader, par).encode();
-  EXPECT_EQ(a, b) << ".utm bytes differ between --jobs 1 and --jobs 4";
+  // 16 bins keep the store small enough that every job count fans out;
+  // at 240 bins this small trace stays on one worker.
+  ASSERT_GT(metricsWorkers(4, reader.frameIndex(), 16, 4), 1u)
+      << "fixture too small to exercise the parallel path";
+  for (const std::uint32_t bins : {16u, 240u}) {
+    MetricsOptions seq;
+    seq.bins = bins;
+    seq.jobs = 1;
+    const std::vector<std::uint8_t> a = computeMetrics(reader, seq).encode();
+    for (const int jobs : {2, 3, 4}) {
+      MetricsOptions par = seq;
+      par.jobs = jobs;
+      EXPECT_EQ(a, computeMetrics(reader, par).encode())
+          << ".utm bytes differ between --jobs 1 and --jobs " << jobs
+          << " at " << bins << " bins";
+    }
+  }
+}
+
+std::vector<SlogFrameIndexEntry> frameIndexOf(std::size_t frames,
+                                              std::uint64_t entries) {
+  std::vector<SlogFrameIndexEntry> index(frames);
+  for (std::size_t i = 0; i < frames; ++i) {
+    index[i].records = static_cast<std::uint32_t>(
+        entries * (i + 1) / frames - entries * i / frames);
+  }
+  return index;
+}
+
+TEST(MetricsWorkers, FanOutOnlyWhereEachWorkerOutweighsItsStore) {
+  // perfbench batch-wide: 116 frames, 474,300 entries, 64 tasks.
+  const auto wide = frameIndexOf(116, 474'300);
+  EXPECT_EQ(metricsWorkers(4, wide, 240, 64), 4u);
+  EXPECT_EQ(metricsWorkers(1, wide, 240, 64), 1u);
+  EXPECT_EQ(metricsWorkers(4, wide, 10'000, 64), 1u);
+
+  // bench_metrics: 468 frames, 119,612 entries, 4 tasks.
+  const auto bench = frameIndexOf(468, 119'612);
+  EXPECT_EQ(metricsWorkers(4, bench, 240, 4), 4u);
+  EXPECT_EQ(metricsWorkers(4, bench, 1'000, 4), 4u);
+  EXPECT_EQ(metricsWorkers(4, bench, 4'000, 4), 3u);
+  EXPECT_EQ(metricsWorkers(4, bench, 10'000, 4), 1u);
+
+  // Never more workers than frames; a run with no tasks still scans.
+  EXPECT_EQ(metricsWorkers(4, frameIndexOf(2, 100'000), 240, 4), 2u);
+  EXPECT_EQ(metricsWorkers(4, frameIndexOf(8, 100'000), 240, 0), 4u);
+  EXPECT_EQ(metricsWorkers(4, {}, 240, 4), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -576,6 +576,17 @@ TEST_F(CliTest, ToolsFailCleanlyOnBadInput) {
   std::tie(rc, out) = run(tool("utetrace") + " --workload bogus");
   EXPECT_EQ(rc, 2);
   EXPECT_NE(out.find("unknown workload"), std::string::npos);
+
+  // The shared chain flags reject an unknown clock fit before any input
+  // is opened.
+  for (const std::string& t :
+       {tool("utemerge") + " --out /tmp/x.uti --method bogus /no/such.uti",
+        tool("utepipeline") + " --out /tmp/x --method bogus /no/such.utr",
+        tool("utestream") + " --out /tmp/x --method bogus /no/such.utr"}) {
+    std::tie(rc, out) = run(t);
+    EXPECT_EQ(rc, 2) << t;
+    EXPECT_NE(out.find("unknown --method 'bogus'"), std::string::npos) << t;
+  }
 }
 
 }  // namespace

@@ -10,15 +10,13 @@
 //            [--slog-v1 | --slog-v2]   (SLOG frame encoding; default v2
 //                                       compressed columnar, docs/FORMAT.md)
 //            NODE0.uti NODE1.uti ...
-#include <chrono>
 #include <cstdio>
 #include <exception>
 
 #include "interval/standard_profile.h"
-#include "merge/merger.h"
-#include "slog/slog_writer.h"
 #include "support/cli.h"
 #include "support/text.h"
+#include "workloads/pipeline.h"
 
 int main(int argc, char** argv) {
   using namespace ute;
@@ -44,14 +42,8 @@ int main(int argc, char** argv) {
     }
 
     MergeOptions options;
-    const std::string method = cli.valueOr("method", std::string("rms"));
-    if (method == "rms") options.syncMethod = SyncMethod::kRmsSegments;
-    else if (method == "last") options.syncMethod = SyncMethod::kLastPair;
-    else if (method == "piecewise") options.syncMethod = SyncMethod::kPiecewise;
-    else {
-      std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
-      return 2;
-    }
+    SlogOptions slogOptions;
+    if (!applyChainFlags(cli, options, slogOptions)) return 2;
     options.useNaiveMerge = cli.hasFlag("naive");
     if (const auto threads = cli.value("threads")) {
       // Comma-separated categories: mpi,user,system (Section 2.3.3).
@@ -78,37 +70,9 @@ int main(int argc, char** argv) {
         cli.valueOr("frame-bytes", std::uint64_t{32} << 10));
     options.jobs = static_cast<int>(cli.valueOr("jobs", std::uint64_t{1}));
 
-    const auto t0 = std::chrono::steady_clock::now();
-    IntervalMerger merger(cli.positional(), profile, options);
-    MergeResult result;
-    std::uint64_t slogIntervals = 0;
-    std::uint64_t slogArrows = 0;
-    if (!slogPath.empty()) {
-      std::vector<ThreadEntry> threads;
-      std::map<std::uint32_t, std::string> markers;
-      for (const std::string& path : cli.positional()) {
-        IntervalFileReader reader(path);
-        threads.insert(threads.end(), reader.threads().begin(),
-                       reader.threads().end());
-        for (const auto& [id, name] : reader.markers()) {
-          markers.emplace(id, name);
-        }
-      }
-      SlogOptions slogOptions;
-      if (cli.hasFlag("slog-v1")) slogOptions.formatVersion = 1;
-      if (cli.hasFlag("slog-v2")) slogOptions.formatVersion = kSlogVersion;
-      SlogWriter slog(slogPath, slogOptions, profile, threads, markers);
-      result = merger.mergeTo(
-          out, [&slog](const RecordView& r) { slog.addRecord(r); });
-      slog.close();
-      slogIntervals = slog.intervalsWritten();
-      slogArrows = slog.arrowsWritten();
-    } else {
-      result = merger.mergeTo(out);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const SlogMergeResult merged = slogMerge(
+        cli.positional(), profile, options, out, slogPath, slogOptions);
+    const MergeResult& result = merged.merge;
 
     for (std::size_t i = 0; i < result.ratios.size(); ++i) {
       std::printf("input %zu: clock ratio %.9f\n", i, result.ratios[i]);
@@ -118,15 +82,15 @@ int main(int argc, char** argv) {
                 withCommas(result.pseudoRecords).c_str(), out.c_str());
     if (!slogPath.empty()) {
       std::printf("slog: %s intervals, %s arrows -> %s\n",
-                  withCommas(slogIntervals).c_str(),
-                  withCommas(slogArrows).c_str(), slogPath.c_str());
+                  withCommas(merged.slogIntervals).c_str(),
+                  withCommas(merged.slogArrows).c_str(), slogPath.c_str());
     }
     std::printf("%s: %s records in %.3f s (%.7f sec/record)\n",
                 slogPath.empty() ? "merge" : "slogmerge",
-                withCommas(result.recordsIn).c_str(), seconds,
+                withCommas(result.recordsIn).c_str(), merged.seconds,
                 result.recordsIn == 0
                     ? 0.0
-                    : seconds / static_cast<double>(result.recordsIn));
+                    : merged.seconds / static_cast<double>(result.recordsIn));
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "utemerge: %s\n", e.what());

@@ -51,6 +51,7 @@
 #include "support/cli.h"
 #include "support/file_io.h"
 #include "support/text.h"
+#include "workloads/pipeline.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -172,19 +173,9 @@ int main(int argc, char** argv) {
         cli.valueOr("ingest-port", std::uint64_t{0}));
     ingest.outPath = *out + ".merged.uti";
     ingest.slogPath = *out + ".slog";
-    if (cli.hasFlag("slog-v1")) ingest.slog.formatVersion = 1;
-    if (cli.hasFlag("slog-v2")) ingest.slog.formatVersion = kSlogVersion;
+    if (!applyChainFlags(cli, ingest.merge, ingest.slog)) return 2;
     ingest.merge.targetFrameBytes = static_cast<std::size_t>(
         cli.valueOr("frame-bytes", std::uint64_t{32} << 10));
-    const std::string method = cli.valueOr("method", std::string("rms"));
-    if (method == "rms") ingest.merge.syncMethod = SyncMethod::kRmsSegments;
-    else if (method == "last") ingest.merge.syncMethod = SyncMethod::kLastPair;
-    else if (method == "piecewise") {
-      ingest.merge.syncMethod = SyncMethod::kPiecewise;
-    } else {
-      std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
-      return 2;
-    }
     ingest.sessionBudgetBytes = static_cast<std::size_t>(
         cli.valueOr("budget-kb", std::uint64_t{8192}) << 10);
     ingest.sessionTimeoutMs = static_cast<int>(
