@@ -8,8 +8,6 @@ ReactorOptions reactorOptions(const RouterServerOptions& options) {
   ReactorOptions reactor;
   reactor.idleTimeoutMs = options.idleTimeoutMs;
   reactor.readTimeoutMs = options.readTimeoutMs;
-  reactor.maxPipeline = options.maxPipeline;
-  reactor.drainTimeoutMs = options.drainTimeoutMs;
   reactor.maxMessageBytes = kMaxMessageBytes;
   return reactor;
 }

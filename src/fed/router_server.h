@@ -29,12 +29,10 @@ struct RouterServerOptions {
   /// bounds the router's concurrent upstream fan-out.
   std::size_t workers = 16;
   std::size_t queueDepth = 256;
-  /// Reactor hardening knobs (0 = off; the uterouter CLI sets real
-  /// timeouts, embedded test routers stay permissive).
+  /// Reactor timeouts (0 = off; the uterouter CLI sets real timeouts,
+  /// embedded test routers stay permissive).
   int idleTimeoutMs = 0;
   int readTimeoutMs = 0;
-  std::size_t maxPipeline = 64;
-  int drainTimeoutMs = 5'000;
 };
 
 class RouterServer : private Reactor::Handler {

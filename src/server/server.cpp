@@ -14,8 +14,6 @@ ReactorOptions reactorOptions(const ServerOptions& options) {
   ReactorOptions reactor;
   reactor.idleTimeoutMs = options.idleTimeoutMs;
   reactor.readTimeoutMs = options.readTimeoutMs;
-  reactor.maxPipeline = options.maxPipeline;
-  reactor.drainTimeoutMs = options.drainTimeoutMs;
   reactor.maxMessageBytes = kMaxMessageBytes;
   return reactor;
 }

@@ -37,13 +37,11 @@ struct ServerOptions {
   /// service may be constructed with zero SLOG paths.
   LiveFeed* liveFeed = nullptr;
   std::string liveName = "<live>";
-  /// Reactor hardening knobs (see ReactorOptions; 0 = off). Embedded
-  /// test servers keep the permissive defaults; the uteserve/utestream
-  /// CLIs set real timeouts.
+  /// Reactor timeouts (see ReactorOptions; 0 = off). Embedded test
+  /// servers keep the permissive defaults; the uteserve/utestream CLIs
+  /// set real timeouts.
   int idleTimeoutMs = 0;
   int readTimeoutMs = 0;
-  std::size_t maxPipeline = 64;
-  int drainTimeoutMs = 5'000;
 };
 
 class TraceServer : private Reactor::Handler {
@@ -64,8 +62,8 @@ class TraceServer : private Reactor::Handler {
   bool stopRequested() const { return stopRequested_.load(); }
 
   /// Graceful stop: no new connections, in-flight responses drained
-  /// (bounded by drainTimeoutMs), then the loop joins. Idempotent; also
-  /// run by the destructor.
+  /// (bounded by the reactor's drain deadline), then the loop joins.
+  /// Idempotent; also run by the destructor.
   void stop();
 
  private:

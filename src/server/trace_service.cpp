@@ -67,18 +67,10 @@ const std::string& TraceService::traceName(std::uint32_t traceId) const {
 }
 
 const SlogReader& TraceService::trace(std::uint32_t traceId) const {
-  if (traceId >= traces_.size()) {
-    throw UsageError("unknown trace id " + std::to_string(traceId));
-  }
-  if (traces_[traceId]->feed != nullptr) {
-    throw UsageError("live trace " + std::to_string(traceId) +
-                     ": this query needs the finished file; follow the "
-                     "run with TailFrames/TailMetrics instead");
-  }
-  return *traces_[traceId]->reader;
+  return *traceSlot(traceId).reader;
 }
 
-TraceService::Trace& TraceService::traceSlot(std::uint32_t traceId) {
+TraceService::Trace& TraceService::traceSlot(std::uint32_t traceId) const {
   if (traceId >= traces_.size()) {
     throw UsageError("unknown trace id " + std::to_string(traceId));
   }
@@ -101,22 +93,6 @@ FrameCache::FramePtr TraceService::frame(std::uint32_t traceId,
                           [&] { return reader.readFrame(frameIdx); });
 }
 
-std::optional<std::pair<std::size_t, std::size_t>> TraceService::frameSpan(
-    const SlogReader& reader, Tick t0, Tick t1) const {
-  const auto& index = reader.frameIndex();
-  std::size_t first = index.size();
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    // Half-open selection, matching buildSlogWindowView: a frame that
-    // merely touches a window edge contributes nothing.
-    if (index[i].timeEnd <= t0 || index[i].timeStart >= t1) continue;
-    first = std::min(first, i);
-    last = std::max(last, i);
-  }
-  if (first > last) return std::nullopt;
-  return std::make_pair(first, last);
-}
-
 WindowResult TraceService::window(std::uint32_t traceId,
                                   const WindowQuery& query) {
   const SlogReader& reader = trace(traceId);
@@ -127,7 +103,7 @@ WindowResult TraceService::window(std::uint32_t traceId,
   result.t0 = std::max(query.t0, reader.totalStart());
   result.t1 = std::min(query.t1, reader.totalEnd());
   if (result.t1 <= result.t0) throw UsageError("window is outside the run");
-  const auto span = frameSpan(reader, result.t0, result.t1);
+  const auto span = reader.framesOverlapping(result.t0, result.t1);
   if (!span) throw UsageError("window is outside the run");
 
   const bool allStates = query.states.empty();
@@ -166,7 +142,7 @@ std::vector<SummaryEntry> TraceService::summary(std::uint32_t traceId,
   t0 = std::max(t0, reader.totalStart());
   t1 = std::min(t1, reader.totalEnd());
   if (t1 <= t0) throw UsageError("window is outside the run");
-  const auto span = frameSpan(reader, t0, t1);
+  const auto span = reader.framesOverlapping(t0, t1);
   std::map<std::uint32_t, double> perState;
   if (span) {
     for (std::size_t f = span->first; f <= span->second; ++f) {

@@ -169,12 +169,8 @@ class TraceService {
         UTE_GUARDED_BY(metricsMu);
   };
 
-  /// Frame span [first, last] consulted for a clamped window; nullopt
-  /// when no frame overlaps it.
-  std::optional<std::pair<std::size_t, std::size_t>> frameSpan(
-      const SlogReader& reader, Tick t0, Tick t1) const;
-
-  Trace& traceSlot(std::uint32_t traceId);
+  /// The file trace `traceId`; throws for an unknown id or a live trace.
+  Trace& traceSlot(std::uint32_t traceId) const;
 
   ServiceOptions options_;
   std::vector<std::unique_ptr<Trace>> traces_;

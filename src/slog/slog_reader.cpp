@@ -151,6 +151,19 @@ std::optional<std::size_t> SlogReader::frameIndexFor(Tick t) const {
   return static_cast<std::size_t>(it - index_.begin());
 }
 
+std::optional<std::pair<std::size_t, std::size_t>>
+SlogReader::framesOverlapping(Tick t0, Tick t1) const {
+  std::size_t first = index_.size();
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    if (index_[i].timeEnd <= t0 || index_[i].timeStart >= t1) continue;
+    first = std::min(first, i);
+    last = std::max(last, i);
+  }
+  if (first > last) return std::nullopt;
+  return std::make_pair(first, last);
+}
+
 SlogFramePtr SlogReader::readFrame(std::size_t frameIdx) const {
   if (frameIdx >= index_.size()) {
     throw UsageError("SLOG frame index out of range");

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "slog/slog_format.h"
@@ -49,6 +50,13 @@ class SlogReader {
   /// Binary search of the frame index: the frame whose time range
   /// contains `t`, or nullopt outside the run.
   std::optional<std::size_t> frameIndexFor(Tick t) const;
+
+  /// The frames [first, last] overlapping the half-open window [t0, t1),
+  /// or nullopt when none does. A frame that merely touches a window edge
+  /// is not selected: states spanning in are restated by the first
+  /// selected frame's pseudo-intervals.
+  std::optional<std::pair<std::size_t, std::size_t>> framesOverlapping(
+      Tick t0, Tick t1) const;
 
   /// Decodes one frame into a shared immutable handle. Thread-safe.
   SlogFramePtr readFrame(std::size_t frameIdx) const;

@@ -1,5 +1,7 @@
 #include "stream/ingest_protocol.h"
 
+#include <algorithm>
+
 #include "support/errors.h"
 
 namespace ute {
@@ -187,22 +189,23 @@ IngestClockPairs decodeIngestClockPairs(
   });
 }
 
-std::vector<std::vector<std::uint8_t>> decodeIngestRecords(
+std::vector<std::span<const std::uint8_t>> decodeIngestRecords(
     std::span<const std::uint8_t> payload) {
   return decodeGuard("record batch", [&] {
     ByteReader r(payload);
     expectOp(r, IngestOp::kRecords, "record batch");
     const std::uint32_t count = r.u32();
-    std::vector<std::vector<std::uint8_t>> bodies;
-    bodies.reserve(count);
+    std::vector<std::span<const std::uint8_t>> bodies;
+    // Each record carries at least its u32 length, so a forged count
+    // cannot reserve more than the payload could hold.
+    bodies.reserve(std::min<std::size_t>(count, r.remaining() / 4));
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t len = r.u32();
       if (len > r.remaining()) {
         throw IngestError(IngestStatus::kBadRequest,
                           "record length overruns the batch");
       }
-      const auto bytes = r.bytes(len);
-      bodies.emplace_back(bytes.begin(), bytes.end());
+      bodies.push_back(r.bytes(len));
     }
     return bodies;
   });

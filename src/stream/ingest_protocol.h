@@ -9,8 +9,8 @@
 // structured kBadVersion reply, not silence.
 //
 // Every client message is answered with one status reply before the
-// client sends the next — and the server acks a kRecords batch only
-// after the merge thread has accepted it into its byte budget, so the
+// client sends the next — and the merge thread withholds a kRecords ack
+// while the session's buffered records exceed its byte budget, so the
 // ping-pong doubles as explicit backpressure: a producer can never run
 // more than one unacknowledged batch ahead of the merge.
 //
@@ -108,7 +108,8 @@ std::vector<ThreadEntry> decodeIngestThreads(
 std::pair<std::uint32_t, std::string> decodeIngestMarker(
     std::span<const std::uint8_t> payload);
 IngestClockPairs decodeIngestClockPairs(std::span<const std::uint8_t> payload);
-std::vector<std::vector<std::uint8_t>> decodeIngestRecords(
+/// The record bodies, as spans into `payload` (no copy).
+std::vector<std::span<const std::uint8_t>> decodeIngestRecords(
     std::span<const std::uint8_t> payload);
 
 // --- status replies ---------------------------------------------------------

@@ -1,73 +1,65 @@
 #include "stream/ingest_server.h"
 
+#include <algorithm>
 #include <exception>
-#include <tuple>
 #include <utility>
 
 #include "support/errors.h"
 
 namespace ute {
 
-// --- ByteBudget -------------------------------------------------------------
+namespace {
 
-bool ByteBudget::acquire(std::size_t n) {
-  if (limit_ == 0) {  // unlimited
-    MutexLock lock(mu_);
-    return !closed_;
-  }
-  MutexLock lock(mu_);
-  // An oversize batch (n > limit_) is admitted alone once the budget is
-  // empty — blocking it forever would wedge the producer.
-  while (!closed_ && used_ > 0 && used_ + n > limit_) cv_.wait(mu_);
-  if (closed_) return false;
-  used_ += n;
-  return true;
+Reactor::SharedReply reply(IngestStatus status, const std::string& message) {
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      encodeIngestReply(status, message));
 }
 
-void ByteBudget::release(std::size_t n) {
-  if (limit_ == 0) return;
-  MutexLock lock(mu_);
-  used_ -= n > used_ ? used_ : n;
-  cv_.notifyAll();
+/// The ack: one shared buffer for every session.
+const Reactor::SharedReply& okReply() {
+  static const Reactor::SharedReply ok = reply(IngestStatus::kOk, "");
+  return ok;
 }
 
-void ByteBudget::close() {
-  MutexLock lock(mu_);
-  closed_ = true;
-  cv_.notifyAll();
+/// Completes `req` and clears it, so no later path answers it again. A
+/// null reply closes the connection without a word.
+void answer(Reactor::Request& req, Reactor::SharedReply payload,
+            bool closeAfter) {
+  const Reactor::Request done = std::exchange(req, {});
+  done.reactor->complete(done, std::move(payload), closeAfter);
 }
 
-// --- IngestServer -----------------------------------------------------------
+/// Answers `req`, unless it was answered already (or is an abort's).
+void answerShuttingDown(Reactor::Request& req) {
+  if (req.reactor == nullptr) return;
+  answer(req, reply(IngestStatus::kShuttingDown, "ingest is shutting down"),
+         /*closeAfter=*/true);
+}
+
+}  // namespace
 
 IngestServer::IngestServer(const Profile& profile, IngestServerOptions options,
                            LiveFeed* feed)
     : profile_(profile),
       options_(std::move(options)),
       feed_(feed),
-      channel_(options_.channelCapacity == 0 ? 64 : options_.channelCapacity) {
+      channel_(options_.expectedNodes.size()) {
   if (options_.expectedNodes.empty()) {
     throw UsageError("ingest server needs at least one expected node");
   }
   if (options_.outPath.empty()) {
     throw UsageError("ingest server needs an output path");
   }
+  const std::size_t inputs = options_.expectedNodes.size();
   merger_ = std::make_unique<StreamMerger>(profile_, options_.merge);
-  for (std::size_t i = 0; i < options_.expectedNodes.size(); ++i) {
-    merger_->addInput();
-    budgets_.push_back(
-        std::make_unique<ByteBudget>(options_.sessionBudgetBytes));
-  }
+  for (std::size_t i = 0; i < inputs; ++i) merger_->addInput();
+  withheld_.resize(inputs);
+  open_ = inputs;
   {
     MutexLock lock(mu_);
-    claimed_.assign(options_.expectedNodes.size(), false);
+    claimed_.assign(inputs, false);
   }
   mergeThread_ = std::thread(&IngestServer::mergeLoop, this);
-  // One worker per expected node plus slack: every node can block on its
-  // ByteBudget simultaneously without starving a stray connection's
-  // (quick) error reply. Sized before the reactor exists — onRequest
-  // needs the pool.
-  const std::size_t inputs = options_.expectedNodes.size();
-  pool_ = std::make_unique<ThreadPool>(inputs + 2, inputs * 4 + 64);
   ReactorOptions reactor;
   reactor.idleTimeoutMs = options_.sessionTimeoutMs;
   reactor.readTimeoutMs = options_.sessionTimeoutMs;
@@ -82,19 +74,15 @@ IngestServer::~IngestServer() { stop(); }
 void IngestServer::stop() {
   {
     MutexLock lock(mu_);
-    if (stopped_) {
-      // A second caller still waits for the reactor below (idempotent
-      // shutdown joins, or returns at once when already joined).
-    }
     stopped_ = true;
   }
-  // Unblock workers stuck in budget acquire / channel send so their
-  // completions reach the reactor, then drain + join the loop. Sessions
-  // still open at that point surface as aborts via onClosed.
+  // The merge thread ends on the closed channel and answers every request
+  // it holds or finds queued before it exits; later messages find the
+  // channel closed and are answered on the reactor thread. So the drain
+  // below waits for no request. Sessions still open become aborts.
   channel_.close();
-  for (auto& budget : budgets_) budget->close();
-  reactor_->shutdown();
   if (mergeThread_.joinable()) mergeThread_.join();
+  reactor_->shutdown();
 }
 
 StreamMergeResult IngestServer::wait() {
@@ -136,136 +124,61 @@ std::size_t IngestServer::claimNode(NodeId node) {
 
 void IngestServer::onRequest(Reactor::Request req,
                              std::vector<std::uint8_t> payload) {
-  auto [it, inserted] = sessions_.try_emplace(req.conn, nullptr);
-  if (inserted) it->second = std::make_shared<Session>();
-  std::shared_ptr<Session> session = it->second;
-
-  auto body = std::make_shared<std::vector<std::uint8_t>>(std::move(payload));
-  const bool accepted = pool_->trySubmit([this, req, session, body] {
-    serviceMessage(req, *session, *body);
-  });
-  if (!accepted) {
-    // The pool is sized so this only happens under a connection flood;
-    // shed the stray with a structured reply (never a hung session).
-    req.reactor->complete(req,
-                          encodeIngestReply(IngestStatus::kShuttingDown,
-                                            "ingest server overloaded"),
-                          /*closeAfter=*/true);
-  }
-}
-
-void IngestServer::serviceMessage(Reactor::Request req, Session& session,
-                                  const std::vector<std::uint8_t>& msg) {
-  std::vector<std::uint8_t> reply;
-  bool fatal = false;
+  Session& session = sessions_[req.conn];
   try {
     try {
-      const IngestOp op = peekIngestOp(msg);
+      const IngestOp op = peekIngestOp(payload);
       if (!session.input) {
         if (op != IngestOp::kHello) {
           throw IngestError(IngestStatus::kBadRequest,
                             "first message must be the ingest hello");
         }
-        session.input = claimNode(decodeIngestHello(msg).node);
-      } else {
-        const std::size_t input = *session.input;
-        switch (op) {
-          case IngestOp::kHello:
-            throw IngestError(IngestStatus::kBadRequest, "duplicate hello");
-          case IngestOp::kThreads: {
-            if (session.sawThreads) {
-              throw IngestError(IngestStatus::kBadRequest,
-                                "duplicate thread table");
-            }
-            SessionEvent ev;
-            ev.kind = SessionEvent::Kind::kThreads;
-            ev.input = input;
-            ev.threads = decodeIngestThreads(msg);
-            if (!channel_.send(std::move(ev))) {
-              throw IngestError(IngestStatus::kShuttingDown,
-                                "ingest is shutting down");
-            }
-            session.sawThreads = true;
-            break;
-          }
-          case IngestOp::kMarker: {
-            SessionEvent ev;
-            ev.kind = SessionEvent::Kind::kMarker;
-            ev.input = input;
-            std::tie(ev.markerId, ev.markerName) = decodeIngestMarker(msg);
-            if (!channel_.send(std::move(ev))) {
-              throw IngestError(IngestStatus::kShuttingDown,
-                                "ingest is shutting down");
-            }
-            break;
-          }
-          case IngestOp::kClockPairs: {
-            SessionEvent ev;
-            ev.kind = SessionEvent::Kind::kClockPairs;
-            ev.input = input;
-            ev.clockPairs = decodeIngestClockPairs(msg);
-            if (!channel_.send(std::move(ev))) {
-              throw IngestError(IngestStatus::kShuttingDown,
-                                "ingest is shutting down");
-            }
-            break;
-          }
-          case IngestOp::kRecords: {
-            if (!session.sawThreads) {
-              throw IngestError(IngestStatus::kBadRequest,
-                                "records before the thread table");
-            }
-            SessionEvent ev;
-            ev.kind = SessionEvent::Kind::kRecords;
-            ev.input = input;
-            ev.records = decodeIngestRecords(msg);
-            for (const auto& body : ev.records) ev.bytes += body.size();
-            // The ack below happens only after both gates pass, which is
-            // what makes the reply an explicit backpressure signal.
-            if (!budgets_[input]->acquire(ev.bytes)) {
-              throw IngestError(IngestStatus::kShuttingDown,
-                                "ingest is shutting down");
-            }
-            const std::size_t bytes = ev.bytes;
-            if (!channel_.send(std::move(ev))) {
-              budgets_[input]->release(bytes);
-              throw IngestError(IngestStatus::kShuttingDown,
-                                "ingest is shutting down");
-            }
-            break;
-          }
-          case IngestOp::kBye: {
-            SessionEvent ev;
-            ev.kind = SessionEvent::Kind::kClose;
-            ev.input = input;
-            if (!channel_.send(std::move(ev))) {
-              throw IngestError(IngestStatus::kShuttingDown,
-                                "ingest is shutting down");
-            }
-            session.sawBye = true;
-            break;
-          }
-          default:
-            throw IngestError(IngestStatus::kBadRequest, "unknown ingest op");
-        }
+        session.input = claimNode(decodeIngestHello(payload).node);
+        req.reactor->complete(req, okReply());
+        return;
       }
-      reply = encodeIngestReply(IngestStatus::kOk);
+      switch (op) {
+        case IngestOp::kHello:
+          throw IngestError(IngestStatus::kBadRequest, "duplicate hello");
+        case IngestOp::kThreads:
+          if (session.sawThreads) {
+            throw IngestError(IngestStatus::kBadRequest,
+                              "duplicate thread table");
+          }
+          break;
+        case IngestOp::kRecords:
+          if (!session.sawThreads) {
+            throw IngestError(IngestStatus::kBadRequest,
+                              "records before the thread table");
+          }
+          break;
+        case IngestOp::kMarker:
+        case IngestOp::kClockPairs:
+        case IngestOp::kBye:
+          break;
+        default:
+          throw IngestError(IngestStatus::kBadRequest, "unknown ingest op");
+      }
+      // The merge thread decodes, applies and answers the message.
+      if (!channel_.trySend({.input = *session.input,
+                             .req = req,
+                             .payload = std::move(payload)})) {
+        throw IngestError(IngestStatus::kShuttingDown,
+                          "ingest is shutting down");
+      }
+      if (op == IngestOp::kThreads) session.sawThreads = true;
+      if (op == IngestOp::kBye) session.sawBye = true;
     } catch (const IngestError& e) {
       // Structured error reply before close — the client sees why, not a
       // bare EOF. The session is over either way.
-      reply = encodeIngestReply(e.status(), e.what());
-      fatal = true;
+      req.reactor->complete(req, reply(e.status(), e.what()),
+                            /*closeAfter=*/true);
     }
   } catch (const std::exception&) {
     // Torn frame (decode failure outside the ingest-status taxonomy):
     // drop the client silently; onClosed synthesizes the abort.
     req.reactor->complete(req, nullptr, /*closeAfter=*/true);
-    return;
   }
-  // A session ends after its kBye ack (or a fatal reply) — the reactor
-  // drains the reply first, then closes, then onClosed fires.
-  req.reactor->complete(req, std::move(reply),
-                        /*closeAfter=*/fatal || session.sawBye);
 }
 
 std::vector<std::uint8_t> IngestServer::onConnError(
@@ -280,21 +193,17 @@ std::vector<std::uint8_t> IngestServer::onConnError(
 void IngestServer::onClosed(Reactor::ConnId conn) {
   const auto it = sessions_.find(conn);
   if (it == sessions_.end()) return;
-  const std::shared_ptr<Session> session = it->second;
+  const Session session = it->second;
   sessions_.erase(it);
-  if (session->input && !session->sawBye) {
-    // Disconnect without kBye = abort. onClosed is only fired after the
-    // session's last in-flight message completed, so this can never
-    // overtake records still being admitted. The send may briefly block
-    // on a full channel; the merge thread drains it independently, and a
-    // closed channel (merge already over) returns false immediately.
-    SessionEvent ev;
-    ev.kind = SessionEvent::Kind::kAbort;
-    ev.input = *session->input;
-    // The merge thread drains the channel independently, and send() on
-    // a closed channel (merge already over) returns false immediately.
-    // utecheck: allow(blocking) — bounded wait: merge thread drains independently
-    channel_.send(std::move(ev));
+  if (session.input && !session.sawBye) {
+    // Disconnect without kBye = abort. onClosed fires only after the
+    // session's last message was answered, so the abort follows all of
+    // its records and finds room in the channel. A closed channel (merge
+    // already over) refuses it, and the merge needs it no more.
+    SessionEvent abort;
+    abort.input = *session.input;
+    abort.abort = true;
+    channel_.trySend(std::move(abort));
   }
 }
 
@@ -322,70 +231,121 @@ void IngestServer::openOutputs() {
   }
 }
 
-void IngestServer::releaseBudgets(std::vector<std::size_t>& charge) {
-  for (std::size_t i = 0; i < charge.size(); ++i) {
-    const std::size_t buffered = merger_->bufferedBytes(i);
-    if (charge[i] > buffered) {
-      budgets_[i]->release(charge[i] - buffered);
-      charge[i] = buffered;
-    }
+bool IngestServer::fitsBudget(std::size_t i, std::size_t batchBytes) const {
+  // The batch's own records are buffered already, so a batch larger than
+  // the budget fits once nothing else of the session is buffered.
+  const std::size_t limit = options_.sessionBudgetBytes;
+  return limit == 0 ||
+         merger_->bufferedBytes(i) <= std::max(limit, batchBytes);
+}
+
+void IngestServer::releaseWithheldAcks() {
+  for (std::size_t i = 0; i < withheld_.size(); ++i) {
+    std::optional<WithheldAck>& ack = withheld_[i];
+    if (!ack || !fitsBudget(i, ack->bytes)) continue;
+    answer(ack->req, okReply(), /*closeAfter=*/false);
+    ack.reset();
   }
+}
+
+void IngestServer::serviceMessage(SessionEvent& ev) {
+  const std::size_t i = ev.input;
+  const std::span<const std::uint8_t> msg = ev.payload;
+  // A payload that does not decode ends its session, not the merge: an
+  // IngestError gets its structured reply, anything else a silent close,
+  // and onClosed turns either into an abort.
+  const auto decoded =
+      [&](auto decode) -> std::optional<decltype(decode(msg))> {
+    try {
+      return decode(msg);
+    } catch (const IngestError& e) {
+      answer(ev.req, reply(e.status(), e.what()), /*closeAfter=*/true);
+    } catch (const std::exception&) {
+      answer(ev.req, nullptr, /*closeAfter=*/true);
+    }
+    return std::nullopt;
+  };
+  bool closeAfter = false;
+  switch (peekIngestOp(msg)) {
+    case IngestOp::kThreads: {
+      const auto threads = decoded(decodeIngestThreads);
+      if (!threads) return;
+      merger_->setThreads(i, *threads);
+      ++tables_;
+      break;
+    }
+    case IngestOp::kMarker: {
+      const auto marker = decoded(decodeIngestMarker);
+      if (!marker) return;
+      const auto& [id, name] = *marker;
+      merger_->addMarker(id, name);
+      if (slog_) slog_->registerState(kMarkerStateBase + id, name);
+      break;
+    }
+    case IngestOp::kClockPairs: {
+      const auto clock = decoded(decodeIngestClockPairs);
+      if (!clock) return;
+      merger_->setClockPairs(i, clock->pairs, clock->final);
+      break;
+    }
+    case IngestOp::kRecords: {
+      // Spans into the payload: each body is copied once, into the merge.
+      const auto bodies = decoded(decodeIngestRecords);
+      if (!bodies) return;
+      std::size_t bytes = 0;
+      for (const std::span<const std::uint8_t> body : *bodies) {
+        merger_->addRecord(i, body);
+        bytes += body.size();
+      }
+      if (!fitsBudget(i, bytes)) {
+        withheld_[i] = WithheldAck{std::exchange(ev.req, {}), bytes};
+        return;
+      }
+      break;
+    }
+    case IngestOp::kBye:
+      merger_->closeInput(i);
+      --open_;
+      // The session ends after its kBye ack: the reactor drains the
+      // reply, closes, then fires onClosed.
+      closeAfter = true;
+      break;
+    default:  // the reactor forwards only the ops above
+      break;
+  }
+  answer(ev.req, okReply(), closeAfter);
 }
 
 void IngestServer::mergeLoop() {
   const std::size_t inputs = options_.expectedNodes.size();
-  std::vector<std::size_t> charge(inputs, 0);
-  std::size_t open = inputs;
-  std::size_t tables = 0;
+  std::optional<SessionEvent> ev;
   try {
-    while (auto ev = channel_.receive()) {
-      const std::size_t i = ev->input;
-      switch (ev->kind) {
-        case SessionEvent::Kind::kThreads:
-          merger_->setThreads(i, ev->threads);
-          ++tables;
-          break;
-        case SessionEvent::Kind::kMarker:
-          merger_->addMarker(ev->markerId, ev->markerName);
-          if (slog_) {
-            slog_->registerState(kMarkerStateBase + ev->markerId,
-                                 ev->markerName);
-          }
-          break;
-        case SessionEvent::Kind::kClockPairs:
-          merger_->setClockPairs(i, ev->clockPairs.pairs,
-                                 ev->clockPairs.final);
-          break;
-        case SessionEvent::Kind::kRecords:
-          for (const auto& body : ev->records) merger_->addRecord(i, body);
-          charge[i] += ev->bytes;
-          break;
-        case SessionEvent::Kind::kClose:
-          merger_->closeInput(i);
-          --open;
-          break;
-        case SessionEvent::Kind::kAbort:
-          merger_->abortInput(i);
-          --open;
-          break;
+    while (open_ > 0) {
+      ev = channel_.receive();
+      // A channel closed under the loop means stop(): the merge ends, and
+      // the event is answered below with whatever else is left.
+      if (!ev || channel_.closed()) break;
+      if (ev->abort) {
+        merger_->abortInput(ev->input);
+        --open_;
+      } else {
+        serviceMessage(*ev);
       }
-      if (!merger_->opened() && tables == inputs) openOutputs();
+      if (!merger_->opened() && tables_ == inputs) openOutputs();
       if (merger_->opened()) {
         merger_->advance();
-        releaseBudgets(charge);
+        releaseWithheldAcks();
         if (feed_) feed_->setWatermark(merger_->watermark());
       }
-      if (open == 0) break;
+      ev.reset();
     }
-    if (open > 0) {
-      // The channel closed under us (stop()): whatever is still open is
-      // an abort, so the output closes cleanly.
-      for (std::size_t i = 0; i < inputs; ++i) {
-        if (merger_->inputOpen(i)) merger_->abortInput(i);
-      }
+    // Whatever is still open (stop()) is an abort, so the output closes
+    // cleanly.
+    for (std::size_t i = 0; i < inputs; ++i) {
+      if (merger_->inputOpen(i)) merger_->abortInput(i);
     }
     if (!merger_->opened()) {
-      if (tables == inputs) {
+      if (tables_ == inputs) {
         openOutputs();
       } else {
         throw FormatError(
@@ -402,9 +362,15 @@ void IngestServer::mergeLoop() {
   } catch (const std::exception& e) {
     markDone(StreamMergeResult{}, e.what());
   }
-  // Late or blocked sessions must not hang on a finished merge.
+  // Late sessions must not hang on a finished merge: the event in hand,
+  // the withheld acks and everything still queued get kShuttingDown,
+  // each exactly once. Messages after the close are refused by trySend.
   channel_.close();
-  for (auto& budget : budgets_) budget->close();
+  if (ev) answerShuttingDown(ev->req);
+  for (std::optional<WithheldAck>& ack : withheld_) {
+    if (ack) answerShuttingDown(ack->req);
+  }
+  while ((ev = channel_.receive())) answerShuttingDown(ev->req);
 }
 
 }  // namespace ute

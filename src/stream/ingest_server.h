@@ -7,30 +7,33 @@
 //
 // Threads:
 //   - the shared epoll Reactor (src/server/reactor.h) owns every
-//     session's socket and state machine on one event-loop thread;
-//   - a small worker pool (one slot per expected node plus slack) runs
-//     the per-message protocol work, because admitting a kRecords batch
-//     legitimately blocks on the session's ByteBudget; the reactor
-//     dispatches one message per session at a time, so session state
-//     needs no locking and acks stay in order;
-//   - the single merge thread drains a bounded Channel<SessionEvent>,
-//     drives the StreamMerger, and owns the output writers —
+//     session's socket and protocol order (hello, then threads, then the
+//     rest, then bye) on one event-loop thread. It answers the hello
+//     itself and moves every later message, undecoded, into a Channel;
+//   - the single merge thread drains that Channel<SessionEvent>: it
+//     decodes each message, drives the StreamMerger, owns the output
+//     writers, and answers the message through Reactor::complete() —
 //     StreamMerger and SlogWriter stay single-threaded by construction.
+//   The reactor dispatches one message per session at a time, so acks
+//   stay in order.
 //
-// Backpressure: each session has its own ByteBudget. A kRecords batch is
-// acked only after its bytes fit the session's budget and the event is
-// queued; the budget is released as the merge consumes the session's
-// buffered records. Budgets are per session, not global: one global
-// budget deadlocks when a fast node fills it while the watermark waits
-// on a slow node whose records would be the next to drain.
+// Backpressure is the withheld ack. Each session has its own byte
+// budget: the merge thread acks a kRecords batch only while the
+// session's records buffered in the merge fit it, and otherwise holds
+// the ack and re-tests it after every merge advance. The client cannot
+// send its next message meanwhile. Budgets are per session, not global:
+// one global budget deadlocks when a fast node fills it while the
+// watermark waits on a slow node whose records would be the next to
+// drain.
 //
 // Teardown: a session that disconnects without kBye is an abort — the
 // merge synthesizes end pieces for the node's open states
 // (StreamMerger::abortInput) so the merged output stays well-formed. The
-// reactor fires onClosed only after the session's last in-flight message
-// finished, so the abort event can never overtake records already being
-// admitted. A node that aborted cannot reconnect: its closures are
-// already in the stream.
+// reactor fires onClosed only after the session's last message was
+// answered, so the abort can never overtake records of that session. A
+// node that aborted cannot reconnect: its closures are already in the
+// stream. On stop() or a merge failure, every request the merge thread
+// holds or finds queued is answered kShuttingDown.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +53,6 @@
 #include "stream/stream_merger.h"
 #include "support/channel.h"
 #include "support/thread_annotations.h"
-#include "support/thread_pool.h"
 #include "support/types.h"
 
 namespace ute {
@@ -64,39 +66,17 @@ struct IngestServerOptions {
   std::string slogPath;  ///< SLOG output; empty = no SLOG, no live frames
   StreamMergeOptions merge;
   SlogOptions slog;
-  /// Per-session cap on bytes buffered inside the merge (acquired at
-  /// kRecords ack time, released as the merge drains the session's
-  /// records). 0 = unlimited — required for simulator feeds whose online
-  /// clock fit may only freeze at end of stream. A batch larger than the
-  /// whole budget is admitted alone once the budget is empty.
+  /// Per-session cap on bytes buffered inside the merge: a kRecords ack
+  /// is withheld while the session's buffered records exceed it. 0 =
+  /// unlimited — required for simulator feeds whose online clock fit may
+  /// only freeze at end of stream. A batch larger than the whole budget
+  /// is acked once it is all the session has buffered.
   std::size_t sessionBudgetBytes = 8 << 20;
   /// Liveness bound per session: a session idle (no message) or stuck
   /// mid-frame this long is treated as a disconnect (abort). Sessions
-  /// whose message is being serviced — e.g. blocked on the byte budget —
-  /// are exempt. 0 = wait forever.
+  /// whose message is being serviced — e.g. an ack withheld by the byte
+  /// budget — are exempt. 0 = wait forever.
   int sessionTimeoutMs = 30'000;
-  std::size_t channelCapacity = 64;
-};
-
-/// Blocking byte counter a session acquires against before queueing
-/// records and the merge thread releases as they drain.
-class ByteBudget {
- public:
-  explicit ByteBudget(std::size_t limit) : limit_(limit) {}
-
-  /// Blocks until `n` fits (or the budget is empty — an oversize batch
-  /// is admitted alone). Returns false once close()d.
-  bool acquire(std::size_t n) UTE_EXCLUDES(mu_);
-  void release(std::size_t n) UTE_EXCLUDES(mu_);
-  /// Unblocks every waiter; further acquires fail.
-  void close() UTE_EXCLUDES(mu_);
-
- private:
-  const std::size_t limit_;  ///< 0 = unlimited
-  Mutex mu_;
-  CondVar cv_;
-  std::size_t used_ UTE_GUARDED_BY(mu_) = 0;
-  bool closed_ UTE_GUARDED_BY(mu_) = false;
 };
 
 class IngestServer : private Reactor::Handler {
@@ -118,39 +98,33 @@ class IngestServer : private Reactor::Handler {
   /// server was stopped). Rethrows a merge-side failure as FormatError.
   StreamMergeResult wait() UTE_EXCLUDES(mu_);
 
-  /// Stops accepting, wakes every blocked session, drains the merge, and
-  /// joins all threads. Sessions still open are treated as aborts.
+  /// Ends the merge (sessions still open become aborts), answers every
+  /// request it held with kShuttingDown, and joins both threads.
   /// Idempotent from one thread; the destructor calls it.
   void stop();
 
  private:
-  /// One decoded client message, forwarded worker -> merge thread.
+  /// One client message, or one session's abort, handed from the reactor
+  /// thread to the merge thread.
   struct SessionEvent {
-    enum class Kind : std::uint8_t {
-      kThreads,
-      kMarker,
-      kClockPairs,
-      kRecords,
-      kClose,  ///< graceful kBye
-      kAbort,  ///< disconnect / timeout / protocol violation
-    };
-    Kind kind = Kind::kAbort;
     std::size_t input = 0;
-    std::vector<ThreadEntry> threads;
-    std::uint32_t markerId = 0;
-    std::string markerName;
-    IngestClockPairs clockPairs;
-    std::vector<std::vector<std::uint8_t>> records;
-    std::size_t bytes = 0;  ///< budget charge carried by kRecords
+    bool abort = false;  ///< disconnect without kBye; no request, no payload
+    /// Cleared once answered, so no later path answers it again.
+    Reactor::Request req;
+    std::vector<std::uint8_t> payload;  ///< undecoded; op order checked
   };
 
-  /// Ingest-protocol progress of one connection. The map is reactor-
-  /// thread confined; each Session object is shared with at most one
-  /// worker at a time (the reactor serializes per-connection dispatch).
+  /// Ingest-protocol progress of one connection (reactor thread only).
   struct Session {
     std::optional<std::size_t> input;
     bool sawThreads = false;
     bool sawBye = false;
+  };
+
+  /// A kRecords ack the merge thread holds until the batch fits.
+  struct WithheldAck {
+    Reactor::Request req;
+    std::size_t bytes = 0;  ///< the batch's record bytes
   };
 
   void onRequest(Reactor::Request req,
@@ -160,17 +134,17 @@ class IngestServer : private Reactor::Handler {
                                         const std::string& detail) override;
   void onClosed(Reactor::ConnId conn) override;
 
-  /// Protocol work for one message; runs on the session pool because
-  /// kRecords admission blocks on the ByteBudget.
-  void serviceMessage(Reactor::Request req, Session& session,
-                      const std::vector<std::uint8_t>& msg);
-
   void mergeLoop();
+  /// Decodes and applies one message, then answers it — or withholds a
+  /// kRecords ack that does not fit (merge thread only).
+  void serviceMessage(SessionEvent& ev);
+  /// Whether input `i` may be acked a batch of `batchBytes` now.
+  bool fitsBudget(std::size_t i, std::size_t batchBytes) const;
+  /// Answers the withheld acks that fit after a merge advance.
+  void releaseWithheldAcks();
   /// Creates the output writers once every thread table arrived (merge
   /// thread only).
   void openOutputs();
-  /// Returns drained budget charge to the sessions (merge thread only).
-  void releaseBudgets(std::vector<std::size_t>& charge);
   std::size_t claimNode(NodeId node) UTE_EXCLUDES(mu_);
   void markDone(StreamMergeResult result, std::string error)
       UTE_EXCLUDES(mu_);
@@ -178,15 +152,18 @@ class IngestServer : private Reactor::Handler {
   const Profile& profile_;
   IngestServerOptions options_;
   LiveFeed* feed_ = nullptr;  ///< not owned; may be null
+  /// Holds at most one event per claimed session: its one message in
+  /// flight or, once that was answered, its abort. Sized to the expected
+  /// nodes, trySend() never finds it full.
   Channel<SessionEvent> channel_;
-  /// One budget per expected node; the objects are immortal for the
-  /// server's lifetime, so workers index without a lock.
-  std::vector<std::unique_ptr<ByteBudget>> budgets_;
 
   // Merge-thread-confined state (created in the constructor before the
   // thread starts; the destructor touches it only after the join).
   std::unique_ptr<StreamMerger> merger_;
   std::unique_ptr<SlogWriter> slog_;
+  std::vector<std::optional<WithheldAck>> withheld_;  ///< per input
+  std::size_t open_ = 0;    ///< inputs not yet closed or aborted
+  std::size_t tables_ = 0;  ///< thread tables received
 
   mutable Mutex mu_;
   CondVar doneCv_;
@@ -198,14 +175,12 @@ class IngestServer : private Reactor::Handler {
 
   std::thread mergeThread_;
 
-  /// Reactor-thread confined (see Session).
-  std::unordered_map<Reactor::ConnId, std::shared_ptr<Session>> sessions_;
+  /// Reactor-thread confined.
+  std::unordered_map<Reactor::ConnId, Session> sessions_;
 
-  /// Declaration order = teardown contract: pool_ (last) is destroyed
-  /// first and joins its workers while reactor_ is still alive to absorb
-  /// their complete() calls.
+  /// Declared last = destroyed first, after stop() joined the merge
+  /// thread, the only other thread that completes its requests.
   std::unique_ptr<Reactor> reactor_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace ute

@@ -2,11 +2,12 @@
 //
 // A fixed-capacity FIFO connecting any number of producers to any number
 // of consumers. send() blocks while the channel is full (backpressure:
-// a fast producer cannot run arbitrarily far ahead of its consumer — the
-// ingest sessions feeding the streaming merge thread cannot buffer
-// without bound), receive() blocks while it is empty. close() wakes
-// everyone: pending sends return false, receives drain what is queued
-// and then return nullopt.
+// a fast producer cannot run arbitrarily far ahead of its consumer),
+// trySend() refuses instead, and receive() blocks while it is empty.
+// The ingest server's reactor thread feeds the streaming merge thread
+// with trySend(): the channel is sized so that a send to it never finds
+// it full. close() wakes everyone: pending sends return false, receives
+// drain what is queued and then return nullopt.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +33,15 @@ class Channel {
     MutexLock lock(mu_);
     while (queue_.size() >= capacity_ && !closed_) sendCv_.wait(mu_);
     if (closed_) return false;
+    queue_.push_back(std::move(value));
+    recvCv_.notifyOne();
+    return true;
+  }
+
+  /// Never blocks. Returns false (dropping `value`) when full or closed.
+  bool trySend(T value) UTE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (closed_ || queue_.size() >= capacity_) return false;
     queue_.push_back(std::move(value));
     recvCv_.notifyOne();
     return true;

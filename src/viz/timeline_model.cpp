@@ -357,23 +357,14 @@ TimeSpaceModel buildSlogFrameView(const SlogReader& slog, std::size_t frameIdx) 
 
 TimeSpaceModel buildSlogWindowView(const SlogReader& slog, Tick t0, Tick t1) {
   if (t1 <= t0) throw UsageError("window end must follow window start");
-  const auto& index = slog.frameIndex();
-  if (index.empty()) throw UsageError("SLOG file has no frames");
+  if (slog.frameIndex().empty()) throw UsageError("SLOG file has no frames");
   // Clamp the window to the run and locate the frame range it spans.
   t0 = std::max(t0, slog.totalStart());
   t1 = std::min(t1, slog.totalEnd());
-  std::size_t first = index.size();
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    // Half-open selection: a frame that merely touches the window edge
-    // contributes nothing (states spanning in are restated by the first
-    // selected frame's pseudo-intervals).
-    if (index[i].timeEnd <= t0 || index[i].timeStart >= t1) continue;
-    first = std::min(first, i);
-    last = std::max(last, i);
-  }
-  if (first > last) throw UsageError("window is outside the run");
-  return assembleSlogView(slog, first, last, t0, t1, "window view");
+  const auto span = slog.framesOverlapping(t0, t1);
+  if (!span) throw UsageError("window is outside the run");
+  return assembleSlogView(slog, span->first, span->second, t0, t1,
+                          "window view");
 }
 
 namespace {

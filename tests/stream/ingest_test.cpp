@@ -2,10 +2,14 @@
 // rejects malformed payloads with structured errors; the ingest server
 // merges streamed sessions byte-identically to the batch pipeline,
 // refuses bad hellos with a reply (not a bare EOF), treats a vanished
-// session as an abort, and publishes the run to the query protocol's
+// session as an abort, withholds a records ack while the session's byte
+// budget is full, and publishes the run to the query protocol's
 // TailFrames/TailMetrics while it is in flight.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -130,7 +134,12 @@ TEST(IngestProtocol, EveryMessageRoundTrips) {
 
   std::vector<std::vector<std::uint8_t>> bodies = {{1, 2, 3}, {4, 5}};
   const auto r = encodeIngestRecords(bodies);
-  EXPECT_EQ(decodeIngestRecords(r.view()), bodies);
+  const auto decodedBodies = decodeIngestRecords(r.view());
+  ASSERT_EQ(decodedBodies.size(), bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    EXPECT_TRUE(std::equal(decodedBodies[i].begin(), decodedBodies[i].end(),
+                           bodies[i].begin(), bodies[i].end()));
+  }
 
   EXPECT_EQ(peekIngestOp(encodeIngestBye().view()), IngestOp::kBye);
 
@@ -343,6 +352,115 @@ TEST(IngestServer, DisconnectWithoutByeSynthesizesAbortClosures) {
 
   const StreamMergeResult result = server.wait();
   EXPECT_EQ(result.abortClosures, 1u);
+}
+
+/// Running records on `node`'s one thread, 1 ms every 2 ms from index
+/// `first`, on an identity clock.
+std::vector<std::vector<std::uint8_t>> runningRecords(NodeId node, int first,
+                                                      int n) {
+  std::vector<std::vector<std::uint8_t>> bodies;
+  for (int i = first; i < first + n; ++i) {
+    const ByteWriter body = encodeRecordBody(
+        makeIntervalType(kRunningState, Bebits::kComplete),
+        static_cast<Tick>(i) * 2 * kMs, kMs, 0, node, 0);
+    bodies.emplace_back(body.view().begin(), body.view().end());
+  }
+  return bodies;
+}
+
+std::size_t batchBytes(const std::vector<std::vector<std::uint8_t>>& bodies) {
+  std::size_t bytes = 0;
+  for (const auto& body : bodies) bytes += body.size();
+  return bytes;
+}
+
+/// Two sessions against a 4 KiB budget. Node 1 sends only its thread
+/// table and final clock pairs, so the merge cannot drain node 0. Node 0
+/// has one batch acked; `overflow` is a batch that, with the first,
+/// exceeds the budget.
+struct BudgetStall {
+  static constexpr std::size_t kBudget = 4096;
+
+  explicit BudgetStall(const std::string& name)
+      : server(profile, [&] {
+          IngestServerOptions options;
+          options.expectedNodes = {0, 1};
+          options.outPath = tempPath(name);
+          options.sessionBudgetBytes = kBudget;
+          return options;
+        }()),
+        slow("127.0.0.1", server.port(), 1),
+        fast("127.0.0.1", server.port(), 0) {
+    slow.sendThreads({{1, 1001, 10001, 1, 0, ThreadType::kMpi}});
+    slow.sendClockPairs({}, /*final=*/true);
+    fast.sendThreads({{0, 1000, 10000, 0, 0, ThreadType::kMpi}});
+    fast.sendClockPairs({}, /*final=*/true);
+    const auto first = runningRecords(0, 0, 80);
+    EXPECT_LT(batchBytes(first), kBudget);
+    fast.sendRecords(first);  // fits: acked at once
+    overflow = runningRecords(0, 80, 80);
+    EXPECT_GT(batchBytes(first) + batchBytes(overflow), kBudget + 64);
+  }
+
+  Profile profile = makeStandardProfile();
+  IngestServer server;
+  IngestClient slow;
+  IngestClient fast;
+  std::vector<std::vector<std::uint8_t>> overflow;
+};
+
+TEST(IngestServer, FullBudgetWithholdsTheAckUntilTheMergeDrains) {
+  BudgetStall stall("ingest_withheld.uti");
+  std::atomic<bool> acked{false};
+  std::thread sender([&] {
+    try {
+      stall.fast.sendRecords(stall.overflow);
+      acked = true;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "withheld batch failed: " << e.what();
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_FALSE(acked.load()) << "acked while the merge could not drain";
+
+  // Node 1's records and bye let the merge drain node 0's buffer, which
+  // releases the ack.
+  const auto late = runningRecords(1, 0, 20);
+  stall.slow.sendRecords(late);
+  stall.slow.bye();
+  sender.join();
+  EXPECT_TRUE(acked.load());
+  stall.fast.bye();
+  const StreamMergeResult result = stall.server.wait();
+  EXPECT_EQ(result.recordsOut, 180u);
+  EXPECT_EQ(result.abortClosures, 0u);
+}
+
+TEST(IngestServer, StopAnswersAWithheldAckWithShuttingDown) {
+  BudgetStall stall("ingest_withheld_stop.uti");
+  std::atomic<bool> answered{false};
+  IngestStatus status = IngestStatus::kOk;
+  std::thread sender([&] {
+    try {
+      stall.fast.sendRecords(stall.overflow);
+    } catch (const IngestError& e) {
+      status = e.status();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "withheld batch failed: " << e.what();
+    }
+    answered = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  ASSERT_FALSE(answered.load()) << "answered while the merge could not drain";
+
+  // The reactor's drain deadline is 5 s; a stop that waited for the
+  // withheld ack would run into it.
+  const auto start = std::chrono::steady_clock::now();
+  stall.server.stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  sender.join();
+  EXPECT_LT(took, std::chrono::seconds(2));
+  EXPECT_EQ(status, IngestStatus::kShuttingDown);
 }
 
 // --- live tail through the query protocol -----------------------------------

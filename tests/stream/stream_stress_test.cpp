@@ -179,7 +179,7 @@ TEST(StreamStress, StopMidRunTearsDownCleanly) {
   options.expectedNodes = {0, 1, 2};
   options.outPath = tempPath("stress_stop.uti");
   options.slogPath = tempPath("stress_stop.slog");
-  options.sessionBudgetBytes = 2048;  // sessions block in acquire often
+  options.sessionBudgetBytes = 2048;  // acks are withheld often
   IngestServer ingest(profile, options);
 
   std::atomic<int> tablesSent{0};

@@ -65,6 +65,18 @@ TEST(Channel, SendBlocksUntilReceiverMakesRoom) {
   EXPECT_EQ(ch.receive(), std::optional<int>(2));
 }
 
+TEST(Channel, TrySendRefusesWhenFullOrClosed) {
+  Channel<int> ch(1);
+  EXPECT_TRUE(ch.trySend(1));
+  EXPECT_FALSE(ch.trySend(2));  // full: refused at once, never blocks
+  EXPECT_EQ(ch.receive(), std::optional<int>(1));
+  EXPECT_TRUE(ch.trySend(3));
+  ch.close();
+  EXPECT_FALSE(ch.trySend(4));  // closed
+  EXPECT_EQ(ch.receive(), std::optional<int>(3));
+  EXPECT_EQ(ch.receive(), std::nullopt);
+}
+
 TEST(Channel, CloseWakesBlockedSenderAndReceiver) {
   Channel<int> full(1);
   EXPECT_TRUE(full.send(1));

@@ -64,7 +64,6 @@ std::string blockingSinkDesc(const BodyEvent& ev) {
       {"Channel", "send"},        {"Channel", "receive"},
       {"ThreadPool", "submit"},   {"ThreadPool", "wait"},
       {"ThreadPool", "parallelFor"}, {"ThreadPool", "shutdown"},
-      {"ByteBudget", "acquire"},
       {"TcpSocket", "connectTo"}, {"TcpSocket", "sendAll"},
       {"TcpSocket", "recvAll"},   {"TcpListener", "accept"},
   };
