@@ -316,7 +316,8 @@ void printSweep() {
                             : "(MMAP SLOWER THAN STDIO)");
 
   // Warm server path: after the cache holds every frame, a frame request
-  // is a shard lookup plus a shared_ptr copy — zero heap allocations.
+  // is a hash lookup, a frequency-sketch record and a shared_ptr copy —
+  // zero heap allocations.
   std::printf("\n=== I/O: warm server frame path, allocation count ===\n");
   TraceService service({gSlog});
   const std::size_t frames = service.trace(0).frameIndex().size();
@@ -333,10 +334,10 @@ void printSweep() {
   gCountAllocs = false;
   const std::uint64_t allocs = gAllocCalls.load();
   const std::uint64_t allocBytes = gAllocBytes.load();
-  std::printf("%d warm frame requests: %llu allocations (%llu bytes) — %s\n",
+  std::printf("%d warm frame requests: %llu allocations (%llu bytes)\n",
               kRequests, static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(allocBytes),
-              allocs == 0 ? "zero-copy holds" : "COPIES ON THE WARM PATH");
+              static_cast<unsigned long long>(allocBytes));
+  benchutil::require(allocs == 0, "the warm frame path allocates");
 
   benchutil::JsonObject doc;
   doc.add("workload", "test program, 4 nodes")

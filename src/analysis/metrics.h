@@ -206,7 +206,7 @@ MetricsStore computeMetrics(const SlogReader& reader,
                             const MetricsOptions& options = {});
 
 /// Same computation, but frames come from `frameAt` — the trace-query
-/// service passes its sharded LRU cache here so lazy server-side metric
+/// service passes its frame cache here so lazy server-side metric
 /// computation stays inside the existing cache byte budget.
 MetricsStore computeMetrics(
     const SlogReader& reader, const MetricsOptions& options,

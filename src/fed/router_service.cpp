@@ -79,8 +79,7 @@ ErrorCode routerUsageCode(const std::string& what) {
 RouterService::RouterService(const RouterOptions& options)
     : options_(options),
       registry_(options.registry),
-      cache_(std::max<std::size_t>(options.cacheBytes, 1),
-             std::max<std::size_t>(options.cacheShards, 1)) {
+      cache_(std::max<std::size_t>(options.cacheBytes, 1)) {
   for (const BackendSpec& spec : options.backends) registry_.add(spec);
   // Enumerate the fleet before serving: the first client's hello sees
   // the real trace count, not a race with the health thread.

@@ -15,8 +15,8 @@
 // consistent-hash candidate list, gated per backend by its circuit
 // breaker; a killed-and-restarted backend costs some latency, not an
 // error, once it accepts connections again. Replies for non-live traces
-// are kept in a hot-set tier (the same sharded byte-budgeted LRU the
-// frame cache uses) keyed by backend generation, so a backend restart
+// are kept in a hot-set tier (the same frequency-admitted HotSetCache
+// the frame cache uses) keyed by backend generation, so a backend restart
 // or content change invalidates by key rotation, not by scanning.
 #pragma once
 
@@ -28,7 +28,7 @@
 
 #include "fed/registry.h"
 #include "server/protocol.h"
-#include "support/sharded_cache.h"
+#include "support/hot_set_cache.h"
 
 namespace ute {
 
@@ -37,7 +37,6 @@ struct RouterOptions {
   RegistryOptions registry;
   /// Hot-set reply cache (0 bytes disables it).
   std::size_t cacheBytes = 64u << 20;
-  std::size_t cacheShards = 8;
   /// Background health/enumeration probe cadence; 0 disables the thread
   /// (tests drive probes synchronously with probeNow()).
   int healthIntervalMs = 1000;
@@ -99,7 +98,7 @@ class RouterService {
 
   const RouterOptions options_;
   BackendRegistry registry_;
-  ShardedCache<std::vector<std::uint8_t>> cache_;
+  HotSetCache<std::vector<std::uint8_t>> cache_;
   std::atomic<bool> stopping_{false};
   std::thread healthThread_;
 };

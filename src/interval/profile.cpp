@@ -163,17 +163,31 @@ Profile Profile::readFile(const std::string& path) {
 }
 
 std::string Profile::describe() const {
-  std::string out = "profile version " + std::to_string(versionId_) + ", " +
-                    std::to_string(specs_.size()) + " record types\n";
+  std::string out = "profile version ";
+  out += std::to_string(versionId_);
+  out += ", ";
+  out += std::to_string(specs_.size());
+  out += " record types\n";
   for (const auto& [type, spec] : specs_) {
-    out += "  " + recordName(spec) + "/" + bebitsName(intervalBebits(type)) +
-           " (type " + std::to_string(type) + "):";
+    out += "  ";
+    out += recordName(spec);
+    out += '/';
+    out += bebitsName(intervalBebits(type));
+    out += " (type ";
+    out += std::to_string(type);
+    out += "):";
     for (const FieldSpec& f : spec.fields) {
-      out += " " + fieldName(f) + ":" + dataTypeName(f.type);
+      out += ' ';
+      out += fieldName(f);
+      out += ':';
+      out += dataTypeName(f.type);
       if (f.isVector) out += "[]";
-      if (f.attr != 0) out += "@" + std::to_string(f.attr);
+      if (f.attr != 0) {
+        out += '@';
+        out += std::to_string(f.attr);
+      }
     }
-    out += "\n";
+    out += '\n';
   }
   return out;
 }

@@ -1,20 +1,20 @@
-// Sharded LRU cache of decoded SLOG frames.
+// Frequency-admitted cache of decoded SLOG frames.
 //
 // The trace-query service answers many overlapping window queries, and a
 // hot time window maps to the same handful of frames every time; decoding
 // a frame (seek + read + record parse) once and sharing the result across
 // all clients is where the service's warm-path speedup comes from. The
-// sharding / byte-budget / eviction machinery is the generic
-// ShardedCache (src/support/sharded_cache.h) — the same implementation
-// the federation router's hot-set reply tier uses; this class only adds
-// the frame-specific budget accounting.
+// byte budget, W-TinyLFU admission and eviction are the generic
+// HotSetCache (src/support/hot_set_cache.h) — the same implementation the
+// federation router's reply tier uses; this class only adds the
+// frame-specific budget accounting.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 
 #include "slog/slog_format.h"
-#include "support/sharded_cache.h"
+#include "support/hot_set_cache.h"
 
 namespace ute {
 
@@ -23,21 +23,18 @@ class FrameCache {
   using FramePtr = SlogFramePtr;
   using Stats = CacheStats;
 
-  /// `byteBudget` is split evenly across `shards` (each shard evicts
-  /// independently once its slice is full).
-  FrameCache(std::size_t byteBudget, std::size_t shards)
-      : cache_(byteBudget, shards) {}
+  explicit FrameCache(std::size_t byteBudget) : cache_(byteBudget) {}
 
   /// Returns the cached frame for `key`, or obtains it via `loader` on a
   /// miss. The loader returns the shared immutable handle directly (no
-  /// copy into the cache) and runs outside the shard lock, so a slow disk
-  /// read never blocks hits on other keys in the same shard; if two
-  /// threads miss on the same key at once, both load and the first insert
-  /// wins — every caller then holds the same single frame buffer.
+  /// copy into the cache) and runs outside the cache lock, so a slow disk
+  /// read never blocks hits; if two threads miss on the same key at once,
+  /// both load and the first insert wins — every caller then holds the
+  /// same single frame buffer.
   FramePtr getOrLoad(std::uint64_t key,
                      const std::function<FramePtr()>& loader) {
     return cache_.getOrLoad(key, [&loader] {
-      ShardedCache<SlogFrameData>::Loaded loaded;
+      HotSetCache<SlogFrameData>::Loaded loaded;
       loaded.value = loader();
       loaded.bytes = frameBytes(*loaded.value);
       return loaded;
@@ -50,9 +47,6 @@ class FrameCache {
   Stats stats() const { return cache_.stats(); }
   void clear() { cache_.clear(); }
 
-  std::size_t byteBudget() const { return cache_.byteBudget(); }
-  std::size_t shardCount() const { return cache_.shardCount(); }
-
   /// Budget accounting charge for one decoded frame.
   static std::size_t frameBytes(const SlogFrameData& frame) {
     return sizeof(SlogFrameData) +
@@ -61,7 +55,7 @@ class FrameCache {
   }
 
  private:
-  ShardedCache<SlogFrameData> cache_;
+  HotSetCache<SlogFrameData> cache_;
 };
 
 }  // namespace ute

@@ -215,6 +215,7 @@ void sendMessage(TcpSocket& socket, std::span<const std::uint8_t> payload) {
   // One send for prefix + payload: a response must never sit in the
   // kernel waiting for a second write (or an ACK) to complete a message.
   ByteWriter message;
+  message.buffer().reserve(4 + payload.size());
   message.u32(static_cast<std::uint32_t>(payload.size()));
   message.bytes(payload);
   socket.sendAll(message.view());

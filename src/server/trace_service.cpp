@@ -18,7 +18,7 @@ std::uint64_t frameKey(std::uint32_t traceId, std::size_t frameIdx) {
 TraceService::TraceService(const std::vector<std::string>& slogPaths,
                            const ServiceOptions& options)
     : options_(options),
-      cache_(options.cacheBytes, options.cacheShards),
+      cache_(options.cacheBytes),
       pool_(options.workers, options.queueDepth) {
   if (slogPaths.empty() && !options.allowNoTraces) {
     throw UsageError("TraceService needs at least one SLOG file");

@@ -3,11 +3,12 @@
 // Loads one or more SLOG files once (metadata, tables, preview) and then
 // answers concurrent queries against them: preview, states, threads,
 // frame-at(t), window(t0, t1) with thread/state filters, and per-state
-// summary totals. Frames are decoded at most once through the sharded
-// FrameCache, which stores the SlogFramePtr handles SlogReader::readFrame
-// returns — so N clients querying the same window all share one frame in
-// memory. Raw bytes come through the reader's ByteSource (mmap when
-// available), so concurrent workers need no per-thread file handles.
+// summary totals. Frames are decoded at most once through the
+// frequency-admitted FrameCache, which stores the SlogFramePtr handles
+// SlogReader::readFrame returns — so N clients querying the same window
+// all share one frame in memory. Raw bytes come through the reader's
+// ByteSource (mmap when available), so concurrent workers need no
+// per-thread file handles.
 //
 // Query methods are thread-safe and synchronous. The embedded ThreadPool
 // adds admission control on top: trySubmit() is how the TCP server
@@ -32,7 +33,6 @@ namespace ute {
 
 struct ServiceOptions {
   std::size_t cacheBytes = 64u << 20;
-  std::size_t cacheShards = 8;
   std::size_t workers = 4;
   std::size_t queueDepth = 64;
   /// Permit construction with zero SLOG paths — for a service whose only

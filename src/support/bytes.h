@@ -7,6 +7,7 @@
 // checking (a short read throws FormatError rather than reading garbage).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -58,10 +59,18 @@ class ByteWriter {
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  /// One growth per scalar. The explicit geometric reserve keeps GCC 12
+  /// from losing track of the capacity inside resize() at -O3, where it
+  /// reports a false -Wstringop-overflow on the zero fill.
   template <typename T>
   void putLe(T v) {
+    const std::size_t at = buf_.size();
+    if (buf_.capacity() - at < sizeof(T)) {
+      buf_.reserve(std::max(2 * buf_.capacity(), at + sizeof(T)));
+    }
+    buf_.resize(at + sizeof(T));
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 

@@ -263,8 +263,11 @@ std::string renderMetricsHeatmapSvg(const MetricsStore& store,
            "\" width=\"" + fixed(cellW + 0.3, 2) + "\" height=\"" +
            fixed(comm * (stripHeight - 8), 2) +
            "\" fill=\"#dd8452\" fill-opacity=\"0.7\"/>\n";
-    line += (c == 0 ? "M" : "L") + fixed(x + cellW / 2, 1) + " " +
-            fixed(stripTop + (1 - imbalance) * (stripHeight - 8), 1) + " ";
+    line += c == 0 ? 'M' : 'L';
+    line += fixed(x + cellW / 2, 1);
+    line += ' ';
+    line += fixed(stripTop + (1 - imbalance) * (stripHeight - 8), 1);
+    line += ' ';
   }
   svg += "<path d=\"" + line +
          "\" stroke=\"#c44e52\" fill=\"none\" stroke-width=\"1.2\"/>\n";

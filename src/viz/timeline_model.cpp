@@ -45,11 +45,18 @@ struct ModelBuilder {
   }
 };
 
+std::string nodeLabel(NodeId node, const char* kind, std::int32_t id) {
+  std::string label = "n";
+  label += std::to_string(node);
+  label += kind;
+  label += std::to_string(id);
+  return label;
+}
 std::string threadLabel(NodeId node, std::int32_t ltid) {
-  return "n" + std::to_string(node) + ".t" + std::to_string(ltid);
+  return nodeLabel(node, ".t", ltid);
 }
 std::string cpuLabel(NodeId node, std::int32_t cpu) {
-  return "n" + std::to_string(node) + ".cpu" + std::to_string(cpu);
+  return nodeLabel(node, ".cpu", cpu);
 }
 
 }  // namespace

@@ -298,7 +298,6 @@ TEST_F(ServiceTest, RepeatedWindowsHitTheCache) {
 TEST_F(ServiceTest, TinyCacheStillAnswersCorrectly) {
   ServiceOptions options;
   options.cacheBytes = 1;  // every frame evicts the last — pure churn
-  options.cacheShards = 1;
   TraceService service({*path_}, options);
   SlogReader reference(*path_);
   WindowQuery q;
@@ -306,6 +305,33 @@ TEST_F(ServiceTest, TinyCacheStillAnswersCorrectly) {
   q.t1 = reference.totalEnd();
   expectSameWindow(service.window(0, q), referenceWindow(reference, q));
   EXPECT_GT(service.cache().stats().evictions, 0u);
+}
+
+TEST_F(ServiceTest, MetricsScanKeepsHotFramesCached) {
+  SlogReader reference(*path_);
+  const std::size_t frames = reference.frameIndex().size();
+  ASSERT_GE(frames, 8u);
+  std::size_t largest = 0;
+  for (std::size_t f = 0; f < frames; ++f) {
+    largest = std::max(largest, FrameCache::frameBytes(*reference.readFrame(f)));
+  }
+  ServiceOptions options;
+  options.cacheBytes = 4 * largest;  // half the file or less
+  TraceService service({*path_}, options);
+  WindowQuery q;
+  q.t0 = 100 * kMs;
+  q.t1 = 110 * kMs;
+  for (int i = 0; i < 5; ++i) service.window(0, q);
+
+  // A metrics request at a bin count not computed yet walks every frame
+  // through the cache once.
+  service.metrics(0, 77);
+  const FrameCache::Stats before = service.cache().stats();
+  EXPECT_GE(before.misses, frames);
+  service.window(0, q);
+  const FrameCache::Stats after = service.cache().stats();
+  EXPECT_EQ(after.misses, before.misses) << "the scan evicted the hot window";
+  EXPECT_GT(after.hits, before.hits);
 }
 
 TEST_F(ServiceTest, PoolBackpressureRejectsWhenFull) {

@@ -109,12 +109,11 @@ TEST(ServerStress, EightThreadsMatchSingleThreadedGroundTruth) {
     expected.push_back(std::move(answers));
   }
 
-  // Shared service under churn: budget of roughly three decoded frames
-  // across two shards, so hot frames are evicted and reloaded all run.
+  // Shared service under churn: budget of roughly three decoded frames,
+  // so hot frames are evicted and reloaded all run.
   ServiceOptions options;
   const FrameCache::FramePtr probe = single.frame(0, 0);
   options.cacheBytes = 3 * FrameCache::frameBytes(*probe);
-  options.cacheShards = 2;
   TraceService shared({path}, options);
 
   std::atomic<int> mismatches{0};
@@ -190,7 +189,7 @@ TEST(ServerStress, FrameCacheParallelGetOrLoadKeepsInvariants) {
   SlogFrameData unit;
   unit.intervals.resize(64);
   const std::size_t unitBytes = FrameCache::frameBytes(unit);
-  FrameCache cache(8 * unitBytes, 4);
+  FrameCache cache(8 * unitBytes);
 
   std::atomic<std::uint64_t> loads{0};
   std::atomic<int> wrongSize{0};

@@ -12,7 +12,6 @@
 //   uterouter BACKENDS.conf
 //             [--port N]        listen port (default 0 = ephemeral)
 //             [--cache-mb MB]   hot-set reply cache budget (default 64)
-//             [--shards N]      cache shards (default 8)
 //             [--health-ms N]   health probe cadence (default 1000)
 //             [--retries N]     proxy retry passes (default 2)
 //             [--workers N]     relay worker threads (default 16)
@@ -72,9 +71,8 @@ std::vector<ute::BackendSpec> parseConfig(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace ute;
   try {
-    CliParser cli(argc, argv, {"port", "cache-mb", "shards", "health-ms",
-                               "retries", "workers", "idle-ms", "read-ms",
-                               "port-file"});
+    CliParser cli(argc, argv, {"port", "cache-mb", "health-ms", "retries",
+                               "workers", "idle-ms", "read-ms", "port-file"});
     if (cli.positional().size() != 1) {
       std::fprintf(stderr, "usage: uterouter BACKENDS.conf [--port N] "
                            "[--cache-mb MB] [--health-ms N]\n");
@@ -85,8 +83,6 @@ int main(int argc, char** argv) {
     options.backends = parseConfig(cli.positional()[0]);
     options.cacheBytes = static_cast<std::size_t>(
         cli.valueOr("cache-mb", std::uint64_t{64}) << 20);
-    options.cacheShards =
-        static_cast<std::size_t>(cli.valueOr("shards", std::uint64_t{8}));
     options.healthIntervalMs =
         static_cast<int>(cli.valueOr("health-ms", std::uint64_t{1000}));
     options.proxyRetries =

@@ -2,14 +2,13 @@
 //
 // Loads one or more SLOG files and serves preview/window/frame-at/
 // summary/states/threads queries over the length-prefixed binary
-// protocol (docs/SERVER.md), decoding hot frames once into a sharded
-// LRU cache shared by all clients.
+// protocol (docs/SERVER.md), decoding hot frames once into a
+// frequency-admitted cache (one byte budget) shared by all clients.
 //
 // Usage:
 //   uteserve RUN.slog [MORE.slog ...]
 //            [--port N]        listen port (default 0 = ephemeral)
 //            [--cache-mb MB]   frame cache byte budget (default 64)
-//            [--shards N]      cache shards (default 8)
 //            [--workers N]     query worker threads (default 4)
 //            [--queue N]       bounded request queue depth (default 64)
 //            [--idle-ms N]     close connections idle this long
@@ -40,8 +39,8 @@ void onSignal(int) { gSignalled = 1; }
 int main(int argc, char** argv) {
   using namespace ute;
   try {
-    CliParser cli(argc, argv, {"port", "cache-mb", "shards", "workers",
-                               "queue", "idle-ms", "read-ms", "port-file"});
+    CliParser cli(argc, argv, {"port", "cache-mb", "workers", "queue",
+                               "idle-ms", "read-ms", "port-file"});
     if (cli.positional().empty()) {
       std::fprintf(stderr, "usage: uteserve RUN.slog [MORE.slog ...] "
                            "[--port N] [--cache-mb MB] [--workers N]\n");
@@ -53,8 +52,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint16_t>(cli.valueOr("port", std::uint64_t{0}));
     options.service.cacheBytes = static_cast<std::size_t>(
         cli.valueOr("cache-mb", std::uint64_t{64}) << 20);
-    options.service.cacheShards =
-        static_cast<std::size_t>(cli.valueOr("shards", std::uint64_t{8}));
     options.service.workers =
         static_cast<std::size_t>(cli.valueOr("workers", std::uint64_t{4}));
     options.service.queueDepth =
