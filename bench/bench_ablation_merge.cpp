@@ -114,7 +114,9 @@ void printAblation() {
     const bool treeWins = speedup > 1;
     std::printf("%6d %12d %12.2f %12.2f %8.2f  %s\n", k, k * recordsEach,
                 treeMs, naiveMs, speedup, treeWins ? "tree" : "naive");
-    (treeWins ? treeWinsAt : naiveWinsAt) += " " + std::to_string(k);
+    std::string& winsAt = treeWins ? treeWinsAt : naiveWinsAt;
+    winsAt += ' ';
+    winsAt += std::to_string(k);
   }
   std::printf("(tree faster at k =%s; naive scan faster at k =%s)\n\n",
               treeWinsAt.empty() ? " none" : treeWinsAt.c_str(),

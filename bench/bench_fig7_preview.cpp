@@ -31,7 +31,9 @@ std::string buildSlogOfSize(const std::string& dir, std::uint32_t iterations) {
   workload.iterations = iterations;
   PipelineOptions options;
   options.dir = dir;
-  options.name = "s" + std::to_string(iterations);
+  std::string name = "s";
+  name += std::to_string(iterations);
+  options.name = std::move(name);
   options.slog.recordsPerFrame = 2048;
   return runPipeline(testProgram(workload), options).slogFile;
 }

@@ -45,7 +45,9 @@ SizedRun runAtSize(const std::string& dir, std::uint64_t targetEvents) {
   workload.iterations = testProgramIterationsFor(targetEvents);
   PipelineOptions options;
   options.dir = dir;
-  options.name = "t" + std::to_string(targetEvents);
+  std::string name = "t";
+  name += std::to_string(targetEvents);
+  options.name = std::move(name);
   const PipelineResult run = runPipeline(testProgram(workload), options);
   SizedRun out;
   out.rawEvents = run.rawEvents;

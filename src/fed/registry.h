@@ -45,9 +45,10 @@ BackendSpec parseBackendSpec(const std::string& name,
                              const std::string& hostPort);
 
 struct RegistryOptions {
-  /// Connection policy for backend links. The registry forces retries to
-  /// 0 — the router's proxy loop owns retry/backoff, and double-retrying
-  /// would multiply the worst-case latency.
+  /// Connection policy for backend links. Its retries and backoff are
+  /// the router's proxy schedule (passes over the candidate list); the
+  /// registry forces retries to 0 on each backend connect, since
+  /// double-retrying would multiply the worst-case latency.
   ClientOptions client;
   CircuitBreaker::Options circuit;
   std::size_t virtualNodes = 64;
@@ -56,7 +57,8 @@ struct RegistryOptions {
 
   RegistryOptions() {
     client.connectTimeoutMs = 2000;
-    client.retries = 0;
+    client.retries = 2;
+    client.backoffMaxMs = 500;
   }
 };
 

@@ -148,44 +148,9 @@ RequestOutcome RouterService::dispatch(std::span<const std::uint8_t> payload,
 
   switch (op) {
     case Opcode::kHello: {
-      const std::uint32_t magic = r.u32();
-      const std::uint16_t version = r.u16();
-      if (magic != kQueryMagic || version < kMinProtocolVersion ||
-          version > kProtocolVersion) {
-        outcome.response = encodeErrorReply(
-            ErrorCode::kBadVersion,
-            "router speaks protocol versions " +
-                std::to_string(kMinProtocolVersion) + ".." +
-                std::to_string(kProtocolVersion));
-        return outcome;
-      }
-      const auto traceCount =
-          static_cast<std::uint32_t>(registry_.listTraces().size());
-      if (version < 2) {
-        ctx.frameEncoding = FrameEncoding::kRow;
-        ByteWriter w = okHeader();
-        w.u16(version);
-        w.u32(traceCount);
-        outcome.response = w.take();
-        return outcome;
-      }
-      const std::uint8_t accept = r.atEnd() ? std::uint8_t{0b01} : r.u8();
-      const std::uint8_t usable = accept & kSupportedFrameEncodings;
-      if (usable == 0) {
-        outcome.response = encodeErrorReply(
-            ErrorCode::kBadVersion, "no mutually supported frame encoding");
-        return outcome;
-      }
-      ctx.frameEncoding =
-          (usable &
-           (1u << static_cast<unsigned>(FrameEncoding::kColumnar)))
-              ? FrameEncoding::kColumnar
-              : FrameEncoding::kRow;
-      ByteWriter w = okHeader();
-      w.u16(kProtocolVersion);
-      w.u32(traceCount);
-      w.u8(static_cast<std::uint8_t>(ctx.frameEncoding));
-      outcome.response = w.take();
+      outcome.response = answerHello(
+          r, static_cast<std::uint32_t>(registry_.listTraces().size()), ctx,
+          "router");
       return outcome;
     }
     case Opcode::kListTraces: {
@@ -216,19 +181,11 @@ RequestOutcome RouterService::dispatch(std::span<const std::uint8_t> payload,
       return outcome;
     }
     case Opcode::kStats: {
-      // The router's own stats: the hot-set cache plus a zero pool (the
-      // router has no worker pool; connection threads do the I/O).
-      const CacheStats cache = cache_.stats();
-      ByteWriter w = okHeader();
-      w.u64(cache.hits);
-      w.u64(cache.misses);
-      w.u64(cache.evictions);
-      w.u64(cache.bytes);
-      w.u64(cache.entries);
-      w.u64(0);
-      w.u64(0);
-      w.u64(0);
-      outcome.response = w.take();
+      // The router's hot-set reply cache, with zeros in the pool block:
+      // the relay pool belongs to RouterServer, out of this service's
+      // reach.
+      outcome.response =
+          encodeStatsReply(cache_.stats(), ThreadPool::Stats{}).take();
       return outcome;
     }
     case Opcode::kShutdown: {
@@ -268,15 +225,15 @@ std::vector<std::uint8_t> RouterService::proxy(
   if (cacheable) {
     if (const auto hit = cache_.lookup(key)) return *hit;
   }
-  const int attempts = std::max(0, options_.proxyRetries) + 1;
+  // The backend link's retry schedule drives passes over the candidate
+  // list; each backend connect inside a pass is a single attempt.
+  const ClientOptions& retry = options_.registry.client;
+  const int attempts = std::max(0, retry.retries) + 1;
   std::string lastError = "no candidate backend";
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      const long long delay = static_cast<long long>(
-                                  options_.proxyBackoffBaseMs)
-                              << std::min(attempt - 1, 10);
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          std::min<long long>(delay, options_.proxyBackoffMaxMs)));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(backoffDelayMs(retry, attempt - 1)));
     }
     // The last pass resets circuit cooldowns: a backend that just came
     // back is reconnected now instead of erroring until its cooldown

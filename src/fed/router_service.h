@@ -12,8 +12,9 @@
 //   - kAddBackend / kRemoveBackend edit the registry at runtime.
 //
 // Proxying retries with bounded exponential backoff across the
-// consistent-hash candidate list, gated per backend by its circuit
-// breaker; a killed-and-restarted backend costs some latency, not an
+// consistent-hash candidate list, on the schedule of the backend link's
+// ClientOptions (registry.client: retries passes, backoffDelayMs between
+// them), gated per backend by its circuit breaker; a killed-and-restarted backend costs some latency, not an
 // error, once it accepts connections again. Replies for non-live traces
 // are kept in a hot-set tier (the same frequency-admitted HotSetCache
 // the frame cache uses) keyed by backend generation, so a backend restart
@@ -40,10 +41,6 @@ struct RouterOptions {
   /// Background health/enumeration probe cadence; 0 disables the thread
   /// (tests drive probes synchronously with probeNow()).
   int healthIntervalMs = 1000;
-  /// Extra passes over the candidate list before giving up on a proxy.
-  int proxyRetries = 2;
-  int proxyBackoffBaseMs = 50;
-  int proxyBackoffMaxMs = 500;
   /// Bin count for kAggregateMetrics / kCompareTraces when the request
   /// says 0.
   std::uint32_t defaultFanoutBins = 240;

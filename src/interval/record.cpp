@@ -39,6 +39,17 @@ RecordView RecordView::parse(std::span<const std::uint8_t> body) {
   return v;
 }
 
+TimestampPair clockSyncPair(const RecordView& record) {
+  if (record.body.size() < kCommonPrefixBytes + 8) {
+    throw FormatError("short ClockSync record: " +
+                      std::to_string(record.body.size()) + " bytes");
+  }
+  TimestampPair pair;
+  pair.local = record.start;
+  pair.global = leLoad(record.body.subspan(kCommonPrefixBytes, 8), 8);
+  return pair;
+}
+
 void appendRecordBody(ByteWriter& out, IntervalType type, Tick start,
                       Tick dura, std::int32_t cpu, NodeId node,
                       LogicalThreadId thread,

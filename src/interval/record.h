@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "clock/sync.h"
 #include "interval/profile.h"
 #include "support/bytes.h"
 #include "support/types.h"
@@ -53,6 +54,13 @@ struct RecordView {
   /// Parses the common prefix; throws FormatError on short bodies.
   static RecordView parse(std::span<const std::uint8_t> body);
 };
+
+/// The (global, local) timestamp pair a ClockSync record carries: the
+/// local reading is the record's start, the global one the u64 right
+/// after the common prefix. Throws FormatError on a body too short to
+/// hold it. The batch merge, the stream merger and utestream all read
+/// clock pairs through this.
+TimestampPair clockSyncPair(const RecordView& record);
 
 /// Appends a record body to `out`: common fields followed by
 /// pre-encoded type-specific field bytes (append them in spec order).

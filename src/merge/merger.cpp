@@ -31,19 +31,9 @@ std::vector<TimestampPair> collectClockPairs(const IntervalFileReader& reader) {
   auto records = reader.records();
   RecordView view;
   while (records.next(view)) {
-    if (view.eventType() != kClockSyncState) continue;
-    if (view.body.size() < kCommonPrefixBytes + 8) {
-      throw FormatError("short ClockSync record in " + reader.path());
+    if (view.eventType() == kClockSyncState) {
+      pairs.push_back(clockSyncPair(view));
     }
-    TimestampPair p;
-    p.local = view.start;
-    std::uint64_t g = 0;
-    for (int i = 0; i < 8; ++i) {
-      g |= static_cast<std::uint64_t>(view.body[kCommonPrefixBytes + i])
-           << (8 * i);
-    }
-    p.global = g;
-    pairs.push_back(p);
   }
   return pairs;
 }

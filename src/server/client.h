@@ -39,8 +39,8 @@ struct ClientOptions {
 };
 
 /// Backoff delay before retry number `attempt` (0-based), bounded by
-/// `backoffMaxMs`. Exposed so the router's proxy loop and the client
-/// share one schedule.
+/// `backoffMaxMs`. The router's proxy loop (src/fed/router_service.cpp)
+/// runs on this schedule too, over its backend link's ClientOptions.
 int backoffDelayMs(const ClientOptions& options, int attempt);
 
 class TraceClient {

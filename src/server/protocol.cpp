@@ -579,6 +579,60 @@ std::vector<std::uint8_t> encodeErrorReply(ErrorCode code,
   return w.take();
 }
 
+std::vector<std::uint8_t> answerHello(ByteReader& r, std::uint32_t traceCount,
+                                      ConnectionContext& ctx,
+                                      const std::string& speaker) {
+  const std::uint32_t magic = r.u32();
+  const std::uint16_t version = r.u16();
+  if (magic != kQueryMagic || version < kMinProtocolVersion ||
+      version > kProtocolVersion) {
+    return encodeErrorReply(ErrorCode::kBadVersion,
+                            speaker + " speaks protocol versions " +
+                                std::to_string(kMinProtocolVersion) + ".." +
+                                std::to_string(kProtocolVersion));
+  }
+  if (version < 2) {
+    // A v1 client: reply with the exact v1 bytes and keep this
+    // connection's frames row-encoded.
+    ctx.frameEncoding = FrameEncoding::kRow;
+    ByteWriter w = okHeader();
+    w.u16(version);
+    w.u32(traceCount);
+    return w.take();
+  }
+  // v2: the client advertises the encodings it accepts; the server
+  // picks the best one it also supports (columnar when offered).
+  const std::uint8_t accept = r.atEnd() ? std::uint8_t{0b01} : r.u8();
+  const std::uint8_t usable = accept & kSupportedFrameEncodings;
+  if (usable == 0) {
+    return encodeErrorReply(ErrorCode::kBadVersion,
+                            "no mutually supported frame encoding");
+  }
+  ctx.frameEncoding =
+      (usable & (1u << static_cast<unsigned>(FrameEncoding::kColumnar)))
+          ? FrameEncoding::kColumnar
+          : FrameEncoding::kRow;
+  ByteWriter w = okHeader();
+  w.u16(kProtocolVersion);
+  w.u32(traceCount);
+  w.u8(static_cast<std::uint8_t>(ctx.frameEncoding));
+  return w.take();
+}
+
+ByteWriter encodeStatsReply(const CacheStats& cache,
+                            const ThreadPool::Stats& pool) {
+  ByteWriter w = okHeader();
+  w.u64(cache.hits);
+  w.u64(cache.misses);
+  w.u64(cache.evictions);
+  w.u64(cache.bytes);
+  w.u64(cache.entries);
+  w.u64(pool.accepted);
+  w.u64(pool.rejected);
+  w.u64(pool.executed);
+  return w;
+}
+
 namespace {
 
 RequestOutcome dispatch(TraceService& service,
@@ -590,48 +644,7 @@ RequestOutcome dispatch(TraceService& service,
 
   switch (op) {
     case Opcode::kHello: {
-      const std::uint32_t magic = r.u32();
-      const std::uint16_t version = r.u16();
-      if (magic != kQueryMagic || version < kMinProtocolVersion ||
-          version > kProtocolVersion) {
-        outcome.response = encodeErrorReply(
-            ErrorCode::kBadVersion,
-            "server speaks protocol versions " +
-                std::to_string(kMinProtocolVersion) + ".." +
-                std::to_string(kProtocolVersion));
-        return outcome;
-      }
-      if (version < 2) {
-        // A v1 client: reply with the exact v1 bytes and keep this
-        // connection's frames row-encoded.
-        ctx.frameEncoding = FrameEncoding::kRow;
-        ByteWriter w = okHeader();
-        w.u16(version);
-        w.u32(service.traceCount());
-        outcome.response = w.take();
-        return outcome;
-      }
-      // v2: the client advertises the encodings it accepts; the server
-      // picks the best one it also supports (columnar when offered).
-      const std::uint8_t accept =
-          r.atEnd() ? std::uint8_t{0b01} : r.u8();
-      const std::uint8_t usable = accept & kSupportedFrameEncodings;
-      if (usable == 0) {
-        outcome.response = encodeErrorReply(
-            ErrorCode::kBadVersion,
-            "no mutually supported frame encoding");
-        return outcome;
-      }
-      ctx.frameEncoding = (usable &
-                           (1u << static_cast<unsigned>(
-                                FrameEncoding::kColumnar)))
-                              ? FrameEncoding::kColumnar
-                              : FrameEncoding::kRow;
-      ByteWriter w = okHeader();
-      w.u16(kProtocolVersion);
-      w.u32(service.traceCount());
-      w.u8(static_cast<std::uint8_t>(ctx.frameEncoding));
-      outcome.response = w.take();
+      outcome.response = answerHello(r, service.traceCount(), ctx, "server");
       return outcome;
     }
     case Opcode::kInfo: {
@@ -767,18 +780,9 @@ RequestOutcome dispatch(TraceService& service,
       return outcome;
     }
     case Opcode::kStats: {
-      const FrameCache::Stats cache = service.cache().stats();
-      const ThreadPool::Stats pool = service.pool().stats();
-      ByteWriter w = okHeader();
-      w.u64(cache.hits);
-      w.u64(cache.misses);
-      w.u64(cache.evictions);
-      w.u64(cache.bytes);
-      w.u64(cache.entries);
-      w.u64(pool.accepted);
-      w.u64(pool.rejected);
-      w.u64(pool.executed);
-      outcome.response = w.take();
+      outcome.response =
+          encodeStatsReply(service.cache().stats(), service.pool().stats())
+              .take();
       return outcome;
     }
     case Opcode::kShutdown: {

@@ -294,4 +294,16 @@ RequestOutcome processRequest(TraceService& service,
 std::vector<std::uint8_t> encodeErrorReply(ErrorCode code,
                                            const std::string& message);
 
+/// Answers a kHello request (`r` is positioned after the opcode) for a
+/// server with `traceCount` traces, storing the negotiated frame
+/// encoding in `ctx`. `speaker` ("server" or "router") names the replier
+/// in the version error. Both dispatchers answer hello through this.
+std::vector<std::uint8_t> answerHello(ByteReader& r, std::uint32_t traceCount,
+                                      ConnectionContext& ctx,
+                                      const std::string& speaker);
+
+/// The kStats reply: a frame cache's counters and a worker pool's.
+ByteWriter encodeStatsReply(const CacheStats& cache,
+                            const ThreadPool::Stats& pool);
+
 }  // namespace ute

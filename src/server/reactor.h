@@ -170,9 +170,9 @@ class Reactor {
   /// Binds 127.0.0.1:port (0 = ephemeral), starts the loop thread.
   /// `handler` must outlive the reactor, and so must every thread that
   /// may still call complete(): join/shut down worker pools BEFORE
-  /// destroying the reactor (the servers encode this in member order —
-  /// reactor_ declared first, pool after, so the pool joins while the
-  /// reactor is still alive to drop late completions at the mutex).
+  /// destroying the reactor (QueryFrontEnd's destructor shuts its pool
+  /// down before freeing the reactor, which stays alive to drop late
+  /// completions at the mutex).
   Reactor(std::uint16_t port, Handler& handler, ReactorOptions options = {});
   ~Reactor();
 

@@ -10,7 +10,7 @@ ServiceOptions withLiveDefaults(const ServerOptions& options) {
   return service;
 }
 
-ReactorOptions reactorOptions(const ServerOptions& options) {
+ReactorOptions reactorOptions(const FrontEndOptions& options) {
   ReactorOptions reactor;
   reactor.idleTimeoutMs = options.idleTimeoutMs;
   reactor.readTimeoutMs = options.readTimeoutMs;
@@ -20,14 +20,10 @@ ReactorOptions reactorOptions(const ServerOptions& options) {
 
 }  // namespace
 
-TraceServer::TraceServer(const std::vector<std::string>& slogPaths,
-                         const ServerOptions& options)
-    : service_(slogPaths, withLiveDefaults(options)) {
-  // Attach before the reactor exists so no client can observe the trace
-  // count changing.
-  if (options.liveFeed != nullptr) {
-    service_.attachLiveFeed(options.liveName, options.liveFeed);
-  }
+QueryFrontEnd::QueryFrontEnd(const FrontEndOptions& options, ThreadPool& pool,
+                             RequestFn handle, std::string queueName)
+    : pool_(pool), handle_(std::move(handle)),
+      queueName_(std::move(queueName)) {
   // The derived-to-base conversion is only accessible in member scope
   // (private inheritance), so it cannot happen inside make_unique.
   Reactor::Handler& handler = *this;
@@ -35,12 +31,16 @@ TraceServer::TraceServer(const std::vector<std::string>& slogPaths,
                                        reactorOptions(options));
 }
 
-TraceServer::~TraceServer() { stop(); }
+QueryFrontEnd::~QueryFrontEnd() {
+  stop();
+  // Workers joined here may still post completions; the reactor drops
+  // them, so it must outlive the pool's shutdown.
+  pool_.shutdown();
+  reactor_.reset();
+}
 
-void TraceServer::stop() { reactor_->shutdown(); }
-
-void TraceServer::onRequest(Reactor::Request req,
-                            std::vector<std::uint8_t> payload) {
+void QueryFrontEnd::onRequest(Reactor::Request req,
+                              std::vector<std::uint8_t> payload) {
   // Negotiated hello state, created on the connection's first request.
   // Workers hold the shared_ptr, so a context outlives its connection if
   // a request is still being serviced when the peer vanishes.
@@ -48,32 +48,47 @@ void TraceServer::onRequest(Reactor::Request req,
   if (inserted) it->second = std::make_shared<ConnectionContext>();
   std::shared_ptr<ConnectionContext> ctx = it->second;
 
-  // The query runs on the worker pool; the reactor thread only does I/O.
+  // The request runs on the pool; the reactor thread only does I/O.
   auto body = std::make_shared<std::vector<std::uint8_t>>(std::move(payload));
-  const bool accepted = service_.trySubmit([this, req, ctx, body] {
-    RequestOutcome outcome = processRequest(service_, *body, *ctx);
+  const bool accepted = pool_.trySubmit([this, req, ctx, body] {
+    RequestOutcome outcome = handle_(*body, *ctx);
     if (outcome.shutdown) stopRequested_.store(true);
     req.reactor->complete(req, std::move(outcome.response), outcome.shutdown);
   });
   if (!accepted) {
     req.reactor->complete(
-        req, encodeErrorReply(
-                 ErrorCode::kOverloaded,
-                 "request queue full (" +
-                     std::to_string(service_.pool().maxQueue()) + " deep)"));
+        req, encodeErrorReply(ErrorCode::kOverloaded,
+                              queueName_ + " full (" +
+                                  std::to_string(pool_.maxQueue()) +
+                                  " deep)"));
   }
 }
 
-std::vector<std::uint8_t> TraceServer::onConnError(Reactor::ConnId /*conn*/,
-                                                   Reactor::ConnError /*kind*/,
-                                                   const std::string& detail) {
+std::vector<std::uint8_t> QueryFrontEnd::onConnError(
+    Reactor::ConnId /*conn*/, Reactor::ConnError /*kind*/,
+    const std::string& detail) {
   // Framing violations and liveness timeouts get a structured
-  // kBadRequest reply before the close — the client sees why instead of
-  // a bare EOF (same contract the thread-per-connection server had for
-  // oversized frames).
+  // kBadRequest reply before the close, so the client sees why instead
+  // of a bare EOF.
   return encodeErrorReply(ErrorCode::kBadRequest, detail);
 }
 
-void TraceServer::onClosed(Reactor::ConnId conn) { contexts_.erase(conn); }
+void QueryFrontEnd::onClosed(Reactor::ConnId conn) { contexts_.erase(conn); }
+
+TraceServer::TraceServer(const std::vector<std::string>& slogPaths,
+                         const ServerOptions& options)
+    : service_(slogPaths, withLiveDefaults(options)) {
+  // Attach before the front end exists so no client can observe the
+  // trace count changing.
+  if (options.liveFeed != nullptr) {
+    service_.attachLiveFeed(options.liveName, options.liveFeed);
+  }
+  frontEnd_ = std::make_unique<QueryFrontEnd>(
+      options, service_.pool(),
+      [this](std::span<const std::uint8_t> payload, ConnectionContext& ctx) {
+        return processRequest(service_, payload, ctx);
+      },
+      "request queue");
+}
 
 }  // namespace ute

@@ -140,10 +140,6 @@ void TcpSocket::setRecvTimeout(int milliseconds) {
   }
 }
 
-void TcpSocket::shutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void TcpSocket::close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -180,31 +176,15 @@ TcpListener::TcpListener(std::uint16_t port) {
     throwErrno("getsockname");
   }
   port_ = ntohs(addr.sin_port);
-  fd_.store(fd);
+  fd_ = fd;
 }
 
 TcpListener::~TcpListener() { close(); }
 
-std::optional<TcpSocket> TcpListener::accept() {
-  for (;;) {
-    const int fd = fd_.load();
-    if (fd < 0) return std::nullopt;
-    const int client = ::accept(fd, nullptr, nullptr);
-    if (client >= 0) {
-      setNoDelay(client);
-      return TcpSocket(client);
-    }
-    if (errno == EINTR) continue;
-    // EBADF/EINVAL after close(): orderly shutdown, not an error.
-    return std::nullopt;
-  }
-}
-
 void TcpListener::close() {
-  const int fd = fd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);  // wakes a blocked accept()
-    ::close(fd);
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
   }
 }
 

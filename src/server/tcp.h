@@ -7,7 +7,6 @@
 // the u32-length prefix and the kMaxMessageBytes sanity cap.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -46,13 +45,10 @@ class TcpSocket {
 
   /// Receive timeout (SO_RCVTIMEO): a recv blocked longer than this
   /// fails with IoError("recv timed out") instead of hanging forever —
-  /// the ingest server's per-session liveness bound. 0 restores blocking
+  /// TraceClient's ClientOptions::recvTimeoutMs. 0 restores blocking
   /// reads.
   void setRecvTimeout(int milliseconds);
 
-  /// Unblocks any reader/writer on this socket (e.g. from another
-  /// thread during server stop).
-  void shutdownBoth();
   void close();
 
  private:
@@ -69,18 +65,15 @@ class TcpListener {
   TcpListener& operator=(const TcpListener&) = delete;
 
   std::uint16_t port() const { return port_; }
-  /// Raw listening fd for event-loop registration (-1 once closed).
-  int fd() const { return fd_.load(); }
+  /// Raw listening fd for event-loop registration (-1 once closed). The
+  /// reactor accepts on it with accept4; after construction only the
+  /// reactor's loop thread touches it.
+  int fd() const { return fd_; }
 
-  /// Blocks for the next connection; nullopt once close() was called.
-  std::optional<TcpSocket> accept();
-
-  /// Thread-safe: wakes a blocked accept(), which then returns nullopt.
   void close();
 
  private:
-  /// Atomic because close() races with a blocked accept() by design.
-  std::atomic<int> fd_{-1};
+  int fd_ = -1;
   std::uint16_t port_ = 0;
 };
 

@@ -11,8 +11,9 @@
 // per-thread file handles.
 //
 // Query methods are thread-safe and synchronous. The embedded ThreadPool
-// adds admission control on top: trySubmit() is how the TCP server
-// bounds concurrent query CPU and sheds load explicitly.
+// is where uteserve runs them: the query front end (server/server.h)
+// hands each request to pool().trySubmit(), which bounds concurrent
+// query CPU and sheds load explicitly.
 #pragma once
 
 #include <cstdint>
@@ -151,11 +152,6 @@ class TraceService {
   const FrameCache& cache() const { return cache_; }
   ThreadPool& pool() { return pool_; }
   const ServiceOptions& options() const { return options_; }
-
-  /// Admission-controlled execution (see ThreadPool::trySubmit).
-  bool trySubmit(std::function<void()> job) {
-    return pool_.trySubmit(std::move(job));
-  }
 
  private:
   struct Trace {

@@ -13,15 +13,6 @@ namespace {
 
 constexpr Tick kSentinelEnd = ~Tick{0};
 
-std::uint64_t leU64At(std::span<const std::uint8_t> bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[at + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 /// One input stream: clock fit, raw-record buffer, and a one-record
@@ -157,14 +148,7 @@ void StreamMerger::addRecord(std::size_t i, const RecordView& v) {
   if (!in.ok && in.pending.empty()) dirty_.push_back(i);
 
   if (v.eventType() == kClockSyncState) {
-    if (v.body.size() < kCommonPrefixBytes + 8) {
-      throw FormatError("short ClockSync record on streamed input " +
-                        std::to_string(i));
-    }
-    TimestampPair p;
-    p.local = v.start;
-    p.global = leU64At(v.body, kCommonPrefixBytes);
-    in.fit.addPair(p);
+    in.fit.addPair(clockSyncPair(v));
     if (!options_.keepClockRecords) return;
   }
   if (!in.excludedThreads.empty() &&

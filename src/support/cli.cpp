@@ -8,10 +8,11 @@
 namespace ute {
 
 CliParser::CliParser(int argc, const char* const* argv,
-                     const std::vector<std::string>& valueOptions) {
-  auto takesValue = [&](const std::string& name) {
-    return std::find(valueOptions.begin(), valueOptions.end(), name) !=
-           valueOptions.end();
+                     const std::vector<std::string>& valueOptions,
+                     const std::vector<std::string>& flags) {
+  auto listed = [](const std::vector<std::string>& names,
+                   const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -21,17 +22,22 @@ CliParser::CliParser(int argc, const char* const* argv,
     }
     arg.erase(0, 2);
     const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      continue;
-    }
-    if (takesValue(arg)) {
-      if (i + 1 >= argc) {
-        throw UsageError("option --" + arg + " requires a value");
+    const std::string name = arg.substr(0, eq);
+    if (listed(valueOptions, name)) {
+      if (eq != std::string::npos) {
+        values_[name] = arg.substr(eq + 1);
+      } else if (i + 1 < argc) {
+        values_[name] = argv[++i];
+      } else {
+        throw UsageError("option --" + name + " requires a value");
       }
-      values_[arg] = argv[++i];
+    } else if (listed(flags, name)) {
+      if (eq != std::string::npos) {
+        throw UsageError("option --" + name + " takes no value");
+      }
+      flags_.insert(name);
     } else {
-      flags_[arg] = true;
+      throw UsageError("unknown option --" + name);
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,13 @@ Endpoint parseEndpoint(const std::string& text,
 
 class CliParser {
  public:
-  /// `spec` lists the option names that take a value; names absent from it
-  /// are treated as boolean flags when seen.
+  /// `valueOptions` lists the option names that take a value, `flags`
+  /// the boolean ones. Any other --name (bare, --name=value or --name
+  /// value) throws a UsageError naming it, as does a value given to a
+  /// flag.
   CliParser(int argc, const char* const* argv,
-            const std::vector<std::string>& valueOptions);
+            const std::vector<std::string>& valueOptions,
+            const std::vector<std::string>& flags);
 
   bool hasFlag(const std::string& name) const;
   std::optional<std::string> value(const std::string& name) const;
@@ -53,7 +57,7 @@ class CliParser {
 
  private:
   std::map<std::string, std::string> values_;
-  std::map<std::string, bool> flags_;
+  std::set<std::string> flags_;
   std::vector<std::string> positional_;
 };
 

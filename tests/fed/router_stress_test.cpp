@@ -79,9 +79,9 @@ TEST(RouterStress, ConcurrentClientsSurviveAFlappingBackend) {
   b2.port = flapperPort;
   options.backends = {b1, b2};
   options.healthIntervalMs = 40;  // the background prober races the flaps
-  options.proxyRetries = 2;
-  options.proxyBackoffBaseMs = 5;
-  options.proxyBackoffMaxMs = 25;
+  options.registry.client.retries = 2;
+  options.registry.client.backoffBaseMs = 5;
+  options.registry.client.backoffMaxMs = 25;
   options.cacheBytes = 1u << 20;  // small: exercise eviction under load
   options.registry.circuit.failureThreshold = 1;
   options.registry.circuit.cooldownBaseMs = 20;
@@ -179,9 +179,9 @@ TEST(RouterStress, AdminChurnRacesTraffic) {
   b1.port = stable.port();
   options.backends = {b1};
   options.healthIntervalMs = 30;
-  options.proxyRetries = 1;
-  options.proxyBackoffBaseMs = 5;
-  options.proxyBackoffMaxMs = 20;
+  options.registry.client.retries = 1;
+  options.registry.client.backoffBaseMs = 5;
+  options.registry.client.backoffMaxMs = 20;
   options.registry.circuit.failureThreshold = 1;
   RouterService service(options);
   RouterServer router(service, 0);

@@ -28,6 +28,7 @@
 #include "interval/standard_profile.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/tcp.h"
 #include "slog/slog_writer.h"
 #include "trace/events.h"
 
@@ -102,9 +103,9 @@ RouterOptions testOptions(std::vector<BackendSpec> backends) {
   RouterOptions o;
   o.backends = std::move(backends);
   o.healthIntervalMs = 0;
-  o.proxyRetries = 1;
-  o.proxyBackoffBaseMs = 5;
-  o.proxyBackoffMaxMs = 20;
+  o.registry.client.retries = 1;
+  o.registry.client.backoffBaseMs = 5;
+  o.registry.client.backoffMaxMs = 20;
   o.registry.circuit.failureThreshold = 1;
   o.registry.circuit.cooldownBaseMs = 50;
   o.registry.circuit.cooldownMaxMs = 200;
@@ -224,6 +225,45 @@ TEST(RouterFederation, SingleTraceOpsAreByteIdenticalToDirectBackend) {
   }
   const CacheStats stats = fleet.service->cacheStats();
   EXPECT_GT(stats.hits, 0u);  // pass 2 really came from the hot tier
+}
+
+TEST(RouterFederation, HelloRepliesMatchADirectBackend) {
+  // Router and backend negotiate hello through one function. With one
+  // backend serving one trace the trace counts agree, so every reply is
+  // byte-identical; the version error differs only in its speaker word.
+  TraceServer backend({writeSlog("fed_hello.slog", 120, 3)});
+  RouterService service(testOptions({spec("b1", backend.port())}));
+  RouterServer router(service, 0);
+
+  ByteWriter badVersion;
+  badVersion.u8(static_cast<std::uint8_t>(Opcode::kHello));
+  badVersion.u32(kQueryMagic);
+  badVersion.u16(kProtocolVersion + 1);
+  std::vector<ByteWriter> hellos;
+  hellos.push_back(encodeLegacyHelloRequest());
+  hellos.push_back(encodeHelloRequest());
+  hellos.push_back(encodeHelloRequest(0b01));
+  hellos.push_back(encodeHelloRequest(0b100));  // no mutual encoding
+  hellos.push_back(std::move(badVersion));
+
+  // Each hello on a fresh connection, as a client opens one.
+  const auto ask = [](std::uint16_t port, const ByteWriter& hello) {
+    TcpSocket socket = TcpSocket::connectTo("127.0.0.1", port);
+    sendMessage(socket, hello.view());
+    const auto reply = recvMessage(socket);
+    return reply ? std::string(reply->begin(), reply->end())
+                 : std::string("<closed>");
+  };
+  for (std::size_t i = 0; i < hellos.size(); ++i) {
+    std::string direct = ask(backend.port(), hellos[i]);
+    const std::string routed = ask(router.port(), hellos[i]);
+    const std::size_t speaker = direct.find("server speaks");
+    if (speaker != std::string::npos) {
+      EXPECT_NE(routed.find("router speaks"), std::string::npos);
+      direct.replace(speaker, 6, "router");
+    }
+    EXPECT_EQ(routed, direct) << "hello " << i;
+  }
 }
 
 TEST(RouterFederation, ErrorSurfaceMatchesTheProtocol) {

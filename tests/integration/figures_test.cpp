@@ -92,8 +92,10 @@ TEST(Figure8, OneThreadPerProcessIsIdle) {
   }
   const double span = static_cast<double>(m.maxTime - m.minTime);
   for (int node = 0; node < 4; ++node) {
-    const std::string idle = "n" + std::to_string(node) + ".t3";
-    const std::string mpi = "n" + std::to_string(node) + ".t0";
+    std::string idle = "n";
+    idle += std::to_string(node) + ".t3";
+    std::string mpi = "n";
+    mpi += std::to_string(node) + ".t0";
     EXPECT_LT(busyNs.at(idle), 0.05 * span) << idle << " should be idle";
     EXPECT_GT(busyNs.at(mpi), 5.0 * busyNs.at(idle));
   }

@@ -174,7 +174,8 @@ TEST_P(ProfileFuzzTest, RandomProfilesRoundTrip) {
     for (int f = 0; f < nFields; ++f) {
       const auto type = static_cast<DataType>(rng.below(10));
       const auto attr = static_cast<std::uint8_t>(rng.below(4));
-      const std::string name = "f" + std::to_string(rng.below(30));
+      std::string name = "f";
+      name += std::to_string(rng.below(30));
       if (rng.chance(0.25)) {
         const std::uint8_t counters[] = {1, 2, 4};
         b.vector(name, type, counters[rng.below(3)], attr);

@@ -38,6 +38,23 @@ TEST(Record, ShortBodyRejected) {
   EXPECT_THROW(RecordView::parse(tiny), FormatError);
 }
 
+TEST(Record, ClockSyncPairReadsBothClocks) {
+  const IntervalType type = makeIntervalType(kClockSyncState,
+                                             Bebits::kComplete);
+  ByteWriter global;
+  global.u64(0x0102030405060708ull);
+  const ByteWriter body =
+      encodeRecordBody(type, /*start=*/777, 0, 0, 1, 0, global.view());
+  const TimestampPair pair = clockSyncPair(RecordView::parse(body.view()));
+  EXPECT_EQ(pair.local, 777u);
+  EXPECT_EQ(pair.global, 0x0102030405060708ull);
+
+  // A body that ends before the global reading is a format error.
+  const ByteWriter shortBody = encodeRecordBody(type, 777, 0, 0, 1, 0);
+  EXPECT_THROW(clockSyncPair(RecordView::parse(shortBody.view())),
+               FormatError);
+}
+
 TEST(Record, LengthPrefixShortAndExtended) {
   std::vector<std::uint8_t> out;
   const ByteWriter small = sampleBody();

@@ -72,16 +72,16 @@ TEST(ReactorStress, PipelinedClientsRaceWorkerCompletions) {
           // Random pipelining depth: bursts of 1..8 before draining.
           const int burst = static_cast<int>(rng.below(8)) + 1;
           for (int i = 0; i < burst && sent < kRequests; ++i, ++sent) {
-            const std::string body =
-                "c" + std::to_string(c) + "-" + std::to_string(sent);
+            std::string body = "c";
+            body += std::to_string(c) + "-" + std::to_string(sent);
             sendMessage(socket, std::vector<std::uint8_t>(body.begin(),
                                                           body.end()));
           }
           while (received < sent) {
             const auto reply = recvMessage(socket);
             if (!reply) throw IoError("unexpected EOF");
-            const std::string expect =
-                "c" + std::to_string(c) + "-" + std::to_string(received);
+            std::string expect = "c";
+            expect += std::to_string(c) + "-" + std::to_string(received);
             if (std::string(reply->begin(), reply->end()) != expect) {
               throw FormatError("out-of-order reply");
             }

@@ -243,7 +243,9 @@ TEST(Reactor, PipelineGuardCapsDispatchUntilRepliesDrain) {
   const int kCount = 12;
   ByteWriter burst;
   for (int i = 0; i < kCount; ++i) {
-    const auto payload = bytesOf("p" + std::to_string(i));
+    std::string text = "p";
+    text += std::to_string(i);
+    const auto payload = bytesOf(text);
     burst.u32(static_cast<std::uint32_t>(payload.size()));
     burst.bytes(payload);
   }
@@ -263,7 +265,9 @@ TEST(Reactor, PipelineGuardCapsDispatchUntilRepliesDrain) {
     handler.releaseAll();
     const auto reply = recvMessage(client);
     ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(stringOf(*reply), "p" + std::to_string(done));
+    std::string expected = "p";
+    expected += std::to_string(done);
+    EXPECT_EQ(stringOf(*reply), expected);
   }
   EXPECT_GE(reactor.stats().readPauses, 1u);
 }
@@ -323,7 +327,9 @@ TEST(Reactor, UnpauseAfterCompletionSurvivesBufferedOversizedFrame) {
   TcpSocket client = TcpSocket::connectTo("127.0.0.1", reactor.port());
   ByteWriter burst;
   for (int i = 0; i < 2; ++i) {  // fills maxPipeline: reads pause
-    const auto payload = bytesOf("q" + std::to_string(i));
+    std::string text = "q";
+    text += std::to_string(i);
+    const auto payload = bytesOf(text);
     burst.u32(static_cast<std::uint32_t>(payload.size()));
     burst.bytes(payload);
   }

@@ -344,16 +344,16 @@ TEST_F(ServiceTest, PoolBackpressureRejectsWhenFull) {
   CondVar cv;
   bool release = false;
   std::atomic<bool> started{false};
-  ASSERT_TRUE(service.trySubmit([&] {
+  ASSERT_TRUE(service.pool().trySubmit([&] {
     started = true;
     MutexLock lock(mu);
     while (!release) cv.wait(mu);
   }));
   while (!started) std::this_thread::yield();  // worker now busy
 
-  EXPECT_TRUE(service.trySubmit([] {}));   // fills the queue slot
-  EXPECT_FALSE(service.trySubmit([] {}));  // explicit rejection
-  EXPECT_FALSE(service.trySubmit([] {}));
+  EXPECT_TRUE(service.pool().trySubmit([] {}));   // fills the queue slot
+  EXPECT_FALSE(service.pool().trySubmit([] {}));  // explicit rejection
+  EXPECT_FALSE(service.pool().trySubmit([] {}));
 
   {
     MutexLock lock(mu);

@@ -53,7 +53,7 @@ TEST(Text, ParseNumbers) {
 TEST(Cli, ParsesValuesFlagsAndPositionals) {
   const char* argv[] = {"prog",    "--name",  "run1", "--count=5",
                         "--force", "file.uti"};
-  CliParser cli(6, argv, {"name", "count"});
+  CliParser cli(6, argv, {"name", "count"}, {"force"});
   EXPECT_EQ(cli.valueOr("name", std::string("x")), "run1");
   EXPECT_EQ(cli.valueOr("count", std::uint64_t{0}), 5u);
   EXPECT_TRUE(cli.hasFlag("force"));
@@ -64,12 +64,29 @@ TEST(Cli, ParsesValuesFlagsAndPositionals) {
 
 TEST(Cli, MissingValueThrows) {
   const char* argv[] = {"prog", "--name"};
-  EXPECT_THROW(CliParser(2, argv, {"name"}), UsageError);
+  EXPECT_THROW(CliParser(2, argv, {"name"}, {}), UsageError);
+}
+
+TEST(Cli, UnknownOptionsAreRejected) {
+  // Every spelling of an undeclared option fails and names it; without
+  // the check "--shards 8" would leave "8" as a positional argument.
+  for (const char* arg : {"--shards", "--shards=8"}) {
+    const char* argv[] = {"prog", arg, "8"};
+    try {
+      CliParser(3, argv, {"name"}, {"force"});
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const UsageError& e) {
+      EXPECT_STREQ(e.what(), "unknown option --shards") << arg;
+    }
+  }
+  // A flag takes no value.
+  const char* argv[] = {"prog", "--force=yes"};
+  EXPECT_THROW(CliParser(2, argv, {"name"}, {"force"}), UsageError);
 }
 
 TEST(Cli, DefaultsApply) {
   const char* argv[] = {"prog"};
-  CliParser cli(1, argv, {"x"});
+  CliParser cli(1, argv, {"x"}, {});
   EXPECT_EQ(cli.valueOr("x", std::uint64_t{7}), 7u);
   EXPECT_DOUBLE_EQ(cli.valueOr("x", 2.5), 2.5);
   EXPECT_FALSE(cli.value("x").has_value());

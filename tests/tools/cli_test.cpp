@@ -250,6 +250,83 @@ TEST_F(CliTest, ServeAndQueryRoundTrip) {
   EXPECT_NE(log.find("served"), std::string::npos) << log;
 }
 
+/// Polls `portFile` (written by a server's --port-file) for up to 10 s;
+/// empty if it never appeared.
+std::string waitForPort(const std::string& portFile) {
+  std::string port;
+  for (int i = 0; i < 200 && port.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::ifstream in(portFile);
+    std::getline(in, port);
+  }
+  return port;
+}
+
+/// Polls a background tool's log for up to 10 s until it contains
+/// `needle`; returns the log as last read.
+std::string waitForLog(const std::string& logFile, const std::string& needle) {
+  std::string log;
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::ifstream in(logFile);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    log = ss.str();
+    if (log.find(needle) != std::string::npos) break;
+  }
+  return log;
+}
+
+TEST_F(CliTest, RouterFrontsAServerAndBothShutDown) {
+  run(tool("uteconvert") + " --out " + *dir_ + "/rt " + *dir_ +
+      "/run.0.utr " + *dir_ + "/run.1.utr");
+  const auto [mrc, mout] =
+      run(tool("utemerge") + " --out " + *dir_ + "/rt.merged.uti --slog " +
+          *dir_ + "/rt.slog --profile " + *dir_ + "/profile.ute " + *dir_ +
+          "/rt.0.uti " + *dir_ + "/rt.1.uti");
+  ASSERT_EQ(mrc, 0) << mout;
+
+  const std::string serveLog = *dir_ + "/rt.serve.log";
+  ASSERT_EQ(std::system((tool("uteserve") + " " + *dir_ + "/rt.slog "
+                         "--workers 2 --port-file " + *dir_ +
+                         "/rt.serve.port > " + serveLog + " 2>&1 &")
+                            .c_str()),
+            0);
+  const std::string port = waitForPort(*dir_ + "/rt.serve.port");
+  ASSERT_FALSE(port.empty()) << "uteserve never wrote its port file";
+
+  const std::string conf = *dir_ + "/rt.backends.conf";
+  std::ofstream(conf) << "b1 127.0.0.1:" << port << "\n";
+  const std::string routerLog = *dir_ + "/rt.router.log";
+  ASSERT_EQ(std::system((tool("uterouter") + " " + conf +
+                         " --workers 2 --port-file " + *dir_ +
+                         "/rt.router.port > " + routerLog + " 2>&1 &")
+                            .c_str()),
+            0);
+  const std::string routerPort = waitForPort(*dir_ + "/rt.router.port");
+  ASSERT_FALSE(routerPort.empty()) << "uterouter never wrote its port file";
+
+  // Global trace ids are 1-based.
+  const std::string viaRouter =
+      tool("utequery") + " --router 127.0.0.1:" + routerPort + " ";
+  auto [rc, out] = run(viaRouter + "--trace 1 info");
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_NE(out.find("rt.slog"), std::string::npos) << out;
+
+  // Shutdown through the router stops only the router.
+  std::tie(rc, out) = run(viaRouter + "shutdown");
+  EXPECT_EQ(rc, 0) << out;
+  std::string log = waitForLog(routerLog, "hot-set cache");
+  EXPECT_NE(log.find("shutdown requested"), std::string::npos) << log;
+  EXPECT_NE(log.find("hot-set cache"), std::string::npos) << log;
+
+  std::tie(rc, out) = run(tool("utequery") + " --port " + port + " shutdown");
+  EXPECT_EQ(rc, 0) << out;
+  log = waitForLog(serveLog, "served");
+  EXPECT_NE(log.find("shutdown requested"), std::string::npos) << log;
+  EXPECT_NE(log.find("served"), std::string::npos) << log;
+}
+
 TEST_F(CliTest, MetricsToolComputesPrintsAndRoundTripsUtm) {
   // Build a SLOG of our own so this test is order-independent.
   run(tool("uteconvert") + " --out " + *dir_ + "/m " + *dir_ +
@@ -576,6 +653,12 @@ TEST_F(CliTest, ToolsFailCleanlyOnBadInput) {
   std::tie(rc, out) = run(tool("utetrace") + " --workload bogus");
   EXPECT_EQ(rc, 2);
   EXPECT_NE(out.find("unknown workload"), std::string::npos);
+
+  // An undeclared option is named, not read as a flag and its value as
+  // a second SLOG path.
+  std::tie(rc, out) = run(tool("uteserve") + " X.slog --shards 8");
+  EXPECT_NE(rc, 0);
+  EXPECT_NE(out.find("unknown option --shards"), std::string::npos) << out;
 
   // The shared chain flags reject an unknown clock fit before any input
   // is opened.

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace ute;
   try {
     CliParser cli(argc, argv, {"out", "frame-bytes", "frames-per-dir",
-                               "jobs"});
+                               "jobs"},
+                  {});
     if (cli.positional().empty()) {
       std::fprintf(stderr,
                    "usage: uteconvert [--out PREFIX] RAW.0.utr ...\n");

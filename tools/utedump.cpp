@@ -164,7 +164,8 @@ void dumpFrameStats(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace ute;
   try {
-    CliParser cli(argc, argv, {"raw", "profile", "interval", "slog", "limit"});
+    CliParser cli(argc, argv, {"raw", "profile", "interval", "slog", "limit"},
+                  {"frame-stats"});
     const std::uint64_t limit = cli.valueOr("limit", std::uint64_t{50});
     if (const auto raw = cli.value("raw")) {
       dumpRaw(*raw, limit);

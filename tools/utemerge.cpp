@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
   try {
     CliParser cli(argc, argv,
                   {"out", "slog", "profile", "method", "frame-bytes",
-                   "threads", "jobs"});
+                   "threads", "jobs"},
+                  {"naive", "keep-clock", "slog-v1", "slog-v2"});
     if (cli.positional().empty()) {
       std::fprintf(stderr,
                    "usage: utemerge --out MERGED.uti [--slog F] NODE.uti ...\n");

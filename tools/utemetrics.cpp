@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
   try {
     CliParser cli(argc, argv,
                   {"slog", "utm", "bins", "jobs", "out", "router", "connect",
-                   "host", "port", "trace"});
+                   "host", "port", "trace"},
+                  {"aggregate", "tsv", "derived"});
     const auto slogPath = cli.value("slog");
     const auto utmPath = cli.value("utm");
     const auto endpoint = cli.endpoint();

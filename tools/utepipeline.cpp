@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   using namespace ute;
   try {
     CliParser cli(argc, argv,
-                  {"out", "profile", "method", "frame-bytes", "jobs"});
+                  {"out", "profile", "method", "frame-bytes", "jobs"},
+                  {"no-slog", "slog-v1", "slog-v2"});
     if (cli.positional().empty() || !cli.value("out")) {
       std::fprintf(stderr,
                    "usage: utepipeline --out PREFIX [--jobs N] [--no-slog] "

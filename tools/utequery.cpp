@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   try {
     CliParser cli(argc, argv,
                   {"router", "connect", "host", "port", "trace", "node",
-                   "thread", "states", "bins"});
+                   "thread", "states", "bins"},
+                  {});
     const auto endpoint = cli.endpoint();
     if (!endpoint || cli.positional().empty()) {
       std::fprintf(stderr,

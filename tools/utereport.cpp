@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   using namespace ute;
   try {
     CliParser cli(argc, argv,
-                  {"input", "slog", "profile", "title", "program", "out"});
+                  {"input", "slog", "profile", "title", "program", "out"},
+                  {});
     const std::string input = cli.valueOr("input", std::string());
     const std::string out = cli.valueOr("out", std::string("report.html"));
     if (input.empty()) {

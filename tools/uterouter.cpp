@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
   using namespace ute;
   try {
     CliParser cli(argc, argv, {"port", "cache-mb", "health-ms", "retries",
-                               "workers", "idle-ms", "read-ms", "port-file"});
+                               "workers", "idle-ms", "read-ms", "port-file"},
+                  {});
     if (cli.positional().size() != 1) {
       std::fprintf(stderr, "usage: uterouter BACKENDS.conf [--port N] "
                            "[--cache-mb MB] [--health-ms N]\n");
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
         cli.valueOr("cache-mb", std::uint64_t{64}) << 20);
     options.healthIntervalMs =
         static_cast<int>(cli.valueOr("health-ms", std::uint64_t{1000}));
-    options.proxyRetries =
+    options.registry.client.retries =
         static_cast<int>(cli.valueOr("retries", std::uint64_t{2}));
 
     RouterService service(options);

@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
   using namespace ute;
   try {
     CliParser cli(argc, argv, {"port", "cache-mb", "workers", "queue",
-                               "idle-ms", "read-ms", "port-file"});
+                               "idle-ms", "read-ms", "port-file"},
+                  {});
     if (cli.positional().empty()) {
       std::fprintf(stderr, "usage: uteserve RUN.slog [MORE.slog ...] "
                            "[--port N] [--cache-mb MB] [--workers N]\n");

@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   using namespace ute;
   try {
     CliParser cli(argc, argv,
-                  {"input", "profile", "program", "expr", "heatmap", "svg"});
+                  {"input", "profile", "program", "expr", "heatmap", "svg"},
+                  {});
     std::vector<std::string> inputs = cli.positional();
     if (const auto input = cli.value("input")) {
       inputs.insert(inputs.begin(), *input);

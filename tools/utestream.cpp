@@ -62,22 +62,6 @@ volatile std::sig_atomic_t gSignalled = 0;
 
 void onSignal(int) { gSignalled = 1; }
 
-/// The (global, local) pair of a ClockSync record body — the same
-/// extraction the batch merge's first pass performs, so file mode can
-/// hand the server the exact final fit up front.
-bool clockPairOf(std::span<const std::uint8_t> body, TimestampPair& out) {
-  const RecordView v = RecordView::parse(body);
-  if (v.eventType() != kClockSyncState) return false;
-  if (body.size() < kCommonPrefixBytes + 8) return false;
-  std::uint64_t g = 0;
-  for (int i = 0; i < 8; ++i) {
-    g |= static_cast<std::uint64_t>(body[kCommonPrefixBytes + i]) << (8 * i);
-  }
-  out.local = v.start;
-  out.global = g;
-  return true;
-}
-
 /// Streams one already-recorded raw trace file into the ingest server.
 /// The send order is what makes the streamed outputs byte-identical to
 /// the batch pipeline: session 0 ships the complete unified marker
@@ -137,7 +121,8 @@ int main(int argc, char** argv) {
                   {"out", "profile", "method", "frame-bytes", "bins",
                    "sim", "iterations", "timesteps", "seed", "nodes",
                    "budget-kb", "session-timeout-ms", "ingest-port",
-                   "ingest-port-file", "port", "port-file"});
+                   "ingest-port-file", "port", "port-file"},
+                  {"listen", "serve", "slog-v1", "slog-v2"});
     const auto out = cli.value("out");
     const auto sim = cli.value("sim");
     const bool listen = cli.hasFlag("listen");
@@ -244,9 +229,13 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < cli.positional().size(); ++i) {
         StreamingConverter::Callbacks callbacks;
         std::vector<TimestampPair>& filePairs = pairs[i];
+        // The batch merge's first pass, so file mode can hand the
+        // server the exact final fit up front.
         callbacks.onRecord = [&](std::span<const std::uint8_t> body) {
-          TimestampPair p;
-          if (clockPairOf(body, p)) filePairs.push_back(p);
+          const RecordView v = RecordView::parse(body);
+          if (v.eventType() == kClockSyncState) {
+            filePairs.push_back(clockSyncPair(v));
+          }
         };
         StreamingConverter scan(markers, ingest.expectedNodes[i],
                                 std::move(callbacks));

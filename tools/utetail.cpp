@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   try {
     CliParser cli(argc, argv,
                   {"connect", "host", "port", "poll-ms", "idle-ms",
-                   "batch-kb"});
+                   "batch-kb"},
+                  {"once"});
     const auto endpoint = cli.endpoint();
     if (cli.positional().size() != 1 || !endpoint) {
       std::fprintf(stderr,

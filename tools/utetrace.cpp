@@ -24,7 +24,8 @@ int run(int argc, char** argv) {
   using namespace ute;
   CliParser cli(argc, argv,
                 {"workload", "dir", "name", "iterations", "timesteps",
-                 "seed", "buffer-size"});
+                 "seed", "buffer-size"},
+                {"no-dispatch", "no-mpi", "no-marker"});
   const std::string workload = cli.valueOr("workload", std::string("test"));
   const std::string dir = cli.valueOr("dir", std::string("."));
   const std::string name = cli.valueOr("name", workload);

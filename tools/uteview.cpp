@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
     CliParser cli(argc, argv,
                   {"input", "profile", "view", "window", "svg", "slog",
                    "frame-at", "ascii-cols", "metrics", "bins", "jobs",
-                   "utm", "connect", "host", "port", "trace"});
+                   "utm", "connect", "host", "port", "trace"},
+                  {"preview", "connected", "system-threads"});
     const int asciiCols =
         static_cast<int>(cli.valueOr("ascii-cols", std::uint64_t{100}));
 
