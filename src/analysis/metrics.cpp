@@ -348,9 +348,10 @@ MetricsStore MetricsStore::decode(std::span<const std::uint8_t> bytes) {
   store.totalEnd_ = r.u64();
   store.binWidth_ = r.u64();
   store.bins_ = r.u32();
-  const std::uint32_t taskCount = r.u32();
+  const std::uint32_t taskCount = takeCount(r, 8);  // i32 task, u32 threads
   const std::uint32_t classCount = r.u32();
-  const std::uint32_t columnCount = r.u32();
+  // A column directory entry is an lstring, a u8 kind and a u64 size.
+  const std::uint32_t columnCount = takeCount(r, 11);
   if (store.bins_ == 0 || store.binWidth_ == 0) {
     throw FormatError(".utm: zero bins or bin width");
   }
@@ -381,6 +382,11 @@ MetricsStore MetricsStore::decode(std::span<const std::uint8_t> bytes) {
       &store.timeNs_[3], &store.sendCount_, &store.sendBytes_,
       &store.recvCount_, &store.recvBytes_, &store.lateSenderNs_,
   };
+  // Every column the writer knows holds one u64 per cell.
+  if (cells > r.remaining() / sizeof(std::uint64_t)) {
+    throw FormatError(".utm: " + std::to_string(cells) +
+                      " cells exceed the column bytes");
+  }
   for (auto* column : columns) column->assign(cells, 0);
   for (const Dir& d : dir) {
     // Match by name so future writers can add columns without breaking

@@ -149,7 +149,6 @@ void BackendRegistry::probeOne(const std::string& name, bool force) {
     clientOptions.acceptEncodings = 0b01;  // row: enumeration only
     TraceClient client(spec.host, spec.port, clientOptions);
     const std::uint32_t count = client.traceCount();
-    probed.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       const TraceInfo info = client.info(i);
       ProbedTrace trace;

@@ -32,14 +32,7 @@ IntervalFileReader::IntervalFileReader(const std::string& path,
   ByteReader tr = tableBytes.reader();
   threads_.reserve(header_.threadCount);
   for (std::uint32_t i = 0; i < header_.threadCount; ++i) {
-    ThreadEntry t;
-    t.task = tr.i32();
-    t.pid = tr.i32();
-    t.systemTid = tr.i32();
-    t.node = tr.i32();
-    t.ltid = tr.i32();
-    t.type = static_cast<ThreadType>(tr.u8());
-    threads_.push_back(t);
+    threads_.push_back(takeThreadEntry(tr));
   }
 
   if (header_.markerCount > 0) {
@@ -48,8 +41,7 @@ IntervalFileReader::IntervalFileReader(const std::string& path,
         static_cast<std::size_t>(source_.size() - header_.markerTableOffset));
     ByteReader mr = markerBytes.reader();
     for (std::uint32_t i = 0; i < header_.markerCount; ++i) {
-      const std::uint32_t id = mr.u32();
-      markers_.emplace(id, mr.lstring());
+      markers_.insert(takeMarker(mr));
     }
   }
 }

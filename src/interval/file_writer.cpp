@@ -4,6 +4,42 @@
 
 namespace ute {
 
+void putThreadEntry(ByteWriter& w, const ThreadEntry& t) {
+  w.i32(t.task);
+  w.i32(t.pid);
+  w.i32(t.systemTid);
+  w.i32(t.node);
+  w.i32(t.ltid);
+  w.u8(static_cast<std::uint8_t>(t.type));
+}
+
+ThreadEntry takeThreadEntry(ByteReader& r) {
+  ThreadEntry t;
+  t.task = r.i32();
+  t.pid = r.i32();
+  t.systemTid = r.i32();
+  t.node = r.i32();
+  t.ltid = r.i32();
+  const std::uint8_t type = r.u8();
+  if (type > static_cast<std::uint8_t>(ThreadType::kSystem)) {
+    throw FormatError("unknown thread type " + std::to_string(type) +
+                      " in thread table entry at offset " +
+                      std::to_string(r.pos() - kThreadEntryBytes));
+  }
+  t.type = static_cast<ThreadType>(type);
+  return t;
+}
+
+void putMarker(ByteWriter& w, std::uint32_t id, std::string_view name) {
+  w.u32(id);
+  w.lstring(name);
+}
+
+std::pair<std::uint32_t, std::string> takeMarker(ByteReader& r) {
+  const std::uint32_t id = r.u32();
+  return {id, r.lstring()};
+}
+
 IntervalFileWriter::IntervalFileWriter(const std::string& path,
                                        const IntervalFileOptions& options,
                                        std::vector<ThreadEntry> threads,
@@ -32,14 +68,7 @@ IntervalFileWriter::IntervalFileWriter(const std::string& path,
   file_.write(header);
 
   ByteWriter table;
-  for (const ThreadEntry& t : threads) {
-    table.i32(t.task);
-    table.i32(t.pid);
-    table.i32(t.systemTid);
-    table.i32(t.node);
-    table.i32(t.ltid);
-    table.u8(static_cast<std::uint8_t>(t.type));
-  }
+  for (const ThreadEntry& t : threads) putThreadEntry(table, t);
   file_.write(table);
 }
 
@@ -150,10 +179,7 @@ void IntervalFileWriter::close() {
   const std::uint64_t markerOffset = markers_.empty() ? 0 : file_.tell();
   if (!markers_.empty()) {
     ByteWriter table;
-    for (const auto& [id, name] : markers_) {
-      table.u32(id);
-      table.lstring(name);
-    }
+    for (const auto& [id, name] : markers_) putMarker(table, id, name);
     file_.write(table);
   }
 

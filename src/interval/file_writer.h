@@ -16,11 +16,14 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "interval/open_states.h"
 #include "interval/profile.h"
 #include "interval/record.h"
+#include "support/bytes.h"
 #include "support/file_io.h"
 #include "support/types.h"
 #include "trace/events.h"
@@ -29,6 +32,8 @@ namespace ute {
 
 /// One entry of the thread table (Section 2.3.3): MPI task ID, process
 /// ID, system thread ID, node ID, logical thread ID, and thread type.
+inline constexpr std::size_t kThreadEntryBytes = 21;
+
 struct ThreadEntry {
   TaskId task = -1;
   std::int32_t pid = 0;
@@ -37,6 +42,19 @@ struct ThreadEntry {
   LogicalThreadId ltid = 0;
   ThreadType type = ThreadType::kUser;
 };
+
+/// The 21-byte thread-table entry: task, pid, system tid, node and
+/// logical tid as i32, then the type as u8. The one writer and reader of
+/// this layout, for .uti and .slog thread tables and both wire
+/// protocols. takeThreadEntry throws FormatError on a type byte that
+/// names no ThreadType.
+void putThreadEntry(ByteWriter& w, const ThreadEntry& t);
+ThreadEntry takeThreadEntry(ByteReader& r);
+
+/// One marker table entry: u32 marker id, then the string as an
+/// lstring. Shared by the .uti marker trailer and the ingest protocol.
+void putMarker(ByteWriter& w, std::uint32_t id, std::string_view name);
+std::pair<std::uint32_t, std::string> takeMarker(ByteReader& r);
 
 struct IntervalFileOptions {
   std::uint32_t profileVersion = 0;
@@ -109,7 +127,6 @@ class IntervalFileWriter {
 inline constexpr std::uint32_t kIntervalMagic = 0x49455455;  // "UTEI"
 inline constexpr std::uint32_t kIntervalHeaderVersion = 1;
 inline constexpr std::size_t kIntervalHeaderBytes = 72;
-inline constexpr std::size_t kThreadEntryBytes = 21;
 inline constexpr std::size_t kDirHeaderBytes = 24;
 inline constexpr std::size_t kFrameEntryBytes = 32;
 inline constexpr std::uint32_t kIntervalFlagMerged = 0x1;

@@ -143,4 +143,12 @@ Profile ensureStandardProfileFile(const std::string& path) {
   return p;
 }
 
+Profile loadProfileOrStandard(const std::string& path) {
+  try {
+    return Profile::readFile(path);
+  } catch (const IoError&) {
+    return makeStandardProfile();
+  }
+}
+
 }  // namespace ute

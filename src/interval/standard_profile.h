@@ -58,4 +58,9 @@ Profile makeStandardProfile();
 /// and returns it.
 Profile ensureStandardProfileFile(const std::string& path);
 
+/// The profile the tools run with: the one at `path` (their `--profile`,
+/// default kStandardProfileFileName), or the standard profile when that
+/// file cannot be read. A file that exists but is malformed still throws.
+Profile loadProfileOrStandard(const std::string& path);
+
 }  // namespace ute

@@ -24,7 +24,8 @@ struct ClientOptions {
   /// Bound on the TCP connect itself (0 = kernel default, minutes).
   int connectTimeoutMs = 5000;
   /// Bound on any single response read (SO_RCVTIMEO; 0 = unbounded).
-  /// Leave 0 for tail ops, which block server-side until data arrives.
+  /// Safe for tail ops too: the server answers them at once with
+  /// whatever is sealed, and the client polls again.
   int recvTimeoutMs = 0;
   /// Extra connect+hello attempts after the first failure. Transport
   /// errors (IoError) retry; protocol errors (ServiceError) never do.

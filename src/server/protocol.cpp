@@ -23,52 +23,6 @@ void putOpcode(ByteWriter& w, Opcode op) {
   w.u8(static_cast<std::uint8_t>(op));
 }
 
-void putInterval(ByteWriter& w, const SlogInterval& r) {
-  w.u32(r.stateId);
-  w.u8(r.bebits);
-  w.u8(r.pseudo ? 1 : 0);
-  w.u64(r.start);
-  w.u64(r.dura);
-  w.i32(r.node);
-  w.i32(r.cpu);
-  w.i32(r.thread);
-}
-
-SlogInterval takeInterval(ByteReader& r) {
-  SlogInterval rec;
-  rec.stateId = r.u32();
-  rec.bebits = r.u8();
-  rec.pseudo = r.u8() != 0;
-  rec.start = r.u64();
-  rec.dura = r.u64();
-  rec.node = r.i32();
-  rec.cpu = r.i32();
-  rec.thread = r.i32();
-  return rec;
-}
-
-void putArrow(ByteWriter& w, const SlogArrow& a) {
-  w.i32(a.srcNode);
-  w.i32(a.srcThread);
-  w.u64(a.sendTime);
-  w.i32(a.dstNode);
-  w.i32(a.dstThread);
-  w.u64(a.recvTime);
-  w.u32(a.bytes);
-}
-
-SlogArrow takeArrow(ByteReader& r) {
-  SlogArrow a;
-  a.srcNode = r.i32();
-  a.srcThread = r.i32();
-  a.sendTime = r.u64();
-  a.dstNode = r.i32();
-  a.dstThread = r.i32();
-  a.recvTime = r.u64();
-  a.bytes = r.u32();
-  return a;
-}
-
 /// Span-based so callers serialize straight from a shared frame or a
 /// WindowResult without assembling a temporary SlogFrameData. A row
 /// connection gets the exact v1 layout; a columnar connection gets a
@@ -85,9 +39,9 @@ void putFrameData(ByteWriter& w, std::span<const SlogInterval> intervals,
     return;
   }
   w.u32(static_cast<std::uint32_t>(intervals.size()));
-  for (const SlogInterval& r : intervals) putInterval(w, r);
+  for (const SlogInterval& r : intervals) putRowInterval(w, r);
   w.u32(static_cast<std::uint32_t>(arrows.size()));
-  for (const SlogArrow& a : arrows) putArrow(w, a);
+  for (const SlogArrow& a : arrows) putRowArrow(w, a);
 }
 
 SlogFrameData takeFrameData(ByteReader& r,
@@ -98,15 +52,15 @@ SlogFrameData takeFrameData(ByteReader& r,
     decodeColumnarFrame(r.bytes(blobLen), data, " (wire frame)");
     return data;
   }
-  const std::uint32_t nIntervals = r.u32();
+  const std::uint32_t nIntervals = takeCount(r, kRowIntervalBytes);
   data.intervals.reserve(nIntervals);
   for (std::uint32_t i = 0; i < nIntervals; ++i) {
-    data.intervals.push_back(takeInterval(r));
+    data.intervals.push_back(takeRowInterval(r));
   }
-  const std::uint32_t nArrows = r.u32();
+  const std::uint32_t nArrows = takeCount(r, kRowArrowBytes);
   data.arrows.reserve(nArrows);
   for (std::uint32_t i = 0; i < nArrows; ++i) {
-    data.arrows.push_back(takeArrow(r));
+    data.arrows.push_back(takeRowArrow(r));
   }
   return data;
 }
@@ -298,15 +252,11 @@ TraceInfo decodeInfoReply(std::span<const std::uint8_t> payload) {
 std::vector<SlogStateDef> decodeStatesReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = takeCount(r, kStateDefMinBytes);
   std::vector<SlogStateDef> states;
   states.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    SlogStateDef s;
-    s.id = r.u32();
-    s.rgb = r.u32();
-    s.name = r.lstring();
-    states.push_back(std::move(s));
+    states.push_back(takeStateDef(r));
   }
   return states;
 }
@@ -314,35 +264,19 @@ std::vector<SlogStateDef> decodeStatesReply(
 std::vector<ThreadEntry> decodeThreadsReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = takeCount(r, kThreadEntryBytes);
   std::vector<ThreadEntry> threads;
   threads.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    ThreadEntry t;
-    t.task = r.i32();
-    t.pid = r.i32();
-    t.systemTid = r.i32();
-    t.node = r.i32();
-    t.ltid = r.i32();
-    t.type = static_cast<ThreadType>(r.u8());
-    threads.push_back(t);
+    threads.push_back(takeThreadEntry(r));
   }
   return threads;
 }
 
 SlogPreview decodePreviewReply(std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
-  SlogPreview preview;
-  preview.origin = r.u64();
-  preview.binWidth = r.u64();
-  preview.bins = r.u32();
-  const std::uint32_t stateCount = r.u32();
-  preview.perStateBinTime.reserve(stateCount);
-  for (std::uint32_t s = 0; s < stateCount; ++s) {
-    std::vector<double> row(preview.bins);
-    for (std::uint32_t b = 0; b < preview.bins; ++b) row[b] = r.f64();
-    preview.perStateBinTime.push_back(std::move(row));
-  }
+  SlogPreview preview = takePreviewHead(r);
+  takePreviewRows(r, r.u32(), preview);
   return preview;
 }
 
@@ -363,11 +297,7 @@ FrameReply decodeFrameAtReply(std::span<const std::uint8_t> payload,
   ByteReader r = openReply(payload);
   FrameReply reply;
   reply.frameIdx = r.u32();
-  reply.entry.offset = r.u64();
-  reply.entry.sizeBytes = r.u32();
-  reply.entry.records = r.u32();
-  reply.entry.timeStart = r.u64();
-  reply.entry.timeEnd = r.u64();
+  reply.entry = takeFrameIndexEntry(r);
   reply.data = takeFrameData(r, enc);
   return reply;
 }
@@ -375,7 +305,7 @@ FrameReply decodeFrameAtReply(std::span<const std::uint8_t> payload,
 std::vector<SummaryEntry> decodeSummaryReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = takeCount(r, 12);  // u32 state id, f64 ns
   std::vector<SummaryEntry> entries;
   entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -417,15 +347,13 @@ TailFramesReply decodeTailFramesReply(std::span<const std::uint8_t> payload,
   reply.nextCursor = r.u64();
   reply.finished = r.u8() != 0;
   reply.watermark = r.u64();
-  const std::uint32_t count = r.u32();
+  // Each frame takes its index entry and at least a u32 length or
+  // two u32 counts.
+  const std::uint32_t count = takeCount(r, kSlogIndexEntryBytesV1 + 4);
   reply.frames.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     TailFrame f;
-    f.entry.offset = r.u64();
-    f.entry.sizeBytes = r.u32();
-    f.entry.records = r.u32();
-    f.entry.timeStart = r.u64();
-    f.entry.timeEnd = r.u64();
+    f.entry = takeFrameIndexEntry(r);
     f.data = takeFrameData(r, enc);
     reply.frames.push_back(std::move(f));
   }
@@ -486,7 +414,7 @@ ByteWriter encodeListTracesReply(const std::vector<FedTraceEntry>& entries) {
 std::vector<FedTraceEntry> decodeListTracesReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = takeCount(r, 37);  // fixed fields, two lstrings
   std::vector<FedTraceEntry> entries;
   entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -524,7 +452,7 @@ ByteWriter encodeAggregateReply(const AggregateReply& reply) {
 AggregateReply decodeAggregateReply(std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
   AggregateReply reply;
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = takeCount(r, 32);  // fixed fields, two lstrings
   reply.runs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     AggregateRun run;
@@ -555,7 +483,7 @@ ByteWriter encodeCompareReply(const CompareReply& reply) {
 CompareReply decodeCompareReply(std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
   CompareReply reply;
-  reply.bins = r.u32();
+  reply.bins = takeCount(r, 16);  // two f64 per bin
   reply.maxAbsCommDelta = r.f64();
   reply.maxAbsImbalanceDelta = r.f64();
   reply.commDelta.reserve(reply.bins);
@@ -681,11 +609,7 @@ RequestOutcome dispatch(TraceService& service,
                                   : service.trace(traceId).states();
       ByteWriter w = okHeader();
       w.u32(static_cast<std::uint32_t>(states.size()));
-      for (const SlogStateDef& s : states) {
-        w.u32(s.id);
-        w.u32(s.rgb);
-        w.lstring(s.name);
-      }
+      for (const SlogStateDef& s : states) putStateDef(w, s);
       outcome.response = w.take();
       return outcome;
     }
@@ -699,14 +623,7 @@ RequestOutcome dispatch(TraceService& service,
                                   : service.trace(traceId).threads();
       ByteWriter w = okHeader();
       w.u32(static_cast<std::uint32_t>(threads.size()));
-      for (const ThreadEntry& t : threads) {
-        w.i32(t.task);
-        w.i32(t.pid);
-        w.i32(t.systemTid);
-        w.i32(t.node);
-        w.i32(t.ltid);
-        w.u8(static_cast<std::uint8_t>(t.type));
-      }
+      for (const ThreadEntry& t : threads) putThreadEntry(w, t);
       outcome.response = w.take();
       return outcome;
     }
@@ -714,13 +631,9 @@ RequestOutcome dispatch(TraceService& service,
       const SlogReader& reader = service.trace(r.u32());
       const SlogPreview& p = reader.preview();
       ByteWriter w = okHeader();
-      w.u64(p.origin);
-      w.u64(p.binWidth);
-      w.u32(p.bins);
+      putPreviewHead(w, p);
       w.u32(static_cast<std::uint32_t>(p.perStateBinTime.size()));
-      for (const std::vector<double>& row : p.perStateBinTime) {
-        for (double v : row) w.f64(v);
-      }
+      putPreviewRows(w, p);
       outcome.response = w.take();
       return outcome;
     }
@@ -735,7 +648,7 @@ RequestOutcome dispatch(TraceService& service,
       const bool hasThread = r.u8() != 0;
       const LogicalThreadId thread = r.i32();
       if (hasThread) query.thread = thread;
-      const std::uint32_t nStates = r.u32();
+      const std::uint32_t nStates = takeCount(r, 4);
       query.states.reserve(nStates);
       for (std::uint32_t i = 0; i < nStates; ++i) {
         query.states.push_back(r.u32());
@@ -754,11 +667,7 @@ RequestOutcome dispatch(TraceService& service,
       const FrameAtResult result = service.frameAt(traceId, t);
       ByteWriter w = okHeader();
       w.u32(static_cast<std::uint32_t>(result.frameIdx));
-      w.u64(result.entry.offset);
-      w.u32(result.entry.sizeBytes);
-      w.u32(result.entry.records);
-      w.u64(result.entry.timeStart);
-      w.u64(result.entry.timeEnd);
+      putFrameIndexEntry(w, result.entry);
       putFrameData(w, result.frame->intervals, result.frame->arrows,
                    ctx.frameEncoding);
       outcome.response = w.take();
@@ -817,11 +726,7 @@ RequestOutcome dispatch(TraceService& service,
       w.u64(tail.watermark);
       w.u32(static_cast<std::uint32_t>(tail.frames.size()));
       for (const auto& [entry, data] : tail.frames) {
-        w.u64(entry.offset);
-        w.u32(entry.sizeBytes);
-        w.u32(entry.records);
-        w.u64(entry.timeStart);
-        w.u64(entry.timeEnd);
+        putFrameIndexEntry(w, entry);
         putFrameData(w, data->intervals, data->arrows, ctx.frameEncoding);
       }
       if (w.size() > kMaxMessageBytes) {

@@ -6,11 +6,14 @@
 // success followed by the op-specific body, nonzero for an error frame
 // (the status byte is the ErrorCode, followed by a human-readable
 // lstring). The same encode/decode functions back the TCP client, the
-// server dispatch loop, and the byte-identity assertions in the tests —
-// there is exactly one serialization of every message.
+// server dispatch loop, and the byte-identity assertions in the tests.
+// A layout the protocol shares with the files is written and read by
+// that layout's one codec: thread entries by putThreadEntry/
+// takeThreadEntry (interval/file_writer.h); row records, frame index
+// entries, state table entries and the preview body by slog_codec.h.
 //
 // docs/SERVER.md is the normative description of this protocol; keep the
-// two in sync (protocol_test.cpp pins the layouts).
+// two in sync (tests/layout/layout_digest_test.cpp pins the bytes).
 #pragma once
 
 #include <cstdint>

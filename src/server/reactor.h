@@ -62,7 +62,8 @@ namespace ute {
 struct ReactorOptions {
   /// Close a connection with no in-flight request and no traffic for
   /// this long (0 = never). Connections whose request is being serviced
-  /// are exempt — tail ops legitimately block server-side for minutes.
+  /// are exempt: the ingest server withholds a records ack while the
+  /// merge drains, and that wait is not idleness.
   int idleTimeoutMs = 0;
   /// A partial frame (or a stalled non-empty outbox) must progress
   /// within this bound (0 = never). The slowloris clock: it starts at

@@ -494,48 +494,120 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
   }
 }
 
-void encodeRowInterval(std::vector<std::uint8_t>& out,
-                       const SlogInterval& r) {
-  const auto le32 = [&out](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  const auto le64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  out.push_back(0);  // kind: interval
-  le32(r.stateId);
-  out.push_back(r.bebits);
-  out.push_back(r.pseudo ? 1 : 0);
-  le64(r.start);
-  le64(r.dura);
-  le32(static_cast<std::uint32_t>(r.node));
-  le32(static_cast<std::uint32_t>(r.cpu));
-  le32(static_cast<std::uint32_t>(r.thread));
+void putRowInterval(ByteWriter& w, const SlogInterval& r) {
+  w.u32(r.stateId);
+  w.u8(r.bebits);
+  w.u8(r.pseudo ? 1 : 0);
+  w.u64(r.start);
+  w.u64(r.dura);
+  w.i32(r.node);
+  w.i32(r.cpu);
+  w.i32(r.thread);
 }
 
-void encodeRowArrow(std::vector<std::uint8_t>& out, const SlogArrow& a) {
-  const auto le32 = [&out](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  const auto le64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  out.push_back(1);  // kind: arrow
-  le32(static_cast<std::uint32_t>(a.srcNode));
-  le32(static_cast<std::uint32_t>(a.srcThread));
-  le64(a.sendTime);
-  le32(static_cast<std::uint32_t>(a.dstNode));
-  le32(static_cast<std::uint32_t>(a.dstThread));
-  le64(a.recvTime);
-  le32(a.bytes);
+SlogInterval takeRowInterval(ByteReader& r) {
+  SlogInterval rec;
+  rec.stateId = r.u32();
+  rec.bebits = r.u8();
+  rec.pseudo = r.u8() != 0;
+  rec.start = r.u64();
+  rec.dura = r.u64();
+  rec.node = r.i32();
+  rec.cpu = r.i32();
+  rec.thread = r.i32();
+  return rec;
+}
+
+void putRowArrow(ByteWriter& w, const SlogArrow& a) {
+  w.i32(a.srcNode);
+  w.i32(a.srcThread);
+  w.u64(a.sendTime);
+  w.i32(a.dstNode);
+  w.i32(a.dstThread);
+  w.u64(a.recvTime);
+  w.u32(a.bytes);
+}
+
+SlogArrow takeRowArrow(ByteReader& r) {
+  SlogArrow a;
+  a.srcNode = r.i32();
+  a.srcThread = r.i32();
+  a.sendTime = r.u64();
+  a.dstNode = r.i32();
+  a.dstThread = r.i32();
+  a.recvTime = r.u64();
+  a.bytes = r.u32();
+  return a;
+}
+
+void putFrameIndexEntry(ByteWriter& w, const SlogFrameIndexEntry& e) {
+  w.u64(e.offset);
+  w.u32(e.sizeBytes);
+  w.u32(e.records);
+  w.u64(e.timeStart);
+  w.u64(e.timeEnd);
+}
+
+SlogFrameIndexEntry takeFrameIndexEntry(ByteReader& r) {
+  SlogFrameIndexEntry e;
+  e.offset = r.u64();
+  e.sizeBytes = r.u32();
+  e.records = r.u32();
+  e.timeStart = r.u64();
+  e.timeEnd = r.u64();
+  return e;
+}
+
+void putStateDef(ByteWriter& w, const SlogStateDef& s) {
+  w.u32(s.id);
+  w.u32(s.rgb);
+  w.lstring(s.name);
+}
+
+SlogStateDef takeStateDef(ByteReader& r) {
+  SlogStateDef s;
+  s.id = r.u32();
+  s.rgb = r.u32();
+  s.name = r.lstring();
+  return s;
+}
+
+void putPreviewHead(ByteWriter& w, const SlogPreview& p) {
+  w.u64(p.origin);
+  w.u64(p.binWidth);
+  w.u32(p.bins);
+}
+
+void putPreviewRows(ByteWriter& w, const SlogPreview& p) {
+  for (const std::vector<double>& row : p.perStateBinTime) {
+    for (double v : row) w.f64(v);
+  }
+}
+
+SlogPreview takePreviewHead(ByteReader& r) {
+  SlogPreview p;
+  p.origin = r.u64();
+  p.binWidth = r.u64();
+  p.bins = r.u32();
+  return p;
+}
+
+void takePreviewRows(ByteReader& r, std::uint32_t stateCount,
+                     SlogPreview& p) {
+  // Every writer keeps at least one bin, so each row takes 8+ bytes.
+  if (stateCount > 0 &&
+      (p.bins == 0 || p.bins > r.remaining() / sizeof(double) / stateCount)) {
+    throw FormatError("preview of " + std::to_string(stateCount) +
+                      " states x " + std::to_string(p.bins) +
+                      " bins does not fit in the " +
+                      std::to_string(r.remaining()) + " bytes left");
+  }
+  p.perStateBinTime.reserve(stateCount);
+  for (std::uint32_t s = 0; s < stateCount; ++s) {
+    std::vector<double> row(p.bins);
+    for (double& v : row) v = r.f64();
+    p.perStateBinTime.push_back(std::move(row));
+  }
 }
 
 }  // namespace ute

@@ -1,6 +1,12 @@
-// SLOG frame codec: the row (v1) and columnar-compressed (v2) frame
-// payload encodings, shared by the file writer/reader and the server
-// wire protocol so there is exactly one implementation of each layout.
+// SLOG layout codecs: every SLOG layout that more than one module moves
+// has exactly one writer and one reader here, called by the file writer
+// and reader and by the query protocol alike (docs/FORMAT.md names each
+// layout's code).
+//
+//  - frame payloads: the row (v1) and columnar-compressed (v2) frame
+//    encodings;
+//  - the fixed-width row records, frame index entries, state table
+//    entries and the preview body.
 //
 // v2 groups a frame's records field-by-field (column-major), encodes
 // every column as LEB128 varints — timestamp columns as a running delta
@@ -22,6 +28,7 @@
 #include <vector>
 
 #include "slog/slog_format.h"
+#include "support/bytes.h"
 
 namespace ute {
 
@@ -71,10 +78,38 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
                          SlogFrameData& out,
                          const std::string& context = std::string());
 
-/// Row (v1) record payloads: the exact layout SLOG v1 frames and the v1
-/// wire protocol use. Kept here so the writer, reader and protocol share
-/// one implementation.
-void encodeRowInterval(std::vector<std::uint8_t>& out, const SlogInterval& r);
-void encodeRowArrow(std::vector<std::uint8_t>& out, const SlogArrow& a);
+// --- fixed-width layouts --------------------------------------------------
+
+/// Row (v1) records. A SLOG v1 frame puts a kind byte (0 interval,
+/// 1 arrow) before each record; a row-encoded wire frame sends the
+/// intervals and the arrows as two u32-counted lists with no kind byte.
+inline constexpr std::size_t kRowIntervalBytes = 34;
+inline constexpr std::size_t kRowArrowBytes = 36;
+void putRowInterval(ByteWriter& w, const SlogInterval& r);
+SlogInterval takeRowInterval(ByteReader& r);
+void putRowArrow(ByteWriter& w, const SlogArrow& a);
+SlogArrow takeRowArrow(ByteReader& r);
+
+/// A frame index entry's 32-byte v1 layout: offset, payload size, record
+/// count, start and end time. A v2 file appends the u32 encoding tag,
+/// which its writer and reader handle; the wire replies carry only these
+/// 32 bytes. takeFrameIndexEntry leaves `encoding` at 0 (row).
+void putFrameIndexEntry(ByteWriter& w, const SlogFrameIndexEntry& e);
+SlogFrameIndexEntry takeFrameIndexEntry(ByteReader& r);
+
+/// A state table entry: id, rgb, then the name as an lstring.
+inline constexpr std::size_t kStateDefMinBytes = 10;
+void putStateDef(ByteWriter& w, const SlogStateDef& s);
+SlogStateDef takeStateDef(ByteReader& r);
+
+/// The preview body: a head (origin, bin width, bin count) and one row
+/// of `bins` f64 per state. A file takes the state count from its
+/// header; the wire reply writes it as a u32 between head and rows.
+void putPreviewHead(ByteWriter& w, const SlogPreview& p);
+void putPreviewRows(ByteWriter& w, const SlogPreview& p);
+SlogPreview takePreviewHead(ByteReader& r);
+/// Reads `stateCount` rows into `p`. Throws FormatError, before it
+/// allocates, when the rows cannot fit in the bytes left.
+void takePreviewRows(ByteReader& r, std::uint32_t stateCount, SlogPreview& p);
 
 }  // namespace ute

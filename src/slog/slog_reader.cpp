@@ -66,6 +66,13 @@ SlogReader::SlogReader(const std::string& path, ByteSource::Mode mode)
   }
   requireWithin(stateOffset, previewOffset - stateOffset, fileSize, path,
                 "state table");
+  if (std::uint64_t{stateCount} * kStateDefMinBytes >
+      previewOffset - stateOffset) {
+    throw CorruptFileError("corrupt SLOG file: " +
+                           std::to_string(stateCount) +
+                           " states do not fit in the state table" +
+                           ioContext(path, stateOffset));
+  }
   requireWithin(previewOffset, 0, fileSize, path, "preview");
 
   const FrameBuf tableBytes =
@@ -73,14 +80,7 @@ SlogReader::SlogReader(const std::string& path, ByteSource::Mode mode)
   ByteReader tr = tableBytes.reader();
   threads_.reserve(threadCount);
   for (std::uint32_t i = 0; i < threadCount; ++i) {
-    ThreadEntry t;
-    t.task = tr.i32();
-    t.pid = tr.i32();
-    t.systemTid = tr.i32();
-    t.node = tr.i32();
-    t.ltid = tr.i32();
-    t.type = static_cast<ThreadType>(tr.u8());
-    threads_.push_back(t);
+    threads_.push_back(takeThreadEntry(tr));
   }
 
   const FrameBuf indexBytes =
@@ -88,14 +88,9 @@ SlogReader::SlogReader(const std::string& path, ByteSource::Mode mode)
   ByteReader ir = indexBytes.reader();
   index_.reserve(frameCount);
   for (std::uint32_t i = 0; i < frameCount; ++i) {
-    SlogFrameIndexEntry e;
-    e.offset = ir.u64();
-    e.sizeBytes = ir.u32();
-    e.records = ir.u32();
-    e.timeStart = ir.u64();
-    e.timeEnd = ir.u64();
+    SlogFrameIndexEntry e = takeFrameIndexEntry(ir);
     // v1 entries carry no tag: every v1 frame is row-encoded.
-    e.encoding = formatVersion_ >= 2 ? ir.u32() : 0;
+    if (formatVersion_ >= 2) e.encoding = ir.u32();
     requireWithin(e.offset, e.sizeBytes, fileSize, path,
                   ("frame " + std::to_string(i) + " extent").c_str());
     if (e.offset < kSlogHeaderBytes || e.timeEnd < e.timeStart ||
@@ -113,25 +108,14 @@ SlogReader::SlogReader(const std::string& path, ByteSource::Mode mode)
   ByteReader sr = stateBytes.reader();
   states_.reserve(stateCount);
   for (std::uint32_t i = 0; i < stateCount; ++i) {
-    SlogStateDef s;
-    s.id = sr.u32();
-    s.rgb = sr.u32();
-    s.name = sr.lstring();
-    states_.push_back(std::move(s));
+    states_.push_back(takeStateDef(sr));
   }
 
   const FrameBuf previewBytes = source_.fetch(
       previewOffset, static_cast<std::size_t>(fileSize - previewOffset));
   ByteReader pr = previewBytes.reader();
-  preview_.origin = pr.u64();
-  preview_.binWidth = pr.u64();
-  preview_.bins = pr.u32();
-  preview_.perStateBinTime.reserve(stateCount);
-  for (std::uint32_t s = 0; s < stateCount; ++s) {
-    std::vector<double> row(preview_.bins);
-    for (std::uint32_t b = 0; b < preview_.bins; ++b) row[b] = pr.f64();
-    preview_.perStateBinTime.push_back(std::move(row));
-  }
+  preview_ = takePreviewHead(pr);
+  takePreviewRows(pr, stateCount, preview_);
 }
 
 std::string SlogReader::stateName(std::uint32_t stateId) const {
@@ -193,26 +177,9 @@ SlogFramePtr SlogReader::readFrame(std::size_t frameIdx) const {
   for (std::uint32_t i = 0; i < entry.records; ++i) {
     const std::uint8_t kind = r.u8();
     if (kind == 0) {
-      SlogInterval rec;
-      rec.stateId = r.u32();
-      rec.bebits = r.u8();
-      rec.pseudo = r.u8() != 0;
-      rec.start = r.u64();
-      rec.dura = r.u64();
-      rec.node = r.i32();
-      rec.cpu = r.i32();
-      rec.thread = r.i32();
-      data->intervals.push_back(rec);
+      data->intervals.push_back(takeRowInterval(r));
     } else if (kind == 1) {
-      SlogArrow a;
-      a.srcNode = r.i32();
-      a.srcThread = r.i32();
-      a.sendTime = r.u64();
-      a.dstNode = r.i32();
-      a.dstThread = r.i32();
-      a.recvTime = r.u64();
-      a.bytes = r.u32();
-      data->arrows.push_back(a);
+      data->arrows.push_back(takeRowArrow(r));
     } else {
       throw FormatError("unknown SLOG record kind " + std::to_string(kind) +
                         ioContext(path(), entry.offset + r.pos() - 1));

@@ -68,14 +68,7 @@ SlogWriter::SlogWriter(const std::string& path, const SlogOptions& options,
   file_.write(header);
 
   ByteWriter table;
-  for (const ThreadEntry& t : threads_) {
-    table.i32(t.task);
-    table.i32(t.pid);
-    table.i32(t.systemTid);
-    table.i32(t.node);
-    table.i32(t.ltid);
-    table.u8(static_cast<std::uint8_t>(t.type));
-  }
+  for (const ThreadEntry& t : threads_) putThreadEntry(table, t);
   file_.write(table);
 }
 
@@ -187,7 +180,10 @@ void SlogWriter::appendInterval(const RecordView& record,
       record.start, record.dura, record.node, record.cpu, record.thread};
   const bool columnar = options_.formatVersion >= 2;
   if (columnar || sealHook_) frameData_.intervals.push_back(interval);
-  if (!columnar) encodeRowInterval(frameBytes_, interval);
+  if (!columnar) {
+    frameBytes_.u8(0);  // kind: interval
+    putRowInterval(frameBytes_, interval);
+  }
   ++frameRecords_;
   ++intervalsWritten_;
 }
@@ -195,7 +191,10 @@ void SlogWriter::appendInterval(const RecordView& record,
 void SlogWriter::appendArrow(const SlogArrow& arrow) {
   const bool columnar = options_.formatVersion >= 2;
   if (columnar || sealHook_) frameData_.arrows.push_back(arrow);
-  if (!columnar) encodeRowArrow(frameBytes_, arrow);
+  if (!columnar) {
+    frameBytes_.u8(1);  // kind: arrow
+    putRowArrow(frameBytes_, arrow);
+  }
   ++frameRecords_;
   ++arrowsWritten_;
 }
@@ -208,7 +207,7 @@ void SlogWriter::finalizeFrame() {
     // one pass at seal time (column grouping needs every record).
     frameBytes_.clear();
     encodeColumnarFrame(frameData_.intervals, frameData_.arrows,
-                        frameBytes_);
+                        frameBytes_.buffer());
   }
   SlogFrameIndexEntry entry;
   entry.offset = file_.tell();
@@ -239,11 +238,7 @@ void SlogWriter::close() {
   const std::uint64_t indexOffset = file_.tell();
   ByteWriter indexBytes;
   for (const SlogFrameIndexEntry& e : index_) {
-    indexBytes.u64(e.offset);
-    indexBytes.u32(e.sizeBytes);
-    indexBytes.u32(e.records);
-    indexBytes.u64(e.timeStart);
-    indexBytes.u64(e.timeEnd);
+    putFrameIndexEntry(indexBytes, e);
     // v2 entries append the per-frame encoding tag after the v1 prefix.
     if (options_.formatVersion >= 2) indexBytes.u32(e.encoding);
   }
@@ -251,11 +246,7 @@ void SlogWriter::close() {
 
   const std::uint64_t stateOffset = file_.tell();
   ByteWriter stateBytes;
-  for (const SlogStateDef& s : states_) {
-    stateBytes.u32(s.id);
-    stateBytes.u32(s.rgb);
-    stateBytes.lstring(s.name);
-  }
+  for (const SlogStateDef& s : states_) putStateDef(stateBytes, s);
   file_.write(stateBytes);
 
   const std::uint64_t previewOffset = file_.tell();
@@ -264,12 +255,8 @@ void SlogWriter::close() {
   for (const SlogStateDef& s : states_) order.push_back(s.id);
   const SlogPreview preview = preview_.snapshot(order);
   ByteWriter previewBytes;
-  previewBytes.u64(preview.origin);
-  previewBytes.u64(preview.binWidth);
-  previewBytes.u32(preview.bins);
-  for (const auto& row : preview.perStateBinTime) {
-    for (double v : row) previewBytes.f64(v);
-  }
+  putPreviewHead(previewBytes, preview);
+  putPreviewRows(previewBytes, preview);
   file_.write(previewBytes);
 
   ByteWriter patch1;

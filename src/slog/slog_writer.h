@@ -99,7 +99,7 @@ class SlogWriter {
 
   PreviewAccumulator preview_;
 
-  std::vector<std::uint8_t> frameBytes_;
+  ByteWriter frameBytes_;
   /// Decoded frame contents. v2 encodes the whole frame column-major at
   /// seal time, so it always accumulates records here; v1 encodes rows
   /// incrementally into frameBytes_ and fills this only for a seal hook.

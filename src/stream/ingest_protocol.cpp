@@ -1,7 +1,5 @@
 #include "stream/ingest_protocol.h"
 
-#include <algorithm>
-
 #include "support/errors.h"
 
 namespace ute {
@@ -58,22 +56,14 @@ ByteWriter encodeIngestThreads(const std::vector<ThreadEntry>& threads) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(IngestOp::kThreads));
   w.u32(static_cast<std::uint32_t>(threads.size()));
-  for (const ThreadEntry& t : threads) {
-    w.i32(t.task);
-    w.i32(t.pid);
-    w.i32(t.systemTid);
-    w.i32(t.node);
-    w.i32(t.ltid);
-    w.u8(static_cast<std::uint8_t>(t.type));
-  }
+  for (const ThreadEntry& t : threads) putThreadEntry(w, t);
   return w;
 }
 
 ByteWriter encodeIngestMarker(std::uint32_t id, const std::string& name) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(IngestOp::kMarker));
-  w.u32(id);
-  w.lstring(name);
+  putMarker(w, id, name);
   return w;
 }
 
@@ -143,18 +133,11 @@ std::vector<ThreadEntry> decodeIngestThreads(
   return decodeGuard("thread table", [&] {
     ByteReader r(payload);
     expectOp(r, IngestOp::kThreads, "thread table");
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = takeCount(r, kThreadEntryBytes);
     std::vector<ThreadEntry> threads;
     threads.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      ThreadEntry t;
-      t.task = r.i32();
-      t.pid = r.i32();
-      t.systemTid = r.i32();
-      t.node = r.i32();
-      t.ltid = r.i32();
-      t.type = static_cast<ThreadType>(r.u8());
-      threads.push_back(t);
+      threads.push_back(takeThreadEntry(r));
     }
     return threads;
   });
@@ -165,8 +148,7 @@ std::pair<std::uint32_t, std::string> decodeIngestMarker(
   return decodeGuard("marker", [&] {
     ByteReader r(payload);
     expectOp(r, IngestOp::kMarker, "marker");
-    const std::uint32_t id = r.u32();
-    return std::make_pair(id, r.lstring());
+    return takeMarker(r);
   });
 }
 
@@ -177,7 +159,7 @@ IngestClockPairs decodeIngestClockPairs(
     expectOp(r, IngestOp::kClockPairs, "clock pairs");
     IngestClockPairs out;
     out.final = r.u8() != 0;
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = takeCount(r, 16);  // two u64 per pair
     out.pairs.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       TimestampPair p;
@@ -194,11 +176,10 @@ std::vector<std::span<const std::uint8_t>> decodeIngestRecords(
   return decodeGuard("record batch", [&] {
     ByteReader r(payload);
     expectOp(r, IngestOp::kRecords, "record batch");
-    const std::uint32_t count = r.u32();
+    // Each record carries at least its u32 length.
+    const std::uint32_t count = takeCount(r, 4);
     std::vector<std::span<const std::uint8_t>> bodies;
-    // Each record carries at least its u32 length, so a forged count
-    // cannot reserve more than the payload could hold.
-    bodies.reserve(std::min<std::size_t>(count, r.remaining() / 4));
+    bodies.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t len = r.u32();
       if (len > r.remaining()) {

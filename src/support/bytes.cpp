@@ -43,6 +43,19 @@ std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
   return out;
 }
 
+std::uint32_t takeCount(ByteReader& r, std::size_t minBytesPerElement) {
+  const std::size_t at = r.pos();
+  const std::uint32_t count = r.u32();
+  if (count > r.remaining() / minBytesPerElement) {
+    throw FormatError("count " + std::to_string(count) + " at offset " +
+                      std::to_string(at) + " needs at least " +
+                      std::to_string(minBytesPerElement) +
+                      " bytes per element; " +
+                      std::to_string(r.remaining()) + " bytes are left");
+  }
+  return count;
+}
+
 void ByteReader::skip(std::size_t n) {
   require(n);
   pos_ += n;

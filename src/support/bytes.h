@@ -133,4 +133,10 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// Reads a u32 element count and checks it against the bytes left
+/// before anyone allocates for it: each element takes at least
+/// `minBytesPerElement` (>= 1) bytes, so a count the input cannot hold
+/// throws FormatError instead of reserving memory for a forged length.
+std::uint32_t takeCount(ByteReader& r, std::size_t minBytesPerElement);
+
 }  // namespace ute

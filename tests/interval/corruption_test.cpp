@@ -73,6 +73,16 @@ bool readIntervalFileSafely(const std::string& path) {
   }
 }
 
+TEST(IntervalCorruption, UnknownThreadTypeRejectedAtOpen) {
+  // The thread table follows the 72-byte header; an entry's type byte is
+  // its 21st. Only kMpi, kUser and kSystem exist.
+  auto bytes = readWholeFile(makeIntervalFile("corrupt_type.uti"));
+  bytes.at(kIntervalHeaderBytes + kThreadEntryBytes - 1) = 7;
+  const std::string path = tempPath("corrupt_type_bad.uti");
+  writeWholeFile(path, bytes);
+  EXPECT_THROW(IntervalFileReader reader(path), FormatError);
+}
+
 class IntervalCorruptionTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 

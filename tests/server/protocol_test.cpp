@@ -324,6 +324,25 @@ TEST_F(ProtocolTest, MalformedBytesAreBadRequests) {
   }
 }
 
+TEST_F(ProtocolTest, ForgedStateFilterCountIsABadRequest) {
+  // op, trace id, t0, t1, node flag + id, thread flag + id: the state
+  // count sits at byte 31. A count the request cannot hold is refused
+  // before the server reserves room for it.
+  WindowQuery query;
+  query.t1 = 10 * kMs;
+  query.states = {static_cast<std::uint32_t>(kRunningState)};
+  const ByteWriter request = encodeWindowRequest(0, query);
+  std::vector<std::uint8_t> bytes(request.view().begin(),
+                                  request.view().end());
+  for (std::size_t i = 31; i < 35; ++i) bytes.at(i) = 0xff;
+  try {
+    decodeWindowReply(processRequest(*service_, bytes).response);
+    FAIL() << "a forged state count was accepted";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << e.what();
+  }
+}
+
 TEST_F(ProtocolTest, ShutdownOpcodeSignalsOutcome) {
   const RequestOutcome outcome =
       processRequest(*service_, encodeShutdownRequest().view());

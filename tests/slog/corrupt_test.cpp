@@ -174,6 +174,33 @@ TEST(SlogCorruption, StateTableAfterPreviewRejected) {
   }
 }
 
+TEST(SlogCorruption, OversizedPreviewRejectedAtOpen) {
+  // The preview head is origin and bin width (u64) then the bin count
+  // (u32). One flipped high byte of the count asks for rows of ~4G bins;
+  // the reader must refuse before it allocates one.
+  const std::string path = writeValidSlog("corrupt_preview.slog");
+  std::vector<std::uint8_t> bytes = slurp(path);
+  const std::size_t previewOffset =
+      static_cast<std::size_t>(u64At(bytes, kStateOffsetPos + 8));
+  bytes.at(previewOffset + 16 + 3) ^= 0xff;
+  const std::string bad = tempPath("corrupt_preview_bad.slog");
+  writeWholeFile(bad, bytes);
+  for (const ByteSource::Mode mode : kModes) {
+    EXPECT_THROW(SlogReader reader(bad, mode), FormatError);
+  }
+}
+
+TEST(SlogCorruption, StateCountBeyondStateTableRejectedAtOpen) {
+  const std::string path = writeValidSlog("corrupt_states.slog");
+  std::vector<std::uint8_t> bytes = slurp(path);
+  putU32At(bytes, 8, 0xffffffff);  // header: state count
+  const std::string bad = tempPath("corrupt_states_bad.slog");
+  writeWholeFile(bad, bytes);
+  for (const ByteSource::Mode mode : kModes) {
+    EXPECT_THROW(SlogReader reader(bad, mode), CorruptFileError);
+  }
+}
+
 // The default writer output is v2 (columnar frames, 36-byte index
 // entries), so every sweep above already fuzzes the v2 read path. The
 // cases below poke the v2-only structures directly.

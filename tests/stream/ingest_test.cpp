@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -225,6 +226,43 @@ TEST(IngestProtocol, TruncatedAndCorruptedPayloadsThrowNeverCrash) {
   }
 }
 
+/// A wire message with a u32 0xFFFFFFFF written at `at`.
+std::vector<std::uint8_t> withMaxCount(const ByteWriter& w, std::size_t at) {
+  std::vector<std::uint8_t> bytes(w.view().begin(), w.view().end());
+  for (std::size_t i = 0; i < 4; ++i) bytes.at(at + i) = 0xff;
+  return bytes;
+}
+
+void expectBadRequest(const std::function<void()>& decode) {
+  try {
+    decode();
+    FAIL() << "a forged count was accepted";
+  } catch (const IngestError& e) {
+    EXPECT_EQ(e.status(), IngestStatus::kBadRequest) << e.what();
+  }
+}
+
+TEST(IngestProtocol, ForgedThreadCountIsABadRequestBeforeAllocating) {
+  const auto bytes = withMaxCount(
+      encodeIngestThreads({{0, 1000, 10000, 0, 0, ThreadType::kMpi}}), 1);
+  expectBadRequest([&] { decodeIngestThreads(bytes); });
+}
+
+TEST(IngestProtocol, ForgedClockPairCountIsABadRequestBeforeAllocating) {
+  const std::vector<TimestampPair> pairs(2);
+  const auto bytes = withMaxCount(encodeIngestClockPairs(pairs, false), 2);
+  expectBadRequest([&] { decodeIngestClockPairs(bytes); });
+}
+
+TEST(IngestProtocol, UnknownThreadTypeIsABadRequest) {
+  auto w = encodeIngestThreads({{0, 1000, 10000, 0, 0, ThreadType::kMpi}});
+  std::vector<std::uint8_t> bytes(w.view().begin(), w.view().end());
+  for (const std::uint8_t type : {3, 31, 32, 200, 255}) {
+    bytes.back() = type;
+    expectBadRequest([&] { decodeIngestThreads(bytes); });
+  }
+}
+
 // --- server -----------------------------------------------------------------
 
 TEST(IngestServer, StreamedSessionsMatchBatchMergeByteForByte) {
@@ -315,6 +353,34 @@ TEST(IngestServer, DuplicateNodeClaimRefused) {
   } catch (const IngestError& e) {
     EXPECT_EQ(e.status(), IngestStatus::kBadRequest);
   }
+  server.stop();
+}
+
+TEST(IngestServer, UnknownThreadTypeGetsBadRequest) {
+  // A type byte of 200 would be a shift past the width of the merge's
+  // thread-type mask; the session must refuse it before the merge sees it.
+  const Profile profile = makeStandardProfile();
+  IngestServerOptions options;
+  options.expectedNodes = {0};
+  options.outPath = tempPath("ingest_badtype.uti");
+  IngestServer server(profile, options);
+  TcpSocket socket = TcpSocket::connectTo("127.0.0.1", server.port());
+  sendMessage(socket, encodeIngestHello(0).view());
+  const auto helloReply = recvMessage(socket);
+  ASSERT_TRUE(helloReply.has_value());
+  ASSERT_EQ(decodeIngestReply(*helloReply), IngestStatus::kOk);
+
+  auto threads =
+      encodeIngestThreads({{0, 1000, 10000, 0, 0, ThreadType::kMpi}});
+  std::vector<std::uint8_t> bytes(threads.view().begin(),
+                                  threads.view().end());
+  bytes.back() = 200;
+  sendMessage(socket, bytes);
+  const auto reply = recvMessage(socket);
+  ASSERT_TRUE(reply.has_value()) << "EOF instead of a structured reply";
+  std::string message;
+  EXPECT_EQ(decodeIngestReply(*reply, &message), IngestStatus::kBadRequest);
+  EXPECT_NE(message.find("thread type"), std::string::npos) << message;
   server.stop();
 }
 

@@ -65,7 +65,7 @@ std::string blockingSinkDesc(const BodyEvent& ev) {
       {"ThreadPool", "submit"},   {"ThreadPool", "wait"},
       {"ThreadPool", "parallelFor"}, {"ThreadPool", "shutdown"},
       {"TcpSocket", "connectTo"}, {"TcpSocket", "sendAll"},
-      {"TcpSocket", "recvAll"},   {"TcpListener", "accept"},
+      {"TcpSocket", "recvAll"},
   };
   // Any method of these classes does file I/O.
   static const std::set<std::string> kIoClasses = {

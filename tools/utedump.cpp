@@ -170,13 +170,8 @@ int main(int argc, char** argv) {
     if (const auto raw = cli.value("raw")) {
       dumpRaw(*raw, limit);
     } else if (const auto interval = cli.value("interval")) {
-      Profile profile;
-      try {
-        profile = Profile::readFile(
-            cli.valueOr("profile", std::string(kStandardProfileFileName)));
-      } catch (const IoError&) {
-        profile = makeStandardProfile();
-      }
+      const Profile profile = loadProfileOrStandard(
+          cli.valueOr("profile", std::string(kStandardProfileFileName)));
       dumpInterval(*interval, profile, limit);
     } else if (const auto slogPath = cli.value("slog")) {
       if (cli.hasFlag("frame-stats")) {

@@ -32,15 +32,8 @@ int main(int argc, char** argv) {
     }
     const std::string out = cli.valueOr("out", std::string("merged.uti"));
     const std::string slogPath = cli.valueOr("slog", std::string());
-    const std::string profilePath =
-        cli.valueOr("profile", std::string(kStandardProfileFileName));
-
-    Profile profile;
-    try {
-      profile = Profile::readFile(profilePath);
-    } catch (const IoError&) {
-      profile = makeStandardProfile();  // fall back to the built-in
-    }
+    const Profile profile = loadProfileOrStandard(
+        cli.valueOr("profile", std::string(kStandardProfileFileName)));
 
     MergeOptions options;
     SlogOptions slogOptions;

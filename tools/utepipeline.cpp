@@ -35,13 +35,8 @@ int main(int argc, char** argv) {
     const std::string prefix = *cli.value("out");
     const int jobs = static_cast<int>(cli.valueOr("jobs", std::uint64_t{1}));
 
-    Profile profile;
-    try {
-      profile = Profile::readFile(
-          cli.valueOr("profile", std::string(kStandardProfileFileName)));
-    } catch (const IoError&) {
-      profile = makeStandardProfile();  // fall back to the built-in
-    }
+    const Profile profile = loadProfileOrStandard(
+        cli.valueOr("profile", std::string(kStandardProfileFileName)));
 
     ChainOptions options;
     options.writeSlog = !cli.hasFlag("no-slog");

@@ -28,13 +28,8 @@ int main(int argc, char** argv) {
                    "usage: utereport --input MERGED.uti --out report.html\n");
       return 2;
     }
-    Profile profile;
-    try {
-      profile = Profile::readFile(
-          cli.valueOr("profile", std::string(kStandardProfileFileName)));
-    } catch (const IoError&) {
-      profile = makeStandardProfile();
-    }
+    const Profile profile = loadProfileOrStandard(
+        cli.valueOr("profile", std::string(kStandardProfileFileName)));
 
     ReportOptions options;
     options.title = cli.valueOr("title", std::string("UTE performance report"));

@@ -35,13 +35,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "usage: utestats --input MERGED.uti ...\n");
       return 2;
     }
-    Profile profile;
-    try {
-      profile = Profile::readFile(
-          cli.valueOr("profile", std::string(kStandardProfileFileName)));
-    } catch (const IoError&) {
-      profile = makeStandardProfile();
-    }
+    const Profile profile = loadProfileOrStandard(
+        cli.valueOr("profile", std::string(kStandardProfileFileName)));
 
     std::string program;
     if (const auto path = cli.value("program")) {

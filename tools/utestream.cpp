@@ -145,13 +145,8 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    Profile profile;
-    try {
-      profile = Profile::readFile(
-          cli.valueOr("profile", std::string(kStandardProfileFileName)));
-    } catch (const IoError&) {
-      profile = makeStandardProfile();
-    }
+    const Profile profile = loadProfileOrStandard(
+        cli.valueOr("profile", std::string(kStandardProfileFileName)));
 
     IngestServerOptions ingest;
     ingest.port = static_cast<std::uint16_t>(

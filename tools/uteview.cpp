@@ -145,13 +145,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "usage: uteview --input MERGED.uti --view ...\n");
       return 2;
     }
-    Profile profile;
-    try {
-      profile = Profile::readFile(
-          cli.valueOr("profile", std::string(kStandardProfileFileName)));
-    } catch (const IoError&) {
-      profile = makeStandardProfile();
-    }
+    const Profile profile = loadProfileOrStandard(
+        cli.valueOr("profile", std::string(kStandardProfileFileName)));
 
     ViewOptions options;
     const std::string view = cli.valueOr("view", std::string("thread"));
