@@ -6,7 +6,8 @@
 // the assignment balanced; consistency keeps it *stable* — adding one
 // backend to a ring of N moves only ~1/(N+1) of the keys (pinned by
 // tests/fed/hash_ring_test.cpp), so a fleet resize does not stampede
-// every cached reply and pooled connection at once.
+// every cached reply and pooled connection at once. Positions are
+// FNV-1a-64 (support/hash.h), so every router places a name alike.
 //
 // Not internally synchronized: the router's registry owns the ring and
 // guards it with its own mutex.
@@ -18,18 +19,9 @@
 #include <string>
 #include <vector>
 
-namespace ute {
+#include "support/hash.h"
 
-/// FNV-1a, the same cheap deterministic hash the rest of the project
-/// uses for content signatures (no seed, identical across runs).
-inline std::uint64_t fedHash64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+namespace ute {
 
 class HashRing {
  public:
@@ -67,7 +59,7 @@ class HashRing {
                                            std::size_t maxNodes) const {
     std::vector<std::string> order;
     if (ring_.empty() || maxNodes == 0) return order;
-    auto it = ring_.lower_bound(fedHash64(key));
+    auto it = ring_.lower_bound(fnv1a64(key));
     for (std::size_t steps = 0; steps < ring_.size(); ++steps) {
       if (it == ring_.end()) it = ring_.begin();
       if (std::find(order.begin(), order.end(), it->second) == order.end()) {
@@ -81,7 +73,7 @@ class HashRing {
 
  private:
   std::uint64_t pointFor(const std::string& node, std::size_t replica) const {
-    return fedHash64(node + "#" + std::to_string(replica));
+    return fnv1a64(node + "#" + std::to_string(replica));
   }
 
   /// multimap: two virtual nodes hashing to the same point must not

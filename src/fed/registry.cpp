@@ -3,9 +3,13 @@
 #include <limits>
 #include <utility>
 
+#include "support/bytes.h"
 #include "support/errors.h"
 
 namespace ute {
+
+/// Idle pooled connections kept per (backend, encoding).
+constexpr std::size_t kPoolSize = 4;
 
 BackendSpec parseBackendSpec(const std::string& name,
                              const std::string& hostPort) {
@@ -33,7 +37,7 @@ BackendSpec parseBackendSpec(const std::string& name,
 }
 
 BackendRegistry::BackendRegistry(const RegistryOptions& options)
-    : options_(options), ring_(options.virtualNodes) {}
+    : options_(options) {}
 
 void BackendRegistry::add(const BackendSpec& spec) {
   if (spec.name.empty()) throw UsageError("backend name must not be empty");
@@ -184,25 +188,23 @@ void BackendRegistry::probeOne(const std::string& name, bool force) {
   applyEnumeration(name, probed);
 }
 
+std::uint64_t BackendRegistry::signature(
+    const std::vector<ProbedTrace>& traces) {
+  ByteWriter w;
+  for (const ProbedTrace& t : traces) {
+    w.u64(fnv1a64(t.name));
+    w.u64(t.totalStart);
+    w.u64(t.totalEnd);
+    w.u64(t.frames);
+    w.u64(t.live ? 1 : 0);
+  }
+  return fnv1a64(w.view());
+}
+
 void BackendRegistry::applyEnumeration(
     const std::string& name, const std::vector<ProbedTrace>& traces) {
   Backend& backend = backends_.at(name);
-  // Content signature of the enumerated rows; order-sensitive (local
-  // ids are positional).
-  std::uint64_t signature = 1469598103934665603ull;
-  const auto mix = [&signature](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      signature ^= (v >> (i * 8)) & 0xff;
-      signature *= 1099511628211ull;
-    }
-  };
-  for (const ProbedTrace& t : traces) {
-    mix(fedHash64(t.name));
-    mix(t.totalStart);
-    mix(t.totalEnd);
-    mix(t.frames);
-    mix(t.live ? 1 : 0);
-  }
+  const std::uint64_t signature = BackendRegistry::signature(traces);
   if (backend.signature != 0 && backend.signature != signature) {
     ++backend.generation;
   }
@@ -305,7 +307,7 @@ void BackendRegistry::giveBack(Lease lease, bool ok) {
   it->second.circuit.recordSuccess();
   if (wasDown && it->second.everProbed) ++it->second.generation;
   auto& pool = it->second.pool[static_cast<std::size_t>(lease.encoding)];
-  if (pool.size() < options_.poolSize) {
+  if (pool.size() < kPoolSize) {
     pool.push_back(std::move(lease.client));
   }
 }

@@ -51,9 +51,6 @@ struct RegistryOptions {
   /// double-retrying would multiply the worst-case latency.
   ClientOptions client;
   CircuitBreaker::Options circuit;
-  std::size_t virtualNodes = 64;
-  /// Idle pooled connections kept per (backend, encoding).
-  std::size_t poolSize = 4;
 
   RegistryOptions() {
     client.connectTimeoutMs = 2000;
@@ -128,6 +125,19 @@ class BackendRegistry {
   /// to the pool; a failed one is discarded and counts as a failure.
   void giveBack(Lease lease, bool ok) UTE_EXCLUDES(mu_);
 
+  /// One enumerated trace as probe() sees it on the wire.
+  struct ProbedTrace {
+    std::string name;
+    bool live = false;
+    Tick totalStart = 0;
+    Tick totalEnd = 0;
+    std::uint32_t frames = 0;
+  };
+  /// FNV-1a-64 over a backend's enumerated rows, in order (local ids are
+  /// positional): each row's name hash, start, end, frame count and
+  /// live flag as u64 little-endian. A change bumps the generation.
+  static std::uint64_t signature(const std::vector<ProbedTrace>& traces);
+
  private:
   struct Backend {
     BackendSpec spec;
@@ -143,15 +153,6 @@ class BackendRegistry {
   struct TraceRow {
     FedTraceEntry entry;     ///< entry.generation mirrors the backend's
     std::uint32_t localId = 0;
-  };
-
-  /// One enumerated trace as probe() sees it on the wire.
-  struct ProbedTrace {
-    std::string name;
-    bool live = false;
-    Tick totalStart = 0;
-    Tick totalEnd = 0;
-    std::uint32_t frames = 0;
   };
 
   void probeOne(const std::string& name, bool force) UTE_EXCLUDES(mu_);

@@ -6,16 +6,11 @@
 
 #include "fed/aggregate.h"
 #include "support/errors.h"
+#include "support/hash.h"
 
 namespace ute {
 
 namespace {
-
-ByteWriter okHeader() {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ErrorCode::kOk));
-  return w;
-}
 
 bool isSingleTraceOp(Opcode op) {
   switch (op) {
@@ -53,28 +48,15 @@ bool isCacheableOp(Opcode op) {
   }
 }
 
-std::uint64_t cacheKey(std::uint64_t generation, FrameEncoding encoding,
-                       std::span<const std::uint8_t> payload) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mixByte = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  for (int i = 0; i < 8; ++i) {
-    mixByte(static_cast<std::uint8_t>((generation >> (i * 8)) & 0xff));
-  }
-  mixByte(static_cast<std::uint8_t>(encoding));
-  for (std::uint8_t b : payload) mixByte(b);
-  return h;
-}
-
-ErrorCode routerUsageCode(const std::string& what) {
-  if (what.rfind("unknown trace id", 0) == 0) return ErrorCode::kBadTrace;
-  if (what.rfind("no traces match", 0) == 0) return ErrorCode::kBadTrace;
-  return ErrorCode::kBadRequest;
-}
-
 }  // namespace
+
+std::uint64_t replyCacheKey(std::uint64_t generation, FrameEncoding encoding,
+                            std::span<const std::uint8_t> payload) {
+  ByteWriter head;
+  head.u64(generation);
+  head.u8(static_cast<std::uint8_t>(encoding));
+  return fnv1a64(payload, fnv1a64(head.view()));
+}
 
 RouterService::RouterService(const RouterOptions& options)
     : options_(options),
@@ -112,27 +94,7 @@ void RouterService::healthLoop() {
 
 RequestOutcome RouterService::handle(std::span<const std::uint8_t> payload,
                                      ConnectionContext& ctx) {
-  RequestOutcome outcome;
-  if (payload.empty()) {
-    outcome.response =
-        encodeErrorReply(ErrorCode::kBadRequest, "empty request");
-    return outcome;
-  }
-  try {
-    return dispatch(payload, ctx);
-  } catch (const ServiceError& e) {
-    outcome.response = encodeErrorReply(e.code(), e.what());
-  } catch (const UsageError& e) {
-    outcome.response = encodeErrorReply(routerUsageCode(e.what()), e.what());
-  } catch (const FormatError& e) {
-    outcome.response = encodeErrorReply(ErrorCode::kBadRequest, e.what());
-  } catch (const IoError& e) {
-    // Every candidate backend failed: explicit backpressure, retry later.
-    outcome.response = encodeErrorReply(ErrorCode::kOverloaded, e.what());
-  } catch (const std::exception& e) {
-    outcome.response = encodeErrorReply(ErrorCode::kInternal, e.what());
-  }
-  return outcome;
+  return answerRequest(payload, [&] { return dispatch(payload, ctx); });
 }
 
 RequestOutcome RouterService::dispatch(std::span<const std::uint8_t> payload,
@@ -196,10 +158,9 @@ RequestOutcome RouterService::dispatch(std::span<const std::uint8_t> payload,
     default:
       break;
   }
-  outcome.response = encodeErrorReply(
+  throw ServiceError(
       ErrorCode::kBadRequest,
       "unknown opcode " + std::to_string(static_cast<unsigned>(payload[0])));
-  return outcome;
 }
 
 std::vector<std::uint8_t> RouterService::proxy(
@@ -216,12 +177,13 @@ std::vector<std::uint8_t> RouterService::proxy(
   const std::vector<BackendRegistry::Route> routes =
       registry_.routesFor(globalId);
   if (routes.empty()) {
-    throw UsageError("unknown trace id " + std::to_string(globalId));
+    throw ServiceError(ErrorCode::kBadTrace,
+                       "unknown trace id " + std::to_string(globalId));
   }
   const bool cacheable = options_.cacheBytes > 0 && isCacheableOp(op) &&
                          !routes.front().live;
   const std::uint64_t key =
-      cacheKey(routes.front().generation, ctx.frameEncoding, payload);
+      replyCacheKey(routes.front().generation, ctx.frameEncoding, payload);
   if (cacheable) {
     if (const auto hit = cache_.lookup(key)) return *hit;
   }
@@ -253,8 +215,10 @@ std::vector<std::uint8_t> RouterService::proxy(
       lastError = e.what();
     }
   }
-  throw IoError("trace " + std::to_string(globalId) +
-                " unavailable: " + lastError);
+  // Every candidate backend failed: explicit backpressure, retry later.
+  throw ServiceError(ErrorCode::kOverloaded,
+                     "trace " + std::to_string(globalId) +
+                         " unavailable: " + lastError);
 }
 
 std::vector<std::uint8_t> RouterService::tryRoutes(
@@ -294,7 +258,7 @@ MetricsStore RouterService::fetchMetrics(std::uint32_t globalId,
                                          ConnectionContext& ctx) {
   const ByteWriter request = encodeMetricsRequest(globalId, bins);
   // decodeMetricsReply throws ServiceError on a relayed error frame,
-  // which handle() converts back to the same code for our client.
+  // which handle() passes on with the backend's code and message.
   return decodeMetricsReply(proxy(request.view(), ctx));
 }
 
@@ -302,7 +266,7 @@ std::vector<std::uint8_t> RouterService::handleAggregate(
     ByteReader& r, ConnectionContext& ctx) {
   const std::string pattern = r.lstring();
   std::uint32_t bins = r.u32();
-  if (bins == 0) bins = options_.defaultFanoutBins;
+  if (bins == 0) bins = kDefaultMetricsBins;
   if (bins > kMaxMetricsBins) {
     throw UsageError("metrics bins capped at " +
                      std::to_string(kMaxMetricsBins));
@@ -316,7 +280,8 @@ std::vector<std::uint8_t> RouterService::handleAggregate(
     }
   }
   if (matching.empty()) {
-    throw UsageError("no traces match pattern '" + pattern + "'");
+    throw ServiceError(ErrorCode::kBadTrace,
+                       "no traces match pattern '" + pattern + "'");
   }
   // Scatter: one GetMetrics per matching trace through the normal proxy
   // path (pooled connections, circuit breakers, cache). Gather into the
@@ -344,7 +309,7 @@ std::vector<std::uint8_t> RouterService::handleCompare(
   const std::uint32_t idA = r.u32();
   const std::uint32_t idB = r.u32();
   std::uint32_t bins = r.u32();
-  if (bins == 0) bins = options_.defaultFanoutBins;
+  if (bins == 0) bins = kDefaultMetricsBins;
   if (bins > kMaxMetricsBins) {
     throw UsageError("metrics bins capped at " +
                      std::to_string(kMaxMetricsBins));

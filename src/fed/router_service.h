@@ -41,10 +41,12 @@ struct RouterOptions {
   /// Background health/enumeration probe cadence; 0 disables the thread
   /// (tests drive probes synchronously with probeNow()).
   int healthIntervalMs = 1000;
-  /// Bin count for kAggregateMetrics / kCompareTraces when the request
-  /// says 0.
-  std::uint32_t defaultFanoutBins = 240;
 };
+
+/// The hot-set key of a reply: FNV-1a-64 over the backend generation
+/// (u64 little-endian), the frame encoding byte and the request bytes.
+std::uint64_t replyCacheKey(std::uint64_t generation, FrameEncoding encoding,
+                            std::span<const std::uint8_t> payload);
 
 class RouterService {
  public:

@@ -158,7 +158,8 @@ IntervalMerger::IntervalMerger(std::vector<std::string> inputPaths,
 }
 
 MergeResult IntervalMerger::mergeTo(const std::string& outPath,
-                                    const RecordSink& sink) {
+                                    const RecordSink& sink,
+                                    const OpenHook& onOpen) {
   MergeResult result;
   result.outputPath = outPath;
 
@@ -205,6 +206,7 @@ MergeResult IntervalMerger::mergeTo(const std::string& outPath,
     mergeSink = [&stage](const RecordView& record) { stage->add(record); };
   }
   merger.openOutput(outPath, std::move(mergeSink));
+  if (onOpen) onOpen(merger.threads(), merger.markers());
 
   // Pass 2: drive the state machine to completion. The merge stalls only
   // on the input at the tree's root once its lookahead drains, so each

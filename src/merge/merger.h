@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -66,8 +67,16 @@ class IntervalMerger {
   /// exception from the sink stops the merge and is rethrown by mergeTo.
   using RecordSink = std::function<void(const RecordView&)>;
 
+  /// Called on the calling thread once the output is open, before the
+  /// sink sees a record, with the merged file's thread table (the type
+  /// mask applied) and markers. slogMerge builds its SLOG writer here.
+  using OpenHook =
+      std::function<void(const std::vector<ThreadEntry>& threads,
+                         const std::map<std::uint32_t, std::string>& markers)>;
+
   MergeResult mergeTo(const std::string& outPath,
-                      const RecordSink& sink = nullptr);
+                      const RecordSink& sink = nullptr,
+                      const OpenHook& onOpen = nullptr);
 
  private:
   std::vector<std::string> inputPaths_;

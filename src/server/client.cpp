@@ -62,14 +62,9 @@ void TraceClient::connectAndHello() {
       reply.frameEncoding = FrameEncoding::kRow;
     } catch (const ServiceError& legacyErr) {
       // Deterministic mismatch — retrying cannot help; annotate instead.
-      std::string message = legacyErr.what();
-      const std::string prefix =
-          std::string(errorCodeName(legacyErr.code())) + ": ";
-      if (message.rfind(prefix, 0) == 0) {
-        message = message.substr(prefix.size());
-      }
       throw ServiceError(legacyErr.code(),
-                         message + " (this client speaks versions " +
+                         legacyErr.message() +
+                             " (this client speaks versions " +
                              std::to_string(kMinProtocolVersion) + ".." +
                              std::to_string(kProtocolVersion) + ")");
     }

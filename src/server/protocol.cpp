@@ -76,13 +76,13 @@ ByteReader openReply(std::span<const std::uint8_t> payload) {
   return r;
 }
 
+}  // namespace
+
 ByteWriter okHeader() {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(ErrorCode::kOk));
   return w;
 }
-
-}  // namespace
 
 // --- request encoding -------------------------------------------------------
 
@@ -704,10 +704,9 @@ RequestOutcome dispatch(TraceService& service,
       const std::uint32_t bins = r.u32();
       const TraceService::MetricsBlob blob = service.metrics(traceId, bins);
       if (1 + blob->size() > kMaxMessageBytes) {
-        outcome.response = encodeErrorReply(
-            ErrorCode::kBadRequest, "metrics reply exceeds the message "
-                                    "cap; request fewer bins");
-        return outcome;
+        throw ServiceError(ErrorCode::kBadRequest,
+                           "metrics reply exceeds the message cap; request "
+                           "fewer bins");
       }
       ByteWriter w = okHeader();
       w.bytes(*blob);
@@ -730,10 +729,9 @@ RequestOutcome dispatch(TraceService& service,
         putFrameData(w, data->intervals, data->arrows, ctx.frameEncoding);
       }
       if (w.size() > kMaxMessageBytes) {
-        outcome.response = encodeErrorReply(
+        throw ServiceError(
             ErrorCode::kBadRequest,
             "tail reply exceeds the message cap; request fewer frames");
-        return outcome;
       }
       outcome.response = w.take();
       return outcome;
@@ -747,9 +745,8 @@ RequestOutcome dispatch(TraceService& service,
       w.u32(tail.sealedBins);
       w.bytes(tail.blob);
       if (w.size() > kMaxMessageBytes) {
-        outcome.response = encodeErrorReply(
-            ErrorCode::kBadRequest, "metrics reply exceeds the message cap");
-        return outcome;
+        throw ServiceError(ErrorCode::kBadRequest,
+                           "metrics reply exceeds the message cap");
       }
       outcome.response = w.take();
       return outcome;
@@ -762,28 +759,15 @@ RequestOutcome dispatch(TraceService& service,
       // Federation ops are answered by uterouter; a plain backend
       // declines them explicitly so a misdirected client gets a clear
       // answer instead of "unknown opcode".
-      outcome.response = encodeErrorReply(
+      throw ServiceError(
           ErrorCode::kBadRequest,
           "federation op " + std::to_string(static_cast<unsigned>(op)) +
               " requires a uterouter, not a plain backend");
-      return outcome;
     }
   }
-  outcome.response = encodeErrorReply(
+  throw ServiceError(
       ErrorCode::kBadRequest,
-      "unknown opcode " +
-          std::to_string(static_cast<unsigned>(payload.empty() ? 0
-                                                               : payload[0])));
-  return outcome;
-}
-
-/// UsageError carries bad-trace, bad-window and bad-parameter
-/// conditions; the message prefix disambiguates for the wire code.
-ErrorCode usageCode(const std::string& what) {
-  if (what.rfind("unknown trace id", 0) == 0) return ErrorCode::kBadTrace;
-  if (what.rfind("metrics bins", 0) == 0) return ErrorCode::kBadRequest;
-  if (what.rfind("live trace", 0) == 0) return ErrorCode::kBadRequest;
-  return ErrorCode::kBadWindow;
+      "unknown opcode " + std::to_string(static_cast<unsigned>(payload[0])));
 }
 
 }  // namespace
@@ -791,26 +775,8 @@ ErrorCode usageCode(const std::string& what) {
 RequestOutcome processRequest(TraceService& service,
                               std::span<const std::uint8_t> payload,
                               ConnectionContext& ctx) {
-  RequestOutcome outcome;
-  if (payload.empty()) {
-    outcome.response =
-        encodeErrorReply(ErrorCode::kBadRequest, "empty request");
-    return outcome;
-  }
-  try {
-    return dispatch(service, payload, ctx);
-  } catch (const UsageError& e) {
-    outcome.response = encodeErrorReply(usageCode(e.what()), e.what());
-  } catch (const CorruptFileError& e) {
-    // The request was fine; the file on disk is not.
-    outcome.response = encodeErrorReply(ErrorCode::kInternal, e.what());
-  } catch (const FormatError& e) {
-    // Truncated/garbled request bytes (ByteReader over-read).
-    outcome.response = encodeErrorReply(ErrorCode::kBadRequest, e.what());
-  } catch (const std::exception& e) {
-    outcome.response = encodeErrorReply(ErrorCode::kInternal, e.what());
-  }
-  return outcome;
+  return answerRequest(payload,
+                       [&] { return dispatch(service, payload, ctx); });
 }
 
 RequestOutcome processRequest(TraceService& service,

@@ -5,8 +5,12 @@
 // a u8 opcode; a response payload starts with a u8 status byte — 0 for
 // success followed by the op-specific body, nonzero for an error frame
 // (the status byte is the ErrorCode, followed by a human-readable
-// lstring). The same encode/decode functions back the TCP client, the
-// server dispatch loop, and the byte-identity assertions in the tests.
+// lstring). The code that detects an error throws it as a ServiceError
+// carrying its code (server/service_error.h); answerRequest below is the
+// one path from a thrown error to an error frame, for uteserve and
+// uterouter alike. The same encode/decode functions back the TCP client,
+// the server dispatch loop, and the byte-identity assertions in the
+// tests.
 // A layout the protocol shares with the files is written and read by
 // that layout's one codec: thread entries by putThreadEntry/
 // takeThreadEntry (interval/file_writer.h); row records, frame index
@@ -17,11 +21,13 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "server/service_error.h"
 #include "server/trace_service.h"
 #include "slog/slog_codec.h"
 #include "support/bytes.h"
@@ -76,30 +82,6 @@ enum class Opcode : std::uint8_t {
   /// Admin: add/remove a backend in the router's registry at runtime.
   kAddBackend = 17,
   kRemoveBackend = 18,
-};
-
-enum class ErrorCode : std::uint8_t {
-  kOk = 0,
-  kBadRequest = 1,   ///< unparseable payload or unknown opcode
-  kBadVersion = 2,   ///< hello magic/version mismatch
-  kBadTrace = 3,     ///< trace id out of range
-  kBadWindow = 4,    ///< empty/out-of-run window, no frame at t
-  kOverloaded = 5,   ///< request queue full — retry later
-  kInternal = 6,
-};
-
-const char* errorCodeName(ErrorCode code);
-
-/// An error frame decoded client-side becomes this exception.
-class ServiceError : public std::runtime_error {
- public:
-  ServiceError(ErrorCode code, const std::string& message)
-      : std::runtime_error(std::string(errorCodeName(code)) + ": " + message),
-        code_(code) {}
-  ErrorCode code() const { return code_; }
-
- private:
-  ErrorCode code_;
 };
 
 struct HelloReply {
@@ -199,7 +181,7 @@ ByteWriter encodeTailMetricsRequest(std::uint32_t traceId);
 // Federation requests (router-only ops).
 ByteWriter encodeListTracesRequest();
 /// `pattern` is a substring match against "backend/name" (empty matches
-/// everything); bins = 0 asks for the router default.
+/// everything); bins = 0 asks for kDefaultMetricsBins.
 ByteWriter encodeAggregateMetricsRequest(const std::string& pattern,
                                          std::uint32_t bins);
 ByteWriter encodeCompareTracesRequest(std::uint32_t idA, std::uint32_t idB,
@@ -282,7 +264,8 @@ struct RequestOutcome {
 };
 
 /// Executes one request payload against `service` and produces the
-/// response payload. Never throws: every failure becomes an error frame.
+/// response payload. Never throws: every failure becomes an error frame
+/// (answerRequest).
 /// A kHello request updates `ctx` with the negotiated frame encoding;
 /// frame-carrying replies are encoded per `ctx`.
 RequestOutcome processRequest(TraceService& service,
@@ -293,9 +276,41 @@ RequestOutcome processRequest(TraceService& service,
 RequestOutcome processRequest(TraceService& service,
                               std::span<const std::uint8_t> payload);
 
-/// The canonical overload error frame (sent without touching a worker).
+/// The status byte of a success reply, which the op's body follows.
+ByteWriter okHeader();
+/// An error frame: the code's status byte, then the message lstring.
 std::vector<std::uint8_t> encodeErrorReply(ErrorCode code,
                                            const std::string& message);
+
+/// The one exception-to-reply path of processRequest and
+/// RouterService::handle: refuses an empty payload, else returns
+/// `dispatch()`. A thrown ServiceError keeps its code and bare message;
+/// CorruptFileError is kInternal; FormatError (request bytes that do
+/// not parse) and UsageError are kBadRequest; anything else kInternal.
+template <typename Dispatch>
+RequestOutcome answerRequest(std::span<const std::uint8_t> payload,
+                             Dispatch&& dispatch) {
+  RequestOutcome outcome;
+  if (payload.empty()) {
+    outcome.response =
+        encodeErrorReply(ErrorCode::kBadRequest, "empty request");
+    return outcome;
+  }
+  try {
+    return dispatch();
+  } catch (const ServiceError& e) {
+    outcome.response = encodeErrorReply(e.code(), e.message());
+  } catch (const CorruptFileError& e) {
+    outcome.response = encodeErrorReply(ErrorCode::kInternal, e.what());
+  } catch (const FormatError& e) {
+    outcome.response = encodeErrorReply(ErrorCode::kBadRequest, e.what());
+  } catch (const UsageError& e) {
+    outcome.response = encodeErrorReply(ErrorCode::kBadRequest, e.what());
+  } catch (const std::exception& e) {
+    outcome.response = encodeErrorReply(ErrorCode::kInternal, e.what());
+  }
+  return outcome;
+}
 
 /// Answers a kHello request (`r` is positioned after the opcode) for a
 /// server with `traceCount` traces, storing the negotiated frame

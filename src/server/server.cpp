@@ -4,12 +4,6 @@ namespace ute {
 
 namespace {
 
-ServiceOptions withLiveDefaults(const ServerOptions& options) {
-  ServiceOptions service = options.service;
-  if (options.liveFeed != nullptr) service.allowNoTraces = true;
-  return service;
-}
-
 ReactorOptions reactorOptions(const FrontEndOptions& options) {
   ReactorOptions reactor;
   reactor.idleTimeoutMs = options.idleTimeoutMs;
@@ -77,7 +71,11 @@ void QueryFrontEnd::onClosed(Reactor::ConnId conn) { contexts_.erase(conn); }
 
 TraceServer::TraceServer(const std::vector<std::string>& slogPaths,
                          const ServerOptions& options)
-    : service_(slogPaths, withLiveDefaults(options)) {
+    : service_(slogPaths, options.service) {
+  if (slogPaths.empty() && options.liveFeed == nullptr) {
+    throw UsageError("TraceServer needs at least one SLOG file or a live "
+                     "feed");
+  }
   // Attach before the front end exists so no client can observe the
   // trace count changing.
   if (options.liveFeed != nullptr) {

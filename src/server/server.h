@@ -103,7 +103,7 @@ struct ServerOptions : FrontEndOptions {
   ServiceOptions service;
   /// A live trace to attach before the reactor starts (utestream
   /// --serve). Not owned; must outlive the server. With a feed set the
-  /// service may be constructed with zero SLOG paths.
+  /// server may be constructed with zero SLOG paths.
   LiveFeed* liveFeed = nullptr;
   std::string liveName = "<live>";
 };

@@ -20,9 +20,6 @@ TraceService::TraceService(const std::vector<std::string>& slogPaths,
     : options_(options),
       cache_(options.cacheBytes),
       pool_(options.workers, options.queueDepth) {
-  if (slogPaths.empty() && !options.allowNoTraces) {
-    throw UsageError("TraceService needs at least one SLOG file");
-  }
   traces_.reserve(slogPaths.size());
   for (const std::string& path : slogPaths) {
     auto trace = std::make_unique<Trace>();
@@ -49,14 +46,16 @@ std::uint32_t TraceService::traceCount() const {
 
 bool TraceService::isLive(std::uint32_t traceId) const {
   if (traceId >= traces_.size()) {
-    throw UsageError("unknown trace id " + std::to_string(traceId));
+    throw ServiceError(ErrorCode::kBadTrace,
+                       "unknown trace id " + std::to_string(traceId));
   }
   return traces_[traceId]->feed != nullptr;
 }
 
 LiveFeed& TraceService::liveFeed(std::uint32_t traceId) const {
   if (!isLive(traceId)) {
-    throw UsageError("trace " + std::to_string(traceId) + " is not live");
+    throw ServiceError(ErrorCode::kBadRequest,
+                       "trace " + std::to_string(traceId) + " is not live");
   }
   return *traces_[traceId]->feed;
 }
@@ -71,15 +70,11 @@ const SlogReader& TraceService::trace(std::uint32_t traceId) const {
 }
 
 TraceService::Trace& TraceService::traceSlot(std::uint32_t traceId) const {
-  if (traceId >= traces_.size()) {
-    throw UsageError("unknown trace id " + std::to_string(traceId));
-  }
-  if (traces_[traceId]->feed != nullptr) {
-    throw UsageError("live trace " + std::to_string(traceId) +
-                     ": this query needs the finished file; follow the "
-                     "run with TailFrames/TailMetrics instead");
-  }
-  return *traces_[traceId];
+  if (!isLive(traceId)) return *traces_[traceId];
+  throw ServiceError(ErrorCode::kBadRequest,
+                     "live trace " + std::to_string(traceId) +
+                         ": this query needs the finished file; follow "
+                         "the run with TailFrames/TailMetrics instead");
 }
 
 FrameCache::FramePtr TraceService::frame(std::uint32_t traceId,
@@ -87,7 +82,8 @@ FrameCache::FramePtr TraceService::frame(std::uint32_t traceId,
   Trace& slot = traceSlot(traceId);
   const SlogReader& reader = *slot.reader;
   if (frameIdx >= reader.frameIndex().size()) {
-    throw UsageError("SLOG frame index out of range");
+    throw ServiceError(ErrorCode::kBadWindow,
+                       "SLOG frame index out of range");
   }
   return cache_.getOrLoad(frameKey(traceId, frameIdx),
                           [&] { return reader.readFrame(frameIdx); });
@@ -97,14 +93,19 @@ WindowResult TraceService::window(std::uint32_t traceId,
                                   const WindowQuery& query) {
   const SlogReader& reader = trace(traceId);
   if (query.t1 <= query.t0) {
-    throw UsageError("window end must follow window start");
+    throw ServiceError(ErrorCode::kBadWindow,
+                       "window end must follow window start");
   }
   WindowResult result;
   result.t0 = std::max(query.t0, reader.totalStart());
   result.t1 = std::min(query.t1, reader.totalEnd());
-  if (result.t1 <= result.t0) throw UsageError("window is outside the run");
+  if (result.t1 <= result.t0) {
+    throw ServiceError(ErrorCode::kBadWindow, "window is outside the run");
+  }
   const auto span = reader.framesOverlapping(result.t0, result.t1);
-  if (!span) throw UsageError("window is outside the run");
+  if (!span) {
+    throw ServiceError(ErrorCode::kBadWindow, "window is outside the run");
+  }
 
   const bool allStates = query.states.empty();
   const auto stateWanted = [&](std::uint32_t id) {
@@ -138,10 +139,15 @@ WindowResult TraceService::window(std::uint32_t traceId,
 std::vector<SummaryEntry> TraceService::summary(std::uint32_t traceId,
                                                 Tick t0, Tick t1) {
   const SlogReader& reader = trace(traceId);
-  if (t1 <= t0) throw UsageError("window end must follow window start");
+  if (t1 <= t0) {
+    throw ServiceError(ErrorCode::kBadWindow,
+                       "window end must follow window start");
+  }
   t0 = std::max(t0, reader.totalStart());
   t1 = std::min(t1, reader.totalEnd());
-  if (t1 <= t0) throw UsageError("window is outside the run");
+  if (t1 <= t0) {
+    throw ServiceError(ErrorCode::kBadWindow, "window is outside the run");
+  }
   const auto span = reader.framesOverlapping(t0, t1);
   std::map<std::uint32_t, double> perState;
   if (span) {
@@ -169,13 +175,15 @@ TraceService::MetricsBlob TraceService::metrics(std::uint32_t traceId,
     // count cannot be honored, so any explicit request is refused and
     // the default (0) serves whatever is sealed so far.
     if (bins != 0) {
-      throw UsageError("live trace " + std::to_string(traceId) +
-                       ": bin count is fixed while the run is live");
+      throw ServiceError(ErrorCode::kBadRequest,
+                         "live trace " + std::to_string(traceId) +
+                             ": bin count is fixed while the run is live");
     }
     LiveFeed::TailMetrics tail = liveFeed(traceId).metrics();
     if (tail.blob.empty()) {
-      throw UsageError("live trace " + std::to_string(traceId) +
-                       ": no metrics sealed yet");
+      throw ServiceError(ErrorCode::kBadRequest,
+                         "live trace " + std::to_string(traceId) +
+                             ": no metrics sealed yet");
     }
     return std::make_shared<const std::vector<std::uint8_t>>(
         std::move(tail.blob));
@@ -183,8 +191,9 @@ TraceService::MetricsBlob TraceService::metrics(std::uint32_t traceId,
   Trace& slot = traceSlot(traceId);
   if (bins == 0) bins = kDefaultMetricsBins;
   if (bins > kMaxMetricsBins) {
-    throw UsageError("metrics bins capped at " +
-                     std::to_string(kMaxMetricsBins));
+    throw ServiceError(ErrorCode::kBadRequest,
+                       "metrics bins capped at " +
+                           std::to_string(kMaxMetricsBins));
   }
   MutexLock lock(slot.metricsMu);
   const auto it = slot.metricsByBins.find(bins);
@@ -239,7 +248,8 @@ FrameAtResult TraceService::frameAt(std::uint32_t traceId, Tick t) {
   const SlogReader& reader = trace(traceId);
   const auto idx = reader.frameIndexFor(t);
   if (!idx) {
-    throw UsageError("no frame contains t=" + std::to_string(t));
+    throw ServiceError(ErrorCode::kBadWindow,
+                       "no frame contains t=" + std::to_string(t));
   }
   FrameAtResult result;
   result.frameIdx = *idx;

@@ -10,6 +10,10 @@
 // ByteSource (mmap when available), so concurrent workers need no
 // per-thread file handles.
 //
+// A refused query throws ServiceError (server/service_error.h) carrying
+// its wire code: kBadTrace, kBadWindow, or kBadRequest (a query a live
+// trace cannot answer, a bin count over the cap).
+//
 // Query methods are thread-safe and synchronous. The embedded ThreadPool
 // is where uteserve runs them: the query front end (server/server.h)
 // hands each request to pool().trySubmit(), which bounds concurrent
@@ -25,6 +29,7 @@
 
 #include "analysis/metrics.h"
 #include "server/frame_cache.h"
+#include "server/service_error.h"
 #include "slog/slog_reader.h"
 #include "stream/live_feed.h"
 #include "support/thread_annotations.h"
@@ -36,9 +41,6 @@ struct ServiceOptions {
   std::size_t cacheBytes = 64u << 20;
   std::size_t workers = 4;
   std::size_t queueDepth = 64;
-  /// Permit construction with zero SLOG paths — for a service whose only
-  /// trace will be a live feed attached right after (utestream --serve).
-  bool allowNoTraces = false;
 };
 
 /// Bin count used when a GetMetrics request passes bins = 0.
@@ -95,7 +97,8 @@ struct FrameAtResult {
 class TraceService {
  public:
   /// Opens every path up front; throws (IoError/FormatError/
-  /// CorruptFileError) if any file is unusable.
+  /// CorruptFileError) if any file is unusable. With no paths, the only
+  /// traces are the live feeds attached afterwards (utestream --serve).
   TraceService(const std::vector<std::string>& slogPaths,
                const ServiceOptions& options = {});
   ~TraceService();
@@ -111,13 +114,13 @@ class TraceService {
 
   std::uint32_t traceCount() const;
   bool isLive(std::uint32_t traceId) const;
-  /// The feed behind a live trace; throws UsageError for file traces.
+  /// The feed behind a live trace; throws ServiceError for file traces.
   LiveFeed& liveFeed(std::uint32_t traceId) const;
   /// The SLOG path of a file trace, or the live trace's display name.
   const std::string& traceName(std::uint32_t traceId) const;
-  /// Metadata access (immutable after construction). Throws UsageError
-  /// for an unknown id — and for a live trace, which has no reader; the
-  /// "live trace" message prefix maps to a kBadRequest wire error.
+  /// Metadata access (immutable after construction). Throws ServiceError
+  /// for an unknown id (kBadTrace) and for a live trace, which has no
+  /// reader (kBadRequest).
   const SlogReader& trace(std::uint32_t traceId) const;
 
   /// Cached frame fetch (the unit the cache works in).
@@ -125,13 +128,14 @@ class TraceService {
 
   WindowResult window(std::uint32_t traceId, const WindowQuery& query);
   std::vector<SummaryEntry> summary(std::uint32_t traceId, Tick t0, Tick t1);
-  /// Throws UsageError when no frame contains `t`.
+  /// Throws ServiceError (kBadWindow) when no frame contains `t`.
   FrameAtResult frameAt(std::uint32_t traceId, Tick t);
 
   /// Encoded .utm metrics for a trace, computed lazily on first request
   /// (frames flow through the frame cache, so the scan respects the
   /// cache byte budget) and memoized per (trace, bins). bins = 0 means
-  /// kDefaultMetricsBins; values above kMaxMetricsBins throw UsageError.
+  /// kDefaultMetricsBins; values above kMaxMetricsBins throw ServiceError
+  /// (kBadRequest).
   using MetricsBlob = std::shared_ptr<const std::vector<std::uint8_t>>;
   MetricsBlob metrics(std::uint32_t traceId, std::uint32_t bins = 0);
 

@@ -25,8 +25,7 @@ SlogWriter::SlogWriter(const std::string& path, const SlogOptions& options,
                        std::vector<ThreadEntry> threads,
                        const std::map<std::uint32_t, std::string>& markers)
     : path_(path), options_(options), profile_(profile), file_(path),
-      threads_(std::move(threads)), preview_(options.previewBins),
-      openStates_(profile) {
+      threads_(std::move(threads)), openStates_(profile) {
   if (options_.recordsPerFrame == 0) options_.recordsPerFrame = 4096;
   if (options_.formatVersion < kSlogMinVersion ||
       options_.formatVersion > kSlogVersion) {

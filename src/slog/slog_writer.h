@@ -25,7 +25,6 @@ namespace ute {
 
 struct SlogOptions {
   std::uint32_t recordsPerFrame = 4096;  ///< budget, see frameMayClose
-  std::uint32_t previewBins = 240;
   /// SLOG file format version to write: kSlogVersion (2, columnar
   /// compressed frames) by default, or kSlogMinVersion (1, row-major)
   /// for compatibility output (`--slog-v1`).

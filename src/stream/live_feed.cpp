@@ -6,10 +6,6 @@
 
 namespace ute {
 
-LiveFeed::LiveFeed(LiveFeedOptions options) : options_(options) {
-  if (options_.metricsBinWidth == 0) options_.metricsBinWidth = 1;
-}
-
 void LiveFeed::setThreads(std::vector<ThreadEntry> threads) {
   MutexLock lock(mu_);
   threads_ = std::move(threads);
@@ -28,7 +24,7 @@ void LiveFeed::onFrameSealed(const SlogFrameIndexEntry& entry,
     // First frame: its start anchors both the time range and the
     // metrics origin.
     metrics_ =
-        MetricsStore(entry.timeStart, options_.metricsBinWidth, threads_);
+        MetricsStore(entry.timeStart, kLiveMetricsBinWidth, threads_);
     haveMetrics_ = true;
   }
   if (!haveFrames_) {

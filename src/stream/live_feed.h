@@ -26,12 +26,10 @@
 
 namespace ute {
 
-struct LiveFeedOptions {
-  /// Fixed metrics bin width (ns). A live run's end is unknown, so the
-  /// batch rule "span / 240 bins" cannot apply; bins of this width are
-  /// appended as the run grows.
-  Tick metricsBinWidth = 1'000'000;
-};
+/// The live metrics bin width (ns). A live run's end is unknown, so the
+/// batch rule "span / 240 bins" cannot apply; bins of this width are
+/// appended as the run grows.
+inline constexpr Tick kLiveMetricsBinWidth = 1'000'000;
 
 class LiveFeed {
  public:
@@ -51,8 +49,6 @@ class LiveFeed {
     /// The encoded .utm store (empty until the thread table is known).
     std::vector<std::uint8_t> blob;
   };
-
-  explicit LiveFeed(LiveFeedOptions options = {});
 
   // --- writer side (the merge thread) ------------------------------------
 
@@ -86,7 +82,6 @@ class LiveFeed {
   std::pair<Tick, Tick> timeRange() const UTE_EXCLUDES(mu_);
 
  private:
-  LiveFeedOptions options_;
   mutable Mutex mu_;
   std::vector<ThreadEntry> threads_ UTE_GUARDED_BY(mu_);
   std::vector<SlogStateDef> states_ UTE_GUARDED_BY(mu_);

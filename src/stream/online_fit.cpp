@@ -5,6 +5,9 @@
 
 namespace ute {
 
+constexpr std::size_t kWindow = 64;  ///< the anchor + 63 recent pairs
+constexpr int kConvergenceRuns = 4;  ///< quiet updates to converge
+
 ClockMap batchClockFit(std::vector<TimestampPair> pairs, SyncMethod method,
                        bool filterOutliers, double outlierTolerance) {
   if (filterOutliers && pairs.size() >= 3) {
@@ -14,15 +17,12 @@ ClockMap batchClockFit(std::vector<TimestampPair> pairs, SyncMethod method,
 }
 
 OnlineClockFit::OnlineClockFit(OnlineFitOptions options)
-    : options_(options) {
-  if (options_.window < 2) options_.window = 2;
-  if (options_.convergenceRuns < 1) options_.convergenceRuns = 1;
-}
+    : options_(options) {}
 
 void OnlineClockFit::addPair(const TimestampPair& pair) {
   if (frozen_) return;
   ++observed_;
-  if (window_.size() >= options_.window) {
+  if (window_.size() >= kWindow) {
     // Keep the anchor (the batch fit's anchor too); age out the oldest
     // of the sliding tail.
     window_.erase(window_.begin() + 1);
@@ -33,16 +33,14 @@ void OnlineClockFit::addPair(const TimestampPair& pair) {
 
 void OnlineClockFit::setFinalPairs(std::span<const TimestampPair> pairs) {
   map_ = batchClockFit(std::vector<TimestampPair>(pairs.begin(), pairs.end()),
-                       options_.method, options_.filterOutliers,
-                       options_.outlierTolerance);
+                       options_.method);
   observed_ = std::max(observed_, pairs.size());
   lastRatio_ = map_.ratio();
   frozen_ = true;
 }
 
 void OnlineClockFit::refit() {
-  map_ = batchClockFit(window_, options_.method, options_.filterOutliers,
-                       options_.outlierTolerance);
+  map_ = batchClockFit(window_, options_.method);
   const double ratio = map_.ratio();
   const double base = std::max(std::abs(lastRatio_), 1e-12);
   if (observed_ >= options_.minPairs &&
@@ -57,7 +55,7 @@ void OnlineClockFit::refit() {
 bool OnlineClockFit::converged() const {
   if (frozen_) return true;
   return observed_ >= options_.minPairs &&
-         quietRuns_ >= options_.convergenceRuns;
+         quietRuns_ >= kConvergenceRuns;
 }
 
 }  // namespace ute

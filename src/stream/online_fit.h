@@ -5,11 +5,11 @@
 // ingest session cannot wait for the run to finish, so OnlineClockFit
 // maintains a *windowed* re-fit: each arriving pair updates a ClockMap
 // built from the first pair ever seen (the anchor — the same anchor the
-// batch fit uses) plus the most recent `window - 1` pairs. Once the
-// fitted ratio stops moving (relative delta below `convergenceTolerance`
-// for `convergenceRuns` consecutive updates) the fit is considered
-// converged and may be frozen, after which records can be adjusted and
-// emitted without the risk of the time base shifting under them.
+// batch fit uses) plus the 63 most recent pairs. Once the fitted ratio
+// stops moving (relative delta below `convergenceTolerance` for 4
+// consecutive updates) the fit is considered converged and may be
+// frozen, after which records can be adjusted and emitted without the
+// risk of the time base shifting under them.
 //
 // The batch-equivalence path: setFinalPairs() reproduces the exact
 // outlier-filter + ClockMap construction of the batch merger, so a
@@ -27,25 +27,20 @@ namespace ute {
 
 struct OnlineFitOptions {
   SyncMethod method = SyncMethod::kRmsSegments;
-  /// Drop daemon-descheduling outliers, as in MergeOptions.
-  bool filterOutliers = true;
-  double outlierTolerance = 5e-5;
-  /// Pairs retained for the windowed re-fit (anchor + window-1 recent).
-  std::size_t window = 64;
   /// No convergence verdict before this many pairs have been observed.
   std::size_t minPairs = 8;
   /// Relative ratio change per update counted as "quiet".
   double convergenceTolerance = 1e-7;
-  /// Consecutive quiet updates required to declare convergence.
-  int convergenceRuns = 4;
 };
 
 /// The exact clock fit of the batch merger's first pass: optional
 /// outlier filtering (only with >= 3 pairs), then an anchored ClockMap
 /// (identity with fewer than two pairs). Both IntervalMerger and
-/// StreamMerger call this so the two pipelines cannot drift apart.
+/// StreamMerger call this, with the defaults (daemon-descheduling
+/// outliers dropped), so the two pipelines cannot drift apart.
 ClockMap batchClockFit(std::vector<TimestampPair> pairs, SyncMethod method,
-                       bool filterOutliers, double outlierTolerance);
+                       bool filterOutliers = true,
+                       double outlierTolerance = 5e-5);
 
 class OnlineClockFit {
  public:

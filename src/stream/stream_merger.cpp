@@ -38,13 +38,7 @@ struct StreamMerger::Input {
 };
 
 StreamMerger::StreamMerger(const Profile& profile, StreamMergeOptions options)
-    : profile_(profile), options_(options) {
-  // The online-fit sub-options must agree with the merge-level clock
-  // settings; the merge-level ones win.
-  options_.onlineFit.method = options_.syncMethod;
-  options_.onlineFit.filterOutliers = options_.filterOutliers;
-  options_.onlineFit.outlierTolerance = options_.outlierTolerance;
-}
+    : profile_(profile), options_(options) {}
 
 StreamMerger::~StreamMerger() = default;
 
@@ -66,7 +60,8 @@ std::size_t StreamMerger::addInput() {
   if (writer_) {
     throw UsageError("StreamMerger: inputs must be added before openOutput()");
   }
-  inputs_.push_back(std::make_unique<Input>(options_.onlineFit));
+  inputs_.push_back(std::make_unique<Input>(
+      OnlineFitOptions{.method = options_.syncMethod}));
   return inputs_.size() - 1;
 }
 

@@ -65,19 +65,12 @@ struct StreamMergeOptions {
   static std::uint8_t threadTypeBit(ThreadType t) {
     return static_cast<std::uint8_t>(1u << static_cast<std::uint8_t>(t));
   }
-  /// Drop global-clock pairs corrupted by daemon descheduling before
-  /// estimating the ratio (the paper's Summary remark).
-  bool filterOutliers = true;
-  double outlierTolerance = 5e-5;
   /// Keep the per-node ClockSync pseudo-records in the merged output.
   bool keepClockRecords = false;
   std::size_t targetFrameBytes = 32 << 10;
   int framesPerDirectory = 64;
   /// Ablation switch: O(k) linear scan instead of the tournament tree.
   bool useNaiveMerge = false;
-  /// Online (non-final) clock fitting; method/filter settings above take
-  /// precedence over the copies inside.
-  OnlineFitOptions onlineFit;
 };
 
 struct StreamMergeResult {

@@ -1,11 +1,23 @@
 #include "support/cli.h"
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
+#include <thread>
 
 #include "support/errors.h"
+#include "support/file_io.h"
 #include "support/text.h"
 
 namespace ute {
+
+namespace {
+
+volatile std::sig_atomic_t gStopSignal = 0;
+
+void onStopSignal(int) { gStopSignal = 1; }
+
+}  // namespace
 
 CliParser::CliParser(int argc, const char* const* argv,
                      const std::vector<std::string>& valueOptions,
@@ -107,6 +119,22 @@ std::uint64_t CliParser::valueOr(const std::string& name,
 double CliParser::valueOr(const std::string& name, double dflt) const {
   const auto v = value(name);
   return v ? parseF64(*v) : dflt;
+}
+
+void writePortFile(const CliParser& cli, const std::string& option,
+                   std::uint16_t port) {
+  if (const auto path = cli.value(option)) {
+    writeWholeFile(*path, std::to_string(port) + "\n");
+  }
+}
+
+const char* waitForStop(const std::function<bool()>& stopRequested) {
+  std::signal(SIGINT, onStopSignal);
+  std::signal(SIGTERM, onStopSignal);
+  while (gStopSignal == 0 && !stopRequested()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return gStopSignal != 0 ? "signal received" : "shutdown requested";
 }
 
 }  // namespace ute

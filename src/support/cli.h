@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -60,5 +61,17 @@ class CliParser {
   std::set<std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// The serve-loop chores uteserve, uterouter and utestream --serve
+/// share. writePortFile writes `port` and a newline to the path given as
+/// --`option`, if one was given: a script polls that file to learn an
+/// ephemeral port.
+void writePortFile(const CliParser& cli, const std::string& option,
+                   std::uint16_t port);
+
+/// Blocks until SIGINT/SIGTERM arrives or `stopRequested()` (a client's
+/// shutdown request) turns true, polling every 50 ms. Returns which one
+/// stopped it: "signal received" or "shutdown requested".
+const char* waitForStop(const std::function<bool()>& stopRequested);
 
 }  // namespace ute

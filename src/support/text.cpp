@@ -54,6 +54,21 @@ std::string fixed(double v, int digits) {
   return buf;
 }
 
+std::string escapeXml(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '&': out += "&amp;"; break;
+      case '"': out += "&quot;"; break;
+      default: out.push_back(c);
+    }
+  }
+  return out;
+}
+
 std::uint64_t parseU64(std::string_view s) {
   const std::string str(trimString(s));
   if (str.empty()) throw ParseError("expected integer, got empty string");

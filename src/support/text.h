@@ -20,6 +20,10 @@ std::string withCommas(std::uint64_t n);
 /// Fixed-point decimal with `digits` places (printf "%.*f").
 std::string fixed(double v, int digits);
 
+/// `s` with the markup metacharacters < > & " replaced by entities: safe
+/// as SVG/HTML text content and inside a double-quoted attribute.
+std::string escapeXml(std::string_view s);
+
 /// Parses a non-negative integer; throws ParseError with context on junk.
 std::uint64_t parseU64(std::string_view s);
 double parseF64(std::string_view s);

@@ -13,24 +13,10 @@ namespace ute {
 
 namespace {
 
-std::string escapeHtml(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '&': out += "&amp;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string tableHtml(const StatsTable& table) {
-  std::string out = "<h3>" + escapeHtml(table.name) + "</h3>\n<table>\n<tr>";
+  std::string out = "<h3>" + escapeXml(table.name) + "</h3>\n<table>\n<tr>";
   for (const std::string& h : table.headers) {
-    out += "<th>" + escapeHtml(h) + "</th>";
+    out += "<th>" + escapeXml(h) + "</th>";
   }
   out += "</tr>\n";
   // Large tables (e.g. 50-bin sweeps) are capped for readability.
@@ -38,7 +24,7 @@ std::string tableHtml(const StatsTable& table) {
   for (std::size_t i = 0; i < table.rows.size() && i < maxRows; ++i) {
     out += "<tr>";
     for (const std::string& cell : table.rows[i]) {
-      out += "<td>" + escapeHtml(cell) + "</td>";
+      out += "<td>" + escapeXml(cell) + "</td>";
     }
     out += "</tr>\n";
   }
@@ -58,7 +44,7 @@ std::string buildHtmlReport(const std::string& mergedPath,
                             const ReportOptions& options) {
   std::string html =
       "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n<title>" +
-      escapeHtml(options.title) +
+      escapeXml(options.title) +
       "</title>\n<style>\n"
       "body { font-family: sans-serif; margin: 2em; max-width: " +
       std::to_string(options.svgWidth + 60) +
@@ -69,12 +55,12 @@ std::string buildHtmlReport(const std::string& mergedPath,
       "th { background: #f0f0f0; }\n"
       "h2 { border-bottom: 1px solid #ddd; padding-bottom: 4px; }\n"
       "</style>\n</head>\n<body>\n<h1>" +
-      escapeHtml(options.title) + "</h1>\n";
+      escapeXml(options.title) + "</h1>\n";
 
   IntervalFileReader merged(mergedPath);
   merged.checkProfile(profile);
   const IntervalFileHeader& h = merged.header();
-  html += "<p>" + escapeHtml(mergedPath) + " — " +
+  html += "<p>" + escapeXml(mergedPath) + " — " +
           withCommas(h.totalRecords) + " interval records, " +
           std::to_string(h.threadCount) + " threads, " +
           std::to_string(merged.markers().size()) + " markers, time span " +

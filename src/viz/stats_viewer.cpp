@@ -117,14 +117,16 @@ std::string renderStatsHeatmapSvg(const StatsTable& table,
   svg += "<rect width=\"" + std::to_string(width) + "\" height=\"" +
          std::to_string(height) + "\" fill=\"#ffffff\"/>\n";
   svg += "<text x=\"8\" y=\"18\" font-family=\"sans-serif\" font-size=\"13\" "
-         "font-weight=\"bold\">" + table.name + ": " + valueCol + " by (" +
-         xCol + ", " + yCol + ")</text>\n";
+         "font-weight=\"bold\">" +
+         escapeXml(table.name + ": " + valueCol + " by (" + xCol + ", " +
+                   yCol + ")") +
+         "</text>\n";
 
   for (std::size_t y = 0; y < grid.ys.size(); ++y) {
     svg += "<text x=\"4\" y=\"" +
            fixed(top + y * cellH + cellH * 0.7, 1) +
-           "\" font-family=\"sans-serif\" font-size=\"10\">" + yCol + "=" +
-           grid.ys[y] + "</text>\n";
+           "\" font-family=\"sans-serif\" font-size=\"10\">" +
+           escapeXml(yCol + "=" + grid.ys[y]) + "</text>\n";
     for (std::size_t x = 0; x < grid.xs.size(); ++x) {
       const auto it = grid.cells.find({y, x});
       const double v = it == grid.cells.end() ? 0.0 : it->second;
@@ -140,8 +142,9 @@ std::string renderStatsHeatmapSvg(const StatsTable& table,
   }
   svg += "<text x=\"" + std::to_string(labelWidth) + "\" y=\"" +
          std::to_string(height - 8) +
-         "\" font-family=\"sans-serif\" font-size=\"10\">" + xCol + " →  (max " +
-         fixed(grid.maxValue, 3) + ")</text>\n";
+         "\" font-family=\"sans-serif\" font-size=\"10\">" +
+         escapeXml(xCol) + " →  (max " + fixed(grid.maxValue, 3) +
+         ")</text>\n";
   svg += "</svg>\n";
   return svg;
 }

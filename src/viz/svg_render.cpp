@@ -16,21 +16,6 @@ std::string rgbHex(std::uint32_t rgb) {
   return buf;
 }
 
-std::string escapeXml(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '&': out += "&amp;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void rect(std::string& svg, double x, double y, double w, double h,
           const std::string& fill, const std::string& extra = "") {
   svg += "<rect x=\"" + fixed(x, 2) + "\" y=\"" + fixed(y, 2) + "\" width=\"" +

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 
 #include <unistd.h>
 
@@ -65,23 +66,17 @@ SlogMergeResult slogMerge(const std::vector<std::string>& intervalFiles,
   if (slogPath.empty()) {
     result.merge = merger.mergeTo(mergedPath);
   } else {
-    std::vector<ThreadEntry> threads;
-    std::map<std::uint32_t, std::string> markers;
-    for (const std::string& path : intervalFiles) {
-      IntervalFileReader reader(path);
-      const auto& t = reader.threads();
-      threads.insert(threads.end(), t.begin(), t.end());
-      for (const auto& [id, name] : reader.markers()) {
-        markers.emplace(id, name);
-      }
-    }
-    SlogWriter writer(slogPath, slog, profile, threads, markers);
+    std::optional<SlogWriter> writer;
     result.merge = merger.mergeTo(
         mergedPath,
-        [&writer](const RecordView& record) { writer.addRecord(record); });
-    writer.close();
-    result.slogIntervals = writer.intervalsWritten();
-    result.slogArrows = writer.arrowsWritten();
+        [&writer](const RecordView& record) { writer->addRecord(record); },
+        [&](const std::vector<ThreadEntry>& threads,
+            const std::map<std::uint32_t, std::string>& markers) {
+          writer.emplace(slogPath, slog, profile, threads, markers);
+        });
+    writer->close();
+    result.slogIntervals = writer->intervalsWritten();
+    result.slogArrows = writer->arrowsWritten();
   }
   result.seconds = secondsSince(t0);
   return result;

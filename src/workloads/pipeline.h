@@ -73,8 +73,8 @@ struct PipelineResult : ChainResult {
 
 /// Stage 3, "slogmerge" (§3.1, §4): merges `intervalFiles` into
 /// `mergedPath` and, unless `slogPath` is empty, writes the SLOG file in
-/// the same pass. The SLOG thread table and markers are collected from
-/// the inputs the way the merger collects them.
+/// the same pass. The SLOG carries the merged file's own thread table
+/// and markers, so a thread-type mask drops the same threads from both.
 SlogMergeResult slogMerge(const std::vector<std::string>& intervalFiles,
                           const Profile& profile, const MergeOptions& merge,
                           const std::string& mergedPath,

@@ -12,6 +12,8 @@
 #include <string>
 
 #include "fed/hash_ring.h"
+#include "fed/registry.h"
+#include "fed/router_service.h"
 
 namespace ute {
 namespace {
@@ -133,6 +135,32 @@ TEST(HashRing, RemovingABackendOnlyMovesItsOwnKeys) {
       EXPECT_EQ(now, before[keyName(i)]) << keyName(i);
     }
   }
+}
+
+TEST(FedHashes, RingSignatureAndCacheKeyValuesAreFrozen) {
+  // FNV-1a-64 values recorded from the federation's earlier private
+  // copies of the hash: a router must place names, detect enumeration
+  // changes and key cached replies exactly as before.
+  EXPECT_EQ(fnv1a64("b1#0"), 0x71b710b0784ef79dull);  // a ring point
+  EXPECT_EQ(fnv1a64("c.slog"), 0xc73a9450fa07ba8bull);  // a ring key
+  HashRing ring;
+  for (const char* node : {"b1", "b2", "b3"}) ring.add(node);
+  EXPECT_EQ(ring.preferenceOrder("a.slog", 3),
+            (std::vector<std::string>{"b3", "b2", "b1"}));
+  EXPECT_EQ(ring.preferenceOrder("c.slog", 3),
+            (std::vector<std::string>{"b2", "b3", "b1"}));
+  EXPECT_EQ(ring.preferenceOrder("d.slog", 3),
+            (std::vector<std::string>{"b1", "b2", "b3"}));
+
+  std::vector<BackendRegistry::ProbedTrace> rows(2);
+  rows[0] = {"/data/run.slog", false, 10, 2 * kSec, 7};
+  rows[1] = {"live run", true, 0, kSec, 2};
+  EXPECT_EQ(BackendRegistry::signature(rows), 0xe52b4a1ec7bef07dull);
+
+  const std::vector<std::uint8_t> request = {6,    2,    0, 0, 0, 0x40, 0x42,
+                                             0x0f, 0,    0, 0, 0, 0};
+  EXPECT_EQ(replyCacheKey(0x100000001ull, FrameEncoding::kColumnar, request),
+            0xc697cb6ad5e7271bull);
 }
 
 }  // namespace

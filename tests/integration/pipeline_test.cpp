@@ -266,5 +266,33 @@ TEST(Pipeline, TraceOffSuppressesMiddleSection) {
   EXPECT_EQ(markerCount.count("on2"), 1u);
 }
 
+TEST(Pipeline, ThreadMaskShapesTheSlogAndMergedTablesAlike) {
+  // With a thread-type mask the merged .uti drops the other threads; the
+  // SLOG written in the same pass must list exactly the same threads.
+  const PipelineResult& r = testRun();
+  const Profile profile = makeStandardProfile();
+  MergeOptions merge;
+  merge.threadTypeMask = MergeOptions::threadTypeBit(ThreadType::kMpi);
+  const std::string dir = makeScratchDir("pipeline_thread_mask");
+  slogMerge(r.intervalFiles, profile, merge, dir + "/mpi.merged.uti",
+            dir + "/mpi.slog", SlogOptions{});
+
+  const std::vector<ThreadEntry> merged =
+      IntervalFileReader(dir + "/mpi.merged.uti").threads();
+  const std::vector<ThreadEntry> slog = SlogReader(dir + "/mpi.slog").threads();
+  ASSERT_FALSE(merged.empty());
+  EXPECT_LT(merged.size(), IntervalFileReader(r.mergedFile).threads().size());
+  ASSERT_EQ(slog.size(), merged.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].type, ThreadType::kMpi) << i;
+    EXPECT_EQ(slog[i].task, merged[i].task) << i;
+    EXPECT_EQ(slog[i].pid, merged[i].pid) << i;
+    EXPECT_EQ(slog[i].systemTid, merged[i].systemTid) << i;
+    EXPECT_EQ(slog[i].node, merged[i].node) << i;
+    EXPECT_EQ(slog[i].ltid, merged[i].ltid) << i;
+    EXPECT_EQ(slog[i].type, merged[i].type) << i;
+  }
+}
+
 }  // namespace
 }  // namespace ute

@@ -129,5 +129,35 @@ TEST(StatsViewer, UnknownColumnThrows) {
                UsageError);
 }
 
+TEST(StatsViewer, HeatmapSvgEscapesLabels) {
+  // Table names, column names and y values are user text (a y value can
+  // be a marker string); markup characters in them must be escaped or
+  // the SVG is not well-formed XML.
+  StatsTable table;
+  table.name = "send & recv";
+  table.headers = {"x", "<y>", "v"};
+  table.rows = {{"0", "<main> & \"loop\"", "2.0"}, {"1", "a", "1.0"}};
+  const std::string svg = renderStatsHeatmapSvg(table, "x", "<y>", "v");
+  EXPECT_NE(svg.find("send &amp; recv"), std::string::npos);
+  EXPECT_NE(svg.find("&lt;y&gt;=&lt;main&gt; &amp; &quot;loop&quot;"),
+            std::string::npos);
+  // Every '<' opens one of the renderer's own elements, every '&' an
+  // entity.
+  for (std::size_t i = svg.find('<'); i != std::string::npos;
+       i = svg.find('<', i + 1)) {
+    const std::string tag = svg.substr(i, 5);
+    EXPECT_TRUE(tag == "<svg " || tag == "</svg" || tag == "<rect" ||
+                tag == "<text" || tag == "</tex")
+        << "raw '<' at " << i << ": " << svg.substr(i, 20);
+  }
+  for (std::size_t i = svg.find('&'); i != std::string::npos;
+       i = svg.find('&', i + 1)) {
+    const std::string rest = svg.substr(i, 6);
+    EXPECT_TRUE(rest.rfind("&amp;", 0) == 0 || rest.rfind("&lt;", 0) == 0 ||
+                rest.rfind("&gt;", 0) == 0 || rest.rfind("&quot;", 0) == 0)
+        << "raw '&' at " << i << ": " << svg.substr(i, 20);
+  }
+}
+
 }  // namespace
 }  // namespace ute

@@ -23,11 +23,9 @@
 //
 // Stops on SIGINT/SIGTERM or a client's shutdown request
 // (`utequery --router HOST:PORT shutdown`).
-#include <csignal>
 #include <cstdio>
 #include <exception>
 #include <sstream>
-#include <thread>
 
 #include "fed/router_server.h"
 #include "support/cli.h"
@@ -35,10 +33,6 @@
 #include "support/file_io.h"
 
 namespace {
-
-volatile std::sig_atomic_t gSignalled = 0;
-
-void onSignal(int) { gSignalled = 1; }
 
 std::vector<ute::BackendSpec> parseConfig(const std::string& path) {
   const std::vector<std::uint8_t> raw = ute::readWholeFile(path);
@@ -110,17 +104,10 @@ int main(int argc, char** argv) {
                 options.backends.size() == 1 ? "" : "s", traceCount,
                 traceCount == 1 ? "" : "s", options.cacheBytes >> 20);
     std::fflush(stdout);
-    if (const auto portFile = cli.value("port-file")) {
-      writeWholeFile(*portFile, std::to_string(server.port()) + "\n");
-    }
+    writePortFile(cli, "port-file", server.port());
 
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    while (gSignalled == 0 && !server.stopRequested()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    std::printf("uterouter: %s, shutting down\n",
-                gSignalled != 0 ? "signal received" : "shutdown requested");
+    const char* reason = waitForStop([&] { return server.stopRequested(); });
+    std::printf("uterouter: %s, shutting down\n", reason);
     server.stop();
     service.stop();
 

@@ -19,22 +19,11 @@
 //
 // Stops on SIGINT/SIGTERM or a client's shutdown request
 // (`utequery --port N shutdown`).
-#include <csignal>
 #include <cstdio>
 #include <exception>
-#include <thread>
 
 #include "server/server.h"
 #include "support/cli.h"
-#include "support/file_io.h"
-
-namespace {
-
-volatile std::sig_atomic_t gSignalled = 0;
-
-void onSignal(int) { gSignalled = 1; }
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ute;
@@ -72,17 +61,10 @@ int main(int argc, char** argv) {
                 options.service.cacheBytes >> 20, options.service.workers,
                 options.service.queueDepth);
     std::fflush(stdout);
-    if (const auto portFile = cli.value("port-file")) {
-      writeWholeFile(*portFile, std::to_string(server.port()) + "\n");
-    }
+    writePortFile(cli, "port-file", server.port());
 
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    while (gSignalled == 0 && !server.stopRequested()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    std::printf("uteserve: %s, shutting down\n",
-                gSignalled != 0 ? "signal received" : "shutdown requested");
+    const char* reason = waitForStop([&] { return server.stopRequested(); });
+    std::printf("uteserve: %s, shutting down\n", reason);
     server.stop();
 
     const FrameCache::Stats cache = server.service().cache().stats();

@@ -26,8 +26,6 @@
 // extended metrics blob, and uteview/utemetrics --connect work on the
 // live trace. The query server stays up after the run finishes (stop it
 // with `utequery shutdown` or SIGINT).
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -49,7 +47,6 @@
 #include "stream/ingest_server.h"
 #include "stream/live_feed.h"
 #include "support/cli.h"
-#include "support/file_io.h"
 #include "support/text.h"
 #include "workloads/pipeline.h"
 #include "workloads/workloads.h"
@@ -57,10 +54,6 @@
 namespace {
 
 using namespace ute;
-
-volatile std::sig_atomic_t gSignalled = 0;
-
-void onSignal(int) { gSignalled = 1; }
 
 /// Streams one already-recorded raw trace file into the ingest server.
 /// The send order is what makes the streamed outputs byte-identical to
@@ -247,9 +240,7 @@ int main(int argc, char** argv) {
                 server.port(), ingest.expectedNodes.size(),
                 ingest.expectedNodes.size() == 1 ? "" : "s");
     std::fflush(stdout);
-    if (const auto portFile = cli.value("ingest-port-file")) {
-      writeWholeFile(*portFile, std::to_string(server.port()) + "\n");
-    }
+    writePortFile(cli, "ingest-port-file", server.port());
 
     std::unique_ptr<TraceServer> query;
     if (serve) {
@@ -263,9 +254,7 @@ int main(int argc, char** argv) {
       std::printf("utestream: query service on 127.0.0.1:%u (trace 0 live)\n",
                   query->port());
       std::fflush(stdout);
-      if (const auto portFile = cli.value("port-file")) {
-        writeWholeFile(*portFile, std::to_string(query->port()) + "\n");
-      }
+      writePortFile(cli, "port-file", query->port());
     }
 
     // --- run the producers -------------------------------------------------
@@ -335,14 +324,10 @@ int main(int argc, char** argv) {
     }
 
     if (query) {
-      std::signal(SIGINT, onSignal);
-      std::signal(SIGTERM, onSignal);
       std::printf("utestream: run finished; query service stays up "
                   "(utequery shutdown or SIGINT to stop)\n");
       std::fflush(stdout);
-      while (gSignalled == 0 && !query->stopRequested()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
+      waitForStop([&] { return query->stopRequested(); });
       query->stop();
     }
     server.stop();
