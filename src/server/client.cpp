@@ -40,8 +40,11 @@ TraceClient::TraceClient(const std::string& host, std::uint16_t port,
       lastError = e.what();
     }
   }
+  // A failed connect already names the endpoint; a failed hello does not.
+  const std::string endpoint = netContext(host_, port_);
+  if (!lastError.ends_with(endpoint)) lastError += endpoint;
   throw IoError("connect failed after " + std::to_string(attempts) +
-                " attempt(s): " + lastError + netContext(host_, port_));
+                " attempt(s): " + lastError);
 }
 
 void TraceClient::connectAndHello() {

@@ -47,11 +47,13 @@ class FrameCache {
   Stats stats() const { return cache_.stats(); }
   void clear() { cache_.clear(); }
 
-  /// Budget accounting charge for one decoded frame.
+  /// Budget accounting charge for one decoded frame, its time index
+  /// (slog/frame_time_index.h) included.
   static std::size_t frameBytes(const SlogFrameData& frame) {
     return sizeof(SlogFrameData) +
            frame.intervals.size() * sizeof(SlogInterval) +
-           frame.arrows.size() * sizeof(SlogArrow);
+           frame.arrows.size() * sizeof(SlogArrow) +
+           frame.startFloors.size() * sizeof(Tick);
   }
 
  private:

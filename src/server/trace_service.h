@@ -4,11 +4,11 @@
 // answers concurrent queries against them: preview, states, threads,
 // frame-at(t), window(t0, t1) with thread/state filters, and per-state
 // summary totals. Frames are decoded at most once through the
-// frequency-admitted FrameCache, which stores the SlogFramePtr handles
-// SlogReader::readFrame returns — so N clients querying the same window
-// all share one frame in memory. Raw bytes come through the reader's
-// ByteSource (mmap when available), so concurrent workers need no
-// per-thread file handles.
+// frequency-admitted FrameCache, which stores each frame as a shared
+// SlogFramePtr with its time index built — so N clients querying the
+// same window all share one frame in memory. Raw bytes come through the
+// reader's ByteSource (mmap when available), so concurrent workers need
+// no per-thread file handles.
 //
 // A refused query throws ServiceError (server/service_error.h) carrying
 // its wire code: kBadTrace, kBadWindow, or kBadRequest (a query a live
@@ -73,6 +73,13 @@ struct WindowQuery {
 ///     state filters do not apply to arrows.
 /// Record order is frame order, then in-frame order — identical to a
 /// single-threaded scan of the same frames with a bare SlogReader.
+///
+/// The frames come from SlogReader::framesOverlapping (two binary
+/// searches of the frame index). Within a frame the service tests only
+/// the records the frame's time index (slog/frame_time_index.h) says can
+/// reach the window; the index is built, and the frame's layout checked,
+/// when the frame enters the cache, and a frame that fails the check is
+/// read whole. Summary reads the same records.
 struct WindowResult {
   Tick t0 = 0;  ///< clamped
   Tick t1 = 0;
@@ -123,7 +130,8 @@ class TraceService {
   /// reader (kBadRequest).
   const SlogReader& trace(std::uint32_t traceId) const;
 
-  /// Cached frame fetch (the unit the cache works in).
+  /// Cached frame fetch (the unit the cache works in). A miss decodes
+  /// the frame and builds its time index (indexFrameTimes) in one pass.
   FrameCache::FramePtr frame(std::uint32_t traceId, std::size_t frameIdx);
 
   WindowResult window(std::uint32_t traceId, const WindowQuery& query);

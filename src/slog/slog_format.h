@@ -67,6 +67,14 @@ struct SlogArrow {
 struct SlogFrameData {
   std::vector<SlogInterval> intervals;
   std::vector<SlogArrow> arrows;
+  /// Optional time index over `intervals`, filled by indexFrameTimes
+  /// (slog/frame_time_index.h) for a frame in SlogWriter's layout: the
+  /// first `pseudoPrefix` intervals are the pseudo-intervals, and
+  /// startFloors[b] is the minimum start of the real intervals from
+  /// kStartFloorBlock * b on. Empty `startFloors` means no index: a query
+  /// reads every interval.
+  std::uint32_t pseudoPrefix = 0;
+  std::vector<Tick> startFloors;
 };
 
 /// The shared immutable frame handle the whole read side trades in: the

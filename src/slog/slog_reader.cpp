@@ -137,18 +137,27 @@ std::optional<std::size_t> SlogReader::frameIndexFor(Tick t) const {
 
 std::optional<std::pair<std::size_t, std::size_t>>
 SlogReader::framesOverlapping(Tick t0, Tick t1) const {
-  std::size_t first = index_.size();
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < index_.size(); ++i) {
-    if (index_[i].timeEnd <= t0 || index_[i].timeStart >= t1) continue;
-    first = std::min(first, i);
-    last = std::max(last, i);
-  }
-  if (first > last) return std::nullopt;
-  return std::make_pair(first, last);
+  // Frames tile the run, so both times ascend through the index: the
+  // span runs from the first frame ending after t0 to the last starting
+  // before t1.
+  const auto first = std::partition_point(
+      index_.begin(), index_.end(),
+      [t0](const SlogFrameIndexEntry& e) { return e.timeEnd <= t0; });
+  const auto past = std::partition_point(
+      index_.begin(), index_.end(),
+      [t1](const SlogFrameIndexEntry& e) { return e.timeStart < t1; });
+  if (past <= first) return std::nullopt;
+  return std::make_pair(static_cast<std::size_t>(first - index_.begin()),
+                        static_cast<std::size_t>(past - index_.begin()) - 1);
 }
 
 SlogFramePtr SlogReader::readFrame(std::size_t frameIdx) const {
+  auto data = std::make_shared<SlogFrameData>();
+  readFrameInto(frameIdx, *data);
+  return data;
+}
+
+void SlogReader::readFrameInto(std::size_t frameIdx, SlogFrameData& out) const {
   if (frameIdx >= index_.size()) {
     throw UsageError("SLOG frame index out of range");
   }
@@ -157,35 +166,37 @@ SlogFramePtr SlogReader::readFrame(std::size_t frameIdx) const {
   // re-checks against the mapping bounds, so a file truncated after open
   // still fails typed instead of faulting.
   const FrameBuf bytes = source_.fetch(entry.offset, entry.sizeBytes);
-  auto data = std::make_shared<SlogFrameData>();
+  out.pseudoPrefix = 0;
+  out.startFloors.clear();
   if (entry.encoding ==
       static_cast<std::uint32_t>(FrameEncoding::kColumnar)) {
     // The error context is formatted only when decoding fails.
     try {
-      decodeColumnarFrame(bytes.bytes(), *data);
+      decodeColumnarFrame(bytes.bytes(), out);
     } catch (const FormatError& e) {
       throw FormatError(e.what() + ioContext(path(), entry.offset));
     }
-    if (data->intervals.size() + data->arrows.size() != entry.records) {
+    if (out.intervals.size() + out.arrows.size() != entry.records) {
       throw CorruptFileError(
           "corrupt SLOG file: frame record count mismatch" +
           ioContext(path(), entry.offset));
     }
-    return data;
+    return;
   }
+  out.intervals.clear();
+  out.arrows.clear();
   ByteReader r = bytes.reader();
   for (std::uint32_t i = 0; i < entry.records; ++i) {
     const std::uint8_t kind = r.u8();
     if (kind == 0) {
-      data->intervals.push_back(takeRowInterval(r));
+      out.intervals.push_back(takeRowInterval(r));
     } else if (kind == 1) {
-      data->arrows.push_back(takeRowArrow(r));
+      out.arrows.push_back(takeRowArrow(r));
     } else {
       throw FormatError("unknown SLOG record kind " + std::to_string(kind) +
                         ioContext(path(), entry.offset + r.pos() - 1));
     }
   }
-  return data;
 }
 
 }  // namespace ute

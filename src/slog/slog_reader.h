@@ -2,7 +2,8 @@
 // frame index, and preview; reads individual frames on demand. The
 // viewer's scalability property — locating and loading the frame for any
 // chosen time without touching the rest of the file — lives in
-// frameIndexFor() + readFrame().
+// frameIndexFor()/framesOverlapping() (binary searches of the frame
+// index) + readFrame().
 //
 // The reader sits on the zero-copy ByteSource layer: on the mmap path a
 // frame read decodes straight out of the mapping with no intermediate
@@ -52,14 +53,21 @@ class SlogReader {
   std::optional<std::size_t> frameIndexFor(Tick t) const;
 
   /// The frames [first, last] overlapping the half-open window [t0, t1),
-  /// or nullopt when none does. A frame that merely touches a window edge
-  /// is not selected: states spanning in are restated by the first
+  /// or nullopt when none does: every frame with timeEnd > t0 and
+  /// timeStart < t1. Two binary searches of the frame index, so the cost
+  /// does not grow with the file. A frame that merely touches a window
+  /// edge is not selected: states spanning in are restated by the first
   /// selected frame's pseudo-intervals.
   std::optional<std::pair<std::size_t, std::size_t>> framesOverlapping(
       Tick t0, Tick t1) const;
 
-  /// Decodes one frame into a shared immutable handle. Thread-safe.
+  /// Decodes one frame into a shared immutable handle, with no time
+  /// index (slog/frame_time_index.h). Thread-safe.
   SlogFramePtr readFrame(std::size_t frameIdx) const;
+  /// Decodes one frame into `out`, replacing its contents, for a caller
+  /// that adds to the frame before sharing it (the query service indexes
+  /// it). Thread-safe for distinct `out`s.
+  void readFrameInto(std::size_t frameIdx, SlogFrameData& out) const;
 
   const std::string& path() const { return source_.path(); }
   const ByteSource& source() const { return source_; }

@@ -247,8 +247,6 @@ TEST(ErrorReplies, RouterRefusalsArePinned) {
                       " unavailable: connect failed after 1 attempt(s): "
                       "connect failed: Connection refused at endpoint "
                       "'127.0.0.1:" +
-                      std::to_string(doomedPort) + "'" +
-                      " at endpoint '127.0.0.1:" +
                       std::to_string(doomedPort) + "'")});
 
   ConnectionContext ctx;

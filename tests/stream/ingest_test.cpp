@@ -374,7 +374,8 @@ TEST(IngestServer, UnknownThreadTypeGetsBadRequest) {
       encodeIngestThreads({{0, 1000, 10000, 0, 0, ThreadType::kMpi}});
   std::vector<std::uint8_t> bytes(threads.view().begin(),
                                   threads.view().end());
-  bytes.back() = 200;
+  ASSERT_FALSE(bytes.empty());
+  bytes[bytes.size() - 1] = 200;  // the thread type byte
   sendMessage(socket, bytes);
   const auto reply = recvMessage(socket);
   ASSERT_TRUE(reply.has_value()) << "EOF instead of a structured reply";
