@@ -850,6 +850,172 @@ TEST(SlogCodecDiff, TrailingBytesAndUnknownFlagBitsAreRejected) {
                   .pseudo);
 }
 
+// --- frame sizes around the decoder's record tiles and byte chunks ---------
+//
+// The decoder fills records in tiles and scans multi-byte varint columns
+// in 64-byte chunks while 72 bytes remain. These cases put frame sizes
+// at tile edges and single varints, over-long encodings and truncations
+// at every chunk position, always against the oracle.
+
+/// A frame of `n` wide random intervals and `n / 16` arrows, or of
+/// small-value records (one-byte lanes and dictionaries) when `small`.
+SlogFrameData sizedFrame(std::uint64_t seed, std::size_t n, bool small) {
+  Rng rng(seed);
+  if (small) return smallValueFrame(rng, n, n / 16);
+  SlogFrameData frame;
+  for (std::size_t i = 0; i < n; ++i) {
+    frame.intervals.push_back(randomInterval(rng));
+  }
+  for (std::size_t i = 0; i < n / 16; ++i) {
+    frame.arrows.push_back(randomArrow(rng));
+  }
+  return frame;
+}
+
+TEST(SlogCodecDiff, FramesAtTileEdgesRoundTrip) {
+  for (const std::size_t n : {std::size_t{255}, std::size_t{256},
+                              std::size_t{257}, std::size_t{511},
+                              std::size_t{513}, std::size_t{4001}}) {
+    for (const bool small : {false, true}) {
+      const SlogFrameData frame = sizedFrame(n * 2 + small, n, small);
+      std::vector<std::uint8_t> payload;
+      encodeColumnarFrame(frame.intervals, frame.arrows, payload);
+      ASSERT_TRUE(decodersAgree(payload)) << n << " small " << small;
+      // Decoding into a frame that already holds records replaces them.
+      SlogFrameData out = sizedFrame(7, 300, !small);
+      decodeColumnarFrame(payload, out);
+      ASSERT_TRUE(sameFrame(out, frame)) << n << " small " << small;
+    }
+  }
+}
+
+/// Smallest value whose varint takes `len` bytes (1..10).
+std::uint64_t varintOfLength(std::size_t len) {
+  return len == 1 ? 5 : std::uint64_t{1} << (7 * (len - 1));
+}
+
+TEST(SlogCodecDiff, EveryVarintLengthAtEveryChunkPosition) {
+  // One varint of each length after `lead` one-byte values, so it starts
+  // at every offset of the first two 64-byte chunks (straddling the chunk
+  // edge), followed by `trail` one-byte values, so the block end falls on
+  // either side of the 72-byte margin.
+  for (std::size_t len = 1; len <= 10; ++len) {
+    for (std::size_t lead = 0; lead <= 140; ++lead) {
+      for (const std::size_t trail : {0, 7, 70, 80}) {
+        std::vector<std::uint8_t> body(lead, 3);
+        const std::uint64_t wide = varintOfLength(len) + (len > 1 ? lead : 0);
+        putVarint(body, wide);
+        body.insert(body.end(), trail, 9);
+        const std::size_t count = lead + 1 + trail;
+        const SlogFrameData out = decodeOk(
+            intervalPayload(count, oracle::kColDura, oracle::kEncVarint, body));
+        ASSERT_EQ(out.intervals.size(), count);
+        ASSERT_EQ(out.intervals[lead].dura, wide)
+            << "len " << len << " lead " << lead << " trail " << trail;
+        if (lead > 0) {
+          ASSERT_EQ(out.intervals[lead - 1].dura, 3u);
+        }
+        if (trail > 0) {
+          ASSERT_EQ(out.intervals.back().dura, 9u);
+        }
+      }
+    }
+  }
+  // Whole columns of one length, plain and delta coded: chunk edges fall
+  // at every phase of the varints.
+  for (std::size_t len = 1; len <= 10; ++len) {
+    SlogFrameData frame;
+    Rng rng(len);
+    Tick t = 0;
+    for (std::size_t i = 0; i < 300; ++i) {
+      SlogInterval r;
+      const std::uint64_t low = varintOfLength(len);
+      r.dura = low + rng.below(low);
+      t += rng.below(2) == 0 ? low : 0 - low;
+      r.start = t;
+      r.node = static_cast<NodeId>(i % 5);
+      frame.intervals.push_back(r);
+    }
+    std::vector<std::uint8_t> payload;
+    encodeColumnarFrame(frame.intervals, frame.arrows, payload);
+    ASSERT_TRUE(decodersAgree(payload)) << len;
+    SlogFrameData out;
+    decodeColumnarFrame(payload, out);
+    ASSERT_TRUE(sameFrame(out, frame)) << len;
+  }
+}
+
+TEST(SlogCodecDiff, OverlongAndTruncatedVarintsAtChunkEdges) {
+  // The byte that breaks the column sits at the first, middle and last
+  // byte of the first three 64-byte chunks, in a block long enough that
+  // the chunk scan reaches it.
+  for (const std::size_t at : {10, 32, 63, 64, 96, 127, 128, 160, 191}) {
+    // A 10-byte varint whose 10th byte, at `at`, carries more than bit 63.
+    std::vector<std::uint8_t> wide(at - 9, 1);
+    wide.insert(wide.end(), 9, 0xff);
+    wide.push_back(0x02);
+    wide.insert(wide.end(), 120, 1);
+    const std::size_t wideCount = at - 9 + 1 + 120;
+    const std::vector<std::uint8_t> bad =
+        intervalPayload(wideCount, oracle::kColDura, oracle::kEncVarint, wide);
+    EXPECT_TRUE(decodersAgree(bad)) << at;
+    SlogFrameData out;
+    EXPECT_THROW(decodeColumnarFrame(bad, out), FormatError) << at;
+    // The same 10 bytes with the legal top bit decode.
+    wide[at] = 0x01;
+    const SlogFrameData ok = decodeOk(
+        intervalPayload(wideCount, oracle::kColDura, oracle::kEncVarint, wide));
+    EXPECT_EQ(ok.intervals[at - 9].dura, ~0ull) << at;
+
+    // Eleven continuation bytes ending at `at`: longer than any varint.
+    std::vector<std::uint8_t> endless(at - 10, 1);
+    endless.insert(endless.end(), 11, 0x80);
+    endless.insert(endless.end(), 120, 1);
+    const std::vector<std::uint8_t> bad2 = intervalPayload(
+        at - 10 + 1 + 120, oracle::kColDura, oracle::kEncVarint, endless);
+    EXPECT_TRUE(decodersAgree(bad2)) << at;
+    EXPECT_THROW(decodeColumnarFrame(bad2, out), FormatError) << at;
+
+    // A column of two-byte varints that ends early: the block's last
+    // byte, at `at`, continues a varint the block does not finish, and
+    // the column then lacks values.
+    std::vector<std::uint8_t> cut;
+    while (cut.size() < 200) putVarint(cut, 200 + cut.size());
+    cut.resize(at + 1);
+    cut.back() = 0x80;
+    const std::vector<std::uint8_t> bad3 =
+        intervalPayload(100, oracle::kColDura, oracle::kEncVarint, cut);
+    EXPECT_TRUE(decodersAgree(bad3)) << at;
+    EXPECT_THROW(decodeColumnarFrame(bad3, out), FormatError) << at;
+    // Delta coded, the same cut.
+    const std::vector<std::uint8_t> bad4 =
+        intervalPayload(100, oracle::kColStart, oracle::kEncDelta, cut);
+    EXPECT_TRUE(decodersAgree(bad4)) << at;
+    EXPECT_THROW(decodeColumnarFrame(bad4, out), FormatError) << at;
+  }
+}
+
+TEST(SlogCodecDiff, EveryTruncationOfAFourThousandRecordFrame) {
+  // Small values, as in a merged trace's frames: about 7 bytes a record.
+  const SlogFrameData frame = sizedFrame(4096, 4000, true);
+  std::vector<std::uint8_t> payload;
+  encodeColumnarFrame(frame.intervals, frame.arrows, payload);
+  ASSERT_GT(payload.size(), 20000u);
+  ASSERT_TRUE(decodersAgree(payload));
+  // Each cut is copied to the end of one payload-sized buffer, so the
+  // sanitizer lanes see any read past the cut.
+  const auto buffer = std::make_unique<std::uint8_t[]>(payload.size());
+  std::uint8_t* const end = buffer.get() + payload.size();
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    std::copy(payload.begin(), payload.begin() + static_cast<long>(n),
+              end - n);
+    const std::span<const std::uint8_t> cut(end - n, n);
+    SlogFrameData out;
+    ASSERT_THROW(decodeColumnarFrame(cut, out), FormatError) << n;
+    ASSERT_TRUE(decodersAgree(cut)) << "truncated to " << n;
+  }
+}
+
 // --- cross-version: the same records through the v1 and v2 writers ---------
 
 std::string writeSlogFile(const std::string& name, std::uint32_t version) {
