@@ -278,109 +278,245 @@ std::uint64_t getVarintUnchecked(std::span<const std::uint8_t> data,
   return getVarint(data, pos);
 }
 
-/// Decodes the varints for records [first, count) at `pos` and hands
-/// each to `fn(i, value)`. A block with exactly one byte left per value
-/// and no continuation bit among them (one max-reduction) is a one-byte
-/// lane and is widened straight; otherwise varints decode unchecked
-/// while 10 bytes remain, then checked.
-template <typename Fn>
+/// The chunk scan reads a 64-byte stop mask and then 8-byte words that
+/// start anywhere in it, so it runs while 64 + 8 bytes remain.
+constexpr std::size_t kChunkBytes = 64;
+constexpr std::size_t kChunkMargin = kChunkBytes + 8;
+
+/// Decodes `count` varints at `pos` into out[0, count). While
+/// kChunkMargin bytes remain, the varints that end in the next 64 bytes
+/// come off one stop mask (kernels.h): each one's 8-byte word is copied
+/// out, and packVarintWords turns the words into values afterwards. A
+/// varint of more than 8 bytes goes through getVarintUnchecked, which
+/// keeps the over-long checks. The tail decodes unchecked while 10 bytes
+/// remain, then checked.
 void readVarints(std::span<const std::uint8_t> block, std::size_t& pos,
-                 std::size_t first, std::size_t count, Fn&& fn) {
-  const std::uint8_t* p = block.data() + pos;
-  const std::size_t n = count - first;
-  if (block.size() - pos == n && kernels::byteMax(p, n) < 0x80) {
-    for (std::size_t i = 0; i < n; ++i) fn(first + i, std::uint64_t{p[i]});
-    pos += n;
-    return;
+                 std::size_t count, std::uint64_t* out) {
+  const std::uint8_t* const p = block.data();
+  std::size_t at = pos;
+  std::size_t i = 0;
+  std::size_t packed = 0;  // out[packed, i) are words still to pack
+  while (i < count && block.size() - at >= kChunkMargin) {
+    std::uint64_t stops = kernels::stopMask64(p + at);
+    if (stops == 0) {  // 64 bytes that end no varint: getVarint throws
+      getVarintUnchecked(block, at);
+    }
+    // The varints that end in this chunk, or as many as are still due.
+    const std::size_t take = std::min<std::size_t>(
+        static_cast<std::size_t>(std::popcount(stops)), count - i);
+    const std::uint8_t* const chunk = p + at;
+    unsigned start = 0;  // chunk offset of the next varint
+    for (std::size_t t = 0; t < take; ++t) {
+      // Bit 63 only tells the compiler the operand is never zero.
+      const unsigned end =
+          static_cast<unsigned>(std::countr_zero(stops | 1ull << 63)) + 1;
+      if (end - start <= 8) [[likely]] {
+        out[i + t] = kernels::loadLe64(chunk + start);
+      } else {
+        kernels::packVarintWords(out + packed, i + t - packed);
+        std::size_t q = at + start;
+        out[i + t] = getVarintUnchecked(block, q);
+        packed = i + t + 1;
+      }
+      start = end;
+      stops &= stops - 1;
+    }
+    i += take;
+    at += start;
   }
-  std::size_t i = first;
-  for (; i < count && block.size() - pos >= 10; ++i) {
-    fn(i, getVarintUnchecked(block, pos));
+  kernels::packVarintWords(out + packed, i - packed);
+  for (; i < count && block.size() - at >= 10; ++i) {
+    out[i] = getVarintUnchecked(block, at);
   }
-  for (; i < count; ++i) fn(i, getVarint(block, pos));
+  for (; i < count; ++i) out[i] = getVarint(block, at);
+  pos = at;
 }
 
-/// Decodes one column block of `count` records, handing record i's
-/// value to `store(i, value)`. All of a block's checks run here, on the
-/// block alone.
-template <typename Store>
-void decodeColumn(std::span<const std::uint8_t> block, std::uint8_t encoding,
-                  std::size_t count, Store&& store) {
-  std::size_t pos = 0;
-  switch (encoding) {
-    case kEncVarint:
-      readVarints(block, pos, 0, count, store);
-      break;
-    case kEncDelta: {
-      if (count == 0) break;
-      std::uint64_t prev = getVarint(block, pos);
-      store(0, prev);
-      readVarints(block, pos, 1, count,
-                  [&](std::size_t i, std::uint64_t delta) {
-                    prev += static_cast<std::uint64_t>(zigzagDecode(delta));
-                    store(i, prev);
-                  });
-      break;
+/// Records per tile: 256 records of 40 bytes stay in L1 while every
+/// column writes its field.
+constexpr std::size_t kTileRecords = 256;
+
+/// One column block's read state across the record tiles: its position,
+/// a delta column's running value, a dictionary, and whether every value
+/// left is one byte. begin() reads what precedes the values and judges
+/// the one-byte lane with one max-reduction; read() decodes the next
+/// tile's values; close() checks that the block was consumed exactly.
+class ColumnCursor {
+ public:
+  void begin(std::span<const std::uint8_t> block, std::uint8_t encoding,
+            std::size_t count) {
+    block_ = block;
+    encoding_ = encoding;
+    std::size_t values = count;  // one-byte lane candidates after pos_
+    switch (encoding) {
+      case kEncVarint:
+        break;
+      case kEncDelta:
+        if (count == 0) break;
+        prev_ = getVarint(block, pos_);
+        firstPending_ = true;
+        values = count - 1;
+        break;
+      case kEncDict: {
+        dictSize_ = getVarint(block, pos_);
+        // A dictionary can never usefully exceed the record count, and a
+        // corrupt size must not drive a huge allocation.
+        if (dictSize_ > count && dictSize_ > kMaxDictValues) {
+          throw FormatError("columnar dictionary larger than the column");
+        }
+        if (dictSize_ > kMaxDictValues) {
+          large_.resize(static_cast<std::size_t>(dictSize_));
+        }
+        readVarints(block, pos_, static_cast<std::size_t>(dictSize_), dict());
+        // One-byte indexes, all within the dictionary.
+        oneByte_ = block.size() - pos_ == count &&
+                   kernels::byteMax(block.data() + pos_, count) <
+                       std::min<std::uint64_t>(dictSize_, 0x80);
+        return;
+      }
+      default:
+        throw FormatError("unknown column encoding " +
+                          std::to_string(encoding));
     }
-    case kEncDict: {
-      const std::uint64_t dictSize = getVarint(block, pos);
-      // A dictionary can never usefully exceed the record count, and a
-      // corrupt size must not drive a huge allocation.
-      if (dictSize > count && dictSize > kMaxDictValues) {
-        throw FormatError("columnar dictionary larger than the column");
-      }
-      std::array<std::uint64_t, kMaxDictValues> small{};
-      std::vector<std::uint64_t> large;
-      std::uint64_t* dict = small.data();
-      if (dictSize > kMaxDictValues) {
-        large.resize(static_cast<std::size_t>(dictSize));
-        dict = large.data();
-      }
-      readVarints(block, pos, 0, static_cast<std::size_t>(dictSize),
-                  [dict](std::size_t i, std::uint64_t v) { dict[i] = v; });
-      // One-byte indexes: one max-reduction checks them all at once.
-      const std::uint8_t* idx = block.data() + pos;
-      if (block.size() - pos == count &&
-          kernels::byteMax(idx, count) < std::min<std::uint64_t>(dictSize,
-                                                                 0x80)) {
-        for (std::size_t i = 0; i < count; ++i) store(i, dict[idx[i]]);
-        pos += count;
+    oneByte_ = block.size() - pos_ == values &&
+               kernels::byteMax(block.data() + pos_, values) < 0x80;
+  }
+
+  /// Hands the next `k` (<= kTileRecords) values to `store(j, value)`,
+  /// j in [0, k), and returns their bitwise OR. Multi-byte varints decode
+  /// into a local lane first, so the stores into the tile cannot alias
+  /// the decoder's state.
+  template <typename Store>
+  std::uint64_t read(std::size_t k, Store store) {
+    const std::uint8_t* const p = block_.data() + pos_;
+    std::array<std::uint64_t, kTileRecords> lane;
+    std::uint64_t seen = 0;
+    switch (encoding_) {
+      case kEncVarint:
+        if (oneByte_) {
+          for (std::size_t j = 0; j < k; ++j) {
+            seen |= p[j];
+            store(j, std::uint64_t{p[j]});
+          }
+          pos_ += k;
+          break;
+        }
+        readVarints(block_, pos_, k, lane.data());
+        for (std::size_t j = 0; j < k; ++j) {
+          seen |= lane[j];
+          store(j, lane[j]);
+        }
+        break;
+      case kEncDelta: {
+        std::uint64_t prev = prev_;
+        std::size_t j = 0;
+        if (firstPending_) {
+          seen = prev;
+          store(j++, prev);
+          firstPending_ = false;
+        }
+        const std::size_t n = k - j;
+        if (oneByte_) {
+          for (std::size_t i = 0; i < n; ++i) lane[i] = p[i];
+          pos_ += n;
+        } else {
+          readVarints(block_, pos_, n, lane.data());
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          prev += static_cast<std::uint64_t>(zigzagDecode(lane[i]));
+          seen |= prev;
+          store(j + i, prev);
+        }
+        prev_ = prev;
         break;
       }
-      readVarints(block, pos, 0, count,
-                  [&](std::size_t i, std::uint64_t index) {
-                    if (index >= dictSize) {
-                      throw FormatError(
-                          "columnar dictionary index out of range");
-                    }
-                    store(i, dict[index]);
-                  });
-      break;
+      case kEncDict: {
+        const std::uint64_t* const dict = this->dict();
+        if (oneByte_) {
+          for (std::size_t j = 0; j < k; ++j) {
+            const std::uint64_t v = dict[p[j]];
+            seen |= v;
+            store(j, v);
+          }
+          pos_ += k;
+          break;
+        }
+        readVarints(block_, pos_, k, lane.data());
+        std::uint64_t maxIndex = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          maxIndex = std::max(maxIndex, lane[j]);
+        }
+        if (k > 0 && maxIndex >= dictSize_) {
+          throw FormatError("columnar dictionary index out of range");
+        }
+        for (std::size_t j = 0; j < k; ++j) {
+          const std::uint64_t v = dict[lane[j]];
+          seen |= v;
+          store(j, v);
+        }
+        break;
+      }
     }
-    default:
-      throw FormatError("unknown column encoding " +
-                        std::to_string(encoding));
+    return seen;
   }
-  if (pos != block.size()) {
-    throw FormatError("column block has " +
-                      std::to_string(block.size() - pos) +
-                      " trailing bytes");
+
+  void close() const {
+    if (pos_ != block_.size()) {
+      throw FormatError("column block has " +
+                        std::to_string(block_.size() - pos_) +
+                        " trailing bytes");
+    }
+  }
+
+ private:
+  std::uint64_t* dict() {
+    return large_.empty() ? small_.data() : large_.data();
+  }
+
+  std::span<const std::uint8_t> block_;
+  std::size_t pos_ = 0;
+  std::uint8_t encoding_ = 0;
+  bool oneByte_ = false;
+  bool firstPending_ = false;  ///< a delta column's first value is unstored
+  std::uint64_t prev_ = 0;     ///< a delta column's last value
+  std::uint64_t dictSize_ = 0;
+  std::array<std::uint64_t, kMaxDictValues> small_;  ///< written before read
+  std::vector<std::uint64_t> large_;
+};
+
+/// A store writing value v into field `Field` of tile[j]: narrowed, or
+/// zigzag-decoded for the signed id columns.
+template <auto Field, bool Zigzag = false, typename Rec>
+auto intoField(Rec* tile) {
+  using T = std::remove_reference_t<decltype(tile->*Field)>;
+  return [tile](std::size_t j, std::uint64_t v) {
+    if constexpr (Zigzag) {
+      tile[j].*Field = static_cast<T>(zigzagDecode(v));
+    } else {
+      tile[j].*Field = static_cast<T>(v);
+    }
+  };
+}
+
+/// Grows `recs` to `n` records one tile at a time, handing each fresh
+/// tile to `fill(tile, k)`.
+template <typename Rec, typename Fill>
+void fillTiles(std::vector<Rec>& recs, std::size_t n, Fill&& fill) {
+  recs.clear();
+  recs.reserve(n);
+  for (std::size_t first = 0; first < n; first += kTileRecords) {
+    const std::size_t k = std::min(kTileRecords, n - first);
+    recs.resize(first + k);
+    fill(recs.data() + first, k);
   }
 }
 
-/// Decodes a column block straight into one field of `recs`: narrowed,
-/// or zigzag-decoded for the signed id columns.
-template <auto Field, bool Zigzag = false, typename Rec>
-void decodeInto(std::span<const std::uint8_t> block, std::uint8_t encoding,
-                Rec* recs, std::size_t count) {
-  using T = std::remove_reference_t<decltype(recs->*Field)>;
-  decodeColumn(block, encoding, count, [recs](std::size_t i, std::uint64_t v) {
-    if constexpr (Zigzag) {
-      recs[i].*Field = static_cast<T>(zigzagDecode(v));
-    } else {
-      recs[i].*Field = static_cast<T>(v);
-    }
-  });
+/// Interval columns take cursor slots 0..6 (their ids), arrow columns
+/// slots 7..13.
+constexpr std::size_t kArrowSlot = kColThread + 1;
+constexpr std::size_t kColumns = kArrowSlot + (kColBytes - kColSrcNode + 1);
+constexpr std::size_t slotOf(std::uint8_t id) {
+  return id <= kColThread ? id : kArrowSlot + id - kColSrcNode;
 }
 
 }  // namespace
@@ -400,94 +536,84 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
     if (nIntervals > payload.size() || nArrows > payload.size()) {
       fail("record count exceeds payload size");
     }
-    out.intervals.resize(static_cast<std::size_t>(nIntervals));
-    out.arrows.resize(static_cast<std::size_t>(nArrows));
-    SlogInterval* iv = out.intervals.data();
-    SlogArrow* ar = out.arrows.data();
+    const std::size_t ni = static_cast<std::size_t>(nIntervals);
+    const std::size_t na = static_cast<std::size_t>(nArrows);
 
-    // Each known column decodes straight into its record field; ids
-    // outside the known set are skipped by their recorded length.
-    std::array<bool, kColBytes + 1> seen{};
+    // Every block header first: the column set is checked before any
+    // value is decoded. Ids outside the known set are skipped by their
+    // recorded length.
+    struct Block {
+      std::span<const std::uint8_t> bytes;
+      std::uint8_t encoding = 0;
+      bool seen = false;
+    };
+    std::array<Block, kColumns> blocks{};
     while (pos < payload.size()) {
       if (payload.size() - pos < 2) fail("truncated column header");
       const std::uint8_t id = payload[pos++];
       const std::uint8_t encoding = payload[pos++];
       const std::uint64_t len = getVarint(payload, pos);
       if (len > payload.size() - pos) fail("column block exceeds payload");
-      const std::span<const std::uint8_t> block =
+      const std::span<const std::uint8_t> bytes =
           payload.subspan(pos, static_cast<std::size_t>(len));
       pos += static_cast<std::size_t>(len);
       const bool known =
           id <= kColThread || (id >= kColSrcNode && id <= kColBytes);
       if (!known) continue;
-      if (seen[id]) fail("duplicate column " + std::to_string(id));
-      seen[id] = true;
-      const std::size_t ni = out.intervals.size();
-      const std::size_t na = out.arrows.size();
-      switch (id) {
-        case kColStateId:
-          decodeInto<&SlogInterval::stateId>(block, encoding, iv, ni);
-          break;
-        case kColFlags: {
-          std::uint64_t bits = 0;
-          decodeColumn(block, encoding, ni,
-                       [iv, &bits](std::size_t i, std::uint64_t v) {
-                         bits |= v;
-                         iv[i].bebits = static_cast<std::uint8_t>(v);
-                         iv[i].pseudo = (v & 0x100) != 0;
-                       });
-          if (bits & ~0x1ffull) fail("interval flags column has unknown bits");
-          break;
-        }
-        case kColStart:
-          decodeInto<&SlogInterval::start>(block, encoding, iv, ni);
-          break;
-        case kColDura:
-          decodeInto<&SlogInterval::dura>(block, encoding, iv, ni);
-          break;
-        case kColNode:
-          decodeInto<&SlogInterval::node, true>(block, encoding, iv, ni);
-          break;
-        case kColCpu:
-          decodeInto<&SlogInterval::cpu, true>(block, encoding, iv, ni);
-          break;
-        case kColThread:
-          decodeInto<&SlogInterval::thread, true>(block, encoding, iv, ni);
-          break;
-        case kColSrcNode:
-          decodeInto<&SlogArrow::srcNode, true>(block, encoding, ar, na);
-          break;
-        case kColSrcThread:
-          decodeInto<&SlogArrow::srcThread, true>(block, encoding, ar, na);
-          break;
-        case kColSendTime:
-          decodeInto<&SlogArrow::sendTime>(block, encoding, ar, na);
-          break;
-        case kColDstNode:
-          decodeInto<&SlogArrow::dstNode, true>(block, encoding, ar, na);
-          break;
-        case kColDstThread:
-          decodeInto<&SlogArrow::dstThread, true>(block, encoding, ar, na);
-          break;
-        case kColRecvTime:
-          decodeInto<&SlogArrow::recvTime>(block, encoding, ar, na);
-          break;
-        case kColBytes:
-          decodeInto<&SlogArrow::bytes>(block, encoding, ar, na);
-          break;
+      Block& b = blocks[slotOf(id)];
+      if (b.seen) fail("duplicate column " + std::to_string(id));
+      b = {bytes, encoding, true};
+    }
+    for (std::size_t s = 0; s < kColumns; ++s) {
+      const bool arrow = s >= kArrowSlot;
+      if (!blocks[s].seen && (arrow ? na : ni) > 0) {
+        fail(std::string(arrow ? "missing arrow column " : "missing interval column ") +
+             std::to_string(arrow ? kColSrcNode + s - kArrowSlot : s));
       }
     }
 
-    if (nIntervals > 0) {
-      for (std::uint8_t id = kColStateId; id <= kColThread; ++id) {
-        if (!seen[id]) fail("missing interval column " + std::to_string(id));
+    std::array<ColumnCursor, kColumns> cursors;
+    for (std::size_t s = 0; s < kColumns; ++s) {
+      if (blocks[s].seen) {
+        cursors[s].begin(blocks[s].bytes, blocks[s].encoding,
+                        s < kArrowSlot ? ni : na);
       }
     }
-    if (nArrows > 0) {
-      for (std::uint8_t id = kColSrcNode; id <= kColBytes; ++id) {
-        if (!seen[id]) fail("missing arrow column " + std::to_string(id));
+    const auto closeSlots = [&](std::size_t from, std::size_t to) {
+      for (std::size_t s = from; s < to; ++s) {
+        if (blocks[s].seen) cursors[s].close();
       }
-    }
+    };
+
+    const auto c = [&cursors](std::uint8_t id) -> ColumnCursor& {
+      return cursors[slotOf(id)];
+    };
+    fillTiles(out.intervals, ni, [&](SlogInterval* tile, std::size_t k) {
+      c(kColStateId).read(k, intoField<&SlogInterval::stateId>(tile));
+      const std::uint64_t flags =
+          c(kColFlags).read(k, [tile](std::size_t j, std::uint64_t v) {
+            tile[j].bebits = static_cast<std::uint8_t>(v);
+            tile[j].pseudo = (v & 0x100) != 0;
+          });
+      if (flags & ~0x1ffull) fail("interval flags column has unknown bits");
+      c(kColStart).read(k, intoField<&SlogInterval::start>(tile));
+      c(kColDura).read(k, intoField<&SlogInterval::dura>(tile));
+      c(kColNode).read(k, intoField<&SlogInterval::node, true>(tile));
+      c(kColCpu).read(k, intoField<&SlogInterval::cpu, true>(tile));
+      c(kColThread).read(k, intoField<&SlogInterval::thread, true>(tile));
+    });
+    closeSlots(0, kArrowSlot);
+
+    fillTiles(out.arrows, na, [&](SlogArrow* tile, std::size_t k) {
+      c(kColSrcNode).read(k, intoField<&SlogArrow::srcNode, true>(tile));
+      c(kColSrcThread).read(k, intoField<&SlogArrow::srcThread, true>(tile));
+      c(kColSendTime).read(k, intoField<&SlogArrow::sendTime>(tile));
+      c(kColDstNode).read(k, intoField<&SlogArrow::dstNode, true>(tile));
+      c(kColDstThread).read(k, intoField<&SlogArrow::dstThread, true>(tile));
+      c(kColRecvTime).read(k, intoField<&SlogArrow::recvTime>(tile));
+      c(kColBytes).read(k, intoField<&SlogArrow::bytes>(tile));
+    });
+    closeSlots(kArrowSlot, kColumns);
   } catch (const FormatError& e) {
     if (context.empty()) throw;
     throw FormatError(e.what() + context);
