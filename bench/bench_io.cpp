@@ -1,7 +1,10 @@
 // I/O layer benchmarks for the zero-copy byte-source work: cold and warm
 // frame reads plus a whole-file scan sweep across the three read
 // strategies (mmap, plain stdio readAt, stdio fetch through the
-// BufferPool), written to BENCH_io.json. Also counts heap allocations on
+// BufferPool), written to BENCH_io.json. A decode row times readFrame per
+// frame on a SLOG shaped like perfbench batch-wide's (64 nodes, default
+// 4,096-record frames) and checks that every frame of its v2 file decodes
+// equal to the same frame of its v1 file. Also counts heap allocations on
 // the warm server frame path — the zero-copy contract says a cache hit
 // hands out the shared decoded frame without allocating anything — and
 // checks that the mmap full scan is at least as fast as the stdio
@@ -61,6 +64,7 @@ using namespace ute;
 std::string gSlog;      // columnar v2 (the default encoding)
 std::string gSlogV1;    // the same trace written row-major v1
 std::uint64_t gSlogBytes = 0;
+std::string gWideSlog;  // the decode row's batch-wide-shaped v2 SLOG
 
 double mbPerSec(std::uint64_t bytes, double seconds) {
   return seconds == 0 ? 0 : static_cast<double>(bytes) / 1e6 / seconds;
@@ -157,6 +161,84 @@ ByteSource::Mode scanMode(Scan scan) {
                              : ByteSource::Mode::kStream;
 }
 
+bool sameInterval(const SlogInterval& a, const SlogInterval& b) {
+  return a.stateId == b.stateId && a.bebits == b.bebits &&
+         a.pseudo == b.pseudo && a.start == b.start && a.dura == b.dura &&
+         a.node == b.node && a.cpu == b.cpu && a.thread == b.thread;
+}
+
+bool sameArrow(const SlogArrow& a, const SlogArrow& b) {
+  return a.srcNode == b.srcNode && a.srcThread == b.srcThread &&
+         a.sendTime == b.sendTime && a.dstNode == b.dstNode &&
+         a.dstThread == b.dstThread && a.recvTime == b.recvTime &&
+         a.bytes == b.bytes;
+}
+
+/// True when every frame of `a` decodes equal to the same frame of `b`.
+bool framesIdentical(const SlogReader& a, const SlogReader& b) {
+  if (a.frameIndex().size() != b.frameIndex().size()) return false;
+  for (std::size_t f = 0; f < a.frameIndex().size(); ++f) {
+    const SlogFramePtr x = a.readFrame(f);
+    const SlogFramePtr y = b.readFrame(f);
+    if (!std::equal(x->intervals.begin(), x->intervals.end(),
+                    y->intervals.begin(), y->intervals.end(), sameInterval) ||
+        !std::equal(x->arrows.begin(), x->arrows.end(), y->arrows.begin(),
+                    y->arrows.end(), sameArrow)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The decode row: readFrame's cost per frame on a batch-wide-shaped
+/// trace, the median of kPasses passes over every frame.
+struct DecodeRow {
+  std::size_t frames = 0;
+  std::uint64_t intervals = 0;
+  std::uint64_t arrows = 0;
+  std::uint64_t payloadBytes = 0;
+  double usPerFrame = 0;
+  bool identical = false;
+};
+
+DecodeRow measureDecode() {
+  TestProgramOptions workload;
+  workload.iterations = 300;
+  workload.tasks = 64;
+  workload.nodes = 64;
+  workload.seed = 1;
+  PipelineOptions options;
+  options.dir = makeScratchDir("bench_io_decode");
+  options.name = "wide";
+  gWideSlog = runPipeline(testProgram(workload), options).slogFile;
+  PipelineOptions v1Options = options;
+  v1Options.name = "wide_v1";
+  v1Options.slog.formatVersion = 1;
+  const std::string v1 = runPipeline(testProgram(workload), v1Options).slogFile;
+
+  const SlogReader reader(gWideSlog);
+  DecodeRow row;
+  row.frames = reader.frameIndex().size();
+  row.payloadBytes = totalFrameBytes(reader);
+  for (std::size_t f = 0; f < row.frames; ++f) {
+    const SlogFramePtr frame = reader.readFrame(f);  // page cache warm-up
+    row.intervals += frame->intervals.size();
+    row.arrows += frame->arrows.size();
+  }
+  row.identical = framesIdentical(reader, SlogReader(v1));
+  constexpr int kPasses = 15;
+  std::vector<double> passes;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const auto t0 = benchutil::now();
+    benchmark::DoNotOptimize(readAllFrames(reader));
+    passes.push_back(benchutil::secondsSince(t0));
+  }
+  std::sort(passes.begin(), passes.end());
+  row.usPerFrame =
+      passes[kPasses / 2] * 1e6 / static_cast<double>(row.frames);
+  return row;
+}
+
 struct FrameReadPoint {
   const char* mode;
   double coldSeconds = 0;
@@ -249,6 +331,21 @@ void printSweep() {
   std::printf("v2/v1 decode speed: %.2fx %s\n\n", v2Speed,
               v2Speed >= 1.0 ? "(v2 decodes at least as fast as v1)"
                              : "(V2 DECODES SLOWER THAN V1)");
+
+  std::printf("=== I/O: readFrame on a batch-wide-shaped SLOG ===\n");
+  const DecodeRow decode = measureDecode();
+  const double perFrame = static_cast<double>(decode.frames);
+  std::printf("%zu frames, %.0f intervals + %.0f arrows, %.0f payload "
+              "bytes per frame\n",
+              decode.frames, static_cast<double>(decode.intervals) / perFrame,
+              static_cast<double>(decode.arrows) / perFrame,
+              static_cast<double>(decode.payloadBytes) / perFrame);
+  std::printf("readFrame: %.1f us per frame (median of passes)\n",
+              decode.usPerFrame);
+  std::printf("v2 frames decode equal to v1: %s\n\n",
+              decode.identical ? "yes" : "NO");
+  benchutil::require(decode.identical,
+                     "a v2 frame decodes differently from its v1 frame");
 
   std::printf("=== I/O: frame reads, mmap vs stdio fallback ===\n");
   std::printf("(%s byte SLOG)\n", withCommas(gSlogBytes).c_str());
@@ -361,12 +458,26 @@ void printSweep() {
       .add("v2_within_0_6x_of_v1", v2Ratio <= 0.6)
       .add("v2_over_v1_decode_speed", v2Speed, 3)
       .add("vectorization_note",
-           "columnar decode writes each column block straight into its "
-           "record field; a block of one-byte values is checked with one "
-           "byteMax reduction (src/slog/kernels.h) and widened, other "
-           "blocks decode varints without a per-byte bounds check while 10 "
-           "bytes remain; plain C++ loops the compiler may autovectorize, "
-           "no intrinsics");
+           "columnar decode reads every block header first, then fills the "
+           "records in tiles of 256 with all columns writing into the tile "
+           "while it is in L1; a block of one-byte values is checked with "
+           "one byteMax reduction (src/slog/kernels.h) and widened, other "
+           "blocks peel varints off a 64-byte stop-bit mask (stopMask64, a "
+           "multiply-gather per 8-byte word) with countr_zero and pack each "
+           "one's 7-bit groups in three shift/mask steps (packVarint); "
+           "plain C++ the compiler may autovectorize, no intrinsics");
+  benchutil::JsonObject decodeRow;
+  decodeRow.add("workload", "test program, 64 nodes, 64 tasks, 300 iterations")
+      .add("frames", static_cast<std::uint64_t>(decode.frames))
+      .add("intervals_per_frame",
+           static_cast<double>(decode.intervals) / perFrame, 1)
+      .add("arrows_per_frame", static_cast<double>(decode.arrows) / perFrame,
+           1)
+      .add("payload_bytes_per_frame",
+           static_cast<double>(decode.payloadBytes) / perFrame, 1)
+      .add("read_frame_us_per_frame", decode.usPerFrame, 2);
+  doc.add("decode", decodeRow)
+      .add("columnar_decode_identical", decode.identical);
   rows.clear();
   for (const FrameReadPoint& p : frameReads) {
     benchutil::JsonObject& row = rows.emplace_back();
@@ -406,6 +517,20 @@ void BM_DecodeByEncoding(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeByEncoding)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+void BM_DecodeWideFrame(benchmark::State& state) {
+  // One readFrame of the decode row's batch-wide-shaped SLOG, cycling
+  // through its frames.
+  const SlogReader reader(gWideSlog);
+  readAllFrames(reader);  // page cache warm-up
+  const std::size_t frames = reader.frameIndex().size();
+  std::size_t f = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reader.readFrame(f));
+    f = (f + 1) % frames;
+  }
+}
+BENCHMARK(BM_DecodeWideFrame)->Unit(benchmark::kMicrosecond);
 
 void BM_FrameReadWarm(benchmark::State& state) {
   const SlogReader reader(
