@@ -33,9 +33,14 @@ struct SlogOptions {
 
 class SlogWriter {
  public:
+  /// Keeps a reference to `profile`, which must outlive the writer.
   SlogWriter(const std::string& path, const SlogOptions& options,
              const Profile& profile, std::vector<ThreadEntry> threads,
              const std::map<std::uint32_t, std::string>& markers);
+  /// A temporary profile would dangle from the first addRecord on.
+  SlogWriter(const std::string& path, const SlogOptions& options,
+             const Profile&& profile, std::vector<ThreadEntry> threads,
+             const std::map<std::uint32_t, std::string>& markers) = delete;
   ~SlogWriter();
 
   /// Feeds one merged interval record (ascending end-time order).

@@ -16,24 +16,20 @@
 #include "interval/standard_profile.h"
 #include "server/server.h"
 #include "slog/slog_writer.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
 namespace ute {
 namespace {
 
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
-
 /// A two-task file trace of `records` 0.5 ms intervals, 1 ms apart.
 std::string writeSlog(const std::string& name, int records) {
   const std::string path = tempPath(name);
   SlogOptions options;
   options.recordsPerFrame = 32;
-  SlogWriter w(path, options, makeStandardProfile(),
+  const Profile profile = makeStandardProfile();
+  SlogWriter w(path, options, profile,
                {{0, 1000, 10000, 0, 0, ThreadType::kMpi},
                 {1, 1001, 10001, 1, 0, ThreadType::kMpi}},
                {{1, "Main Loop"}});

@@ -1,23 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <type_traits>
 
 #include "interval/standard_profile.h"
 #include "slog/slog_reader.h"
 #include "slog/slog_writer.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
 
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
+// SlogWriter keeps a reference to its profile, so it must refuse a
+// temporary one, which would dangle from the first addRecord on.
+using Markers = std::map<std::uint32_t, std::string>;
+static_assert(!std::is_constructible_v<SlogWriter, std::string, SlogOptions,
+                                       Profile, std::vector<ThreadEntry>,
+                                       Markers>);
+static_assert(std::is_constructible_v<SlogWriter, std::string, SlogOptions,
+                                      const Profile&, std::vector<ThreadEntry>,
+                                      Markers>);
 
 std::vector<ThreadEntry> twoThreads() {
   return {{0, 1000, 10000, 0, 0, ThreadType::kMpi},
