@@ -12,17 +12,10 @@
 #include "server/server.h"
 #include "server/trace_service.h"
 #include "slog/slog_writer.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::string writeSlog(const std::string& name) {
   const std::string path = tempPath(name);

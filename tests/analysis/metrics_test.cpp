@@ -23,17 +23,12 @@
 #include "trace/events.h"
 #include "workloads/pipeline.h"
 #include "workloads/workloads.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::vector<ThreadEntry> twoTaskThreads() {
   return {{0, 1000, 10000, 0, 0, ThreadType::kMpi},

@@ -13,19 +13,12 @@
 #include "interval/record.h"
 #include "interval/standard_profile.h"
 #include "trace/writer.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
 namespace ute {
 namespace {
-
-std::string tempPrefix(const std::string& name) {
-  // Each TEST runs as its own ctest process; prefixing the pid keeps
-  // parallel processes from clobbering each other's fixture files.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 struct Rec {
   EventType type;
@@ -58,7 +51,7 @@ std::vector<Rec> convertAndRead(const std::string& rawPath,
 std::unique_ptr<TraceSession> newSession(const std::string& prefix,
                                          int nThreads = 1) {
   TraceOptions options;
-  options.filePrefix = tempPrefix(prefix);
+  options.filePrefix = tempPath(prefix);
   auto session = std::make_unique<TraceSession>(options, /*node=*/0, 4);
   for (int i = 0; i < nThreads; ++i) {
     session->cut(EventType::kThreadInfo, 0, 0, i, 0,
@@ -79,7 +72,7 @@ TEST(Convert, UninterruptedCallBecomesCompleteInterval) {
                payloadThreadDispatch(0, -1, /*oldExited=*/true));
   session->close();
 
-  const auto recs = convertAndRead(raw, tempPrefix("conv_complete.uti"));
+  const auto recs = convertAndRead(raw, tempPath("conv_complete.uti"));
   // Running begin [100,200), MPI_Send complete [200,260), Running end
   // [260,400).
   ASSERT_EQ(recs.size(), 3u);
@@ -125,7 +118,7 @@ TEST(Convert, DeschedulingSplitsCallIntoPieces) {
                payloadThreadDispatch(1, -1, true));
   session->close();
 
-  const auto recs = convertAndRead(raw, tempPrefix("conv_pieces.uti"));
+  const auto recs = convertAndRead(raw, tempPath("conv_pieces.uti"));
   std::vector<Rec> recv;
   for (const auto& r : recs) {
     if (r.type == EventType::kMpiRecv) recv.push_back(r);
@@ -175,7 +168,7 @@ TEST(Convert, NestedMarkersSplitOuterStates) {
                payloadThreadDispatch(0, -1, true));
   session->close();
 
-  const auto recs = convertAndRead(raw, tempPrefix("conv_nested.uti"));
+  const auto recs = convertAndRead(raw, tempPath("conv_nested.uti"));
   std::vector<Rec> markers;
   for (const auto& r : recs) {
     if (r.type == EventType::kUserMarker) markers.push_back(r);
@@ -230,7 +223,7 @@ TEST(Convert, ArgumentsLandOnFirstAndLastPieces) {
 
   MarkerUnifier markers;
   EventToIntervalConverter converter(markers);
-  const std::string out = tempPrefix("conv_args.uti");
+  const std::string out = tempPath("conv_args.uti");
   converter.convertFile(raw, out);
 
   const Profile profile = makeStandardProfile();
@@ -264,7 +257,7 @@ TEST(Convert, GlobalClockRecordsBecomeClockSyncIntervals) {
                payloadGlobalClock(1480, 1500));
   session->close();
 
-  const auto recs = convertAndRead(raw, tempPrefix("conv_clock.uti"));
+  const auto recs = convertAndRead(raw, tempPath("conv_clock.uti"));
   std::vector<Rec> sync;
   for (const auto& r : recs) {
     if (r.type == kClockSyncState) sync.push_back(r);
@@ -283,7 +276,7 @@ TEST(Convert, MarkerIdsUnifiedAcrossTasks) {
   // so their task-local ids collide (Section 3.1). After conversion with
   // a shared unifier, equal strings share one id everywhere.
   TraceOptions optionsA;
-  optionsA.filePrefix = tempPrefix("conv_unify");
+  optionsA.filePrefix = tempPath("conv_unify");
   TraceSession a(optionsA, 0, 1);
   a.cut(EventType::kThreadInfo, 0, 0, 0, 0,
         payloadThreadInfo(0, 1000, 10000, 0, ThreadType::kMpi));
@@ -314,7 +307,7 @@ TEST(Convert, MarkerIdsUnifiedAcrossTasks) {
   b.close();
 
   const auto results =
-      convertRun({a.filePath(), b.filePath()}, tempPrefix("conv_unify_out"));
+      convertRun({a.filePath(), b.filePath()}, tempPath("conv_unify_out"));
   ASSERT_EQ(results.size(), 2u);
 
   const Profile profile = makeStandardProfile();
@@ -358,7 +351,7 @@ TEST(Convert, RecordsEmittedInEndTimeOrder) {
                payloadThreadDispatch(2, -1, true));
   session->close();
 
-  const auto recs = convertAndRead(raw, tempPrefix("conv_order.uti"));
+  const auto recs = convertAndRead(raw, tempPath("conv_order.uti"));
   Tick lastEnd = 0;
   for (const auto& r : recs) {
     EXPECT_GE(r.start + r.dura, lastEnd);
@@ -454,7 +447,7 @@ TEST(Convert, MismatchedExitRejected) {
   MarkerUnifier markers;
   EventToIntervalConverter converter(markers);
   EXPECT_THROW(
-      converter.convertFile(raw, tempPrefix("conv_mismatch.uti")),
+      converter.convertFile(raw, tempPath("conv_mismatch.uti")),
       FormatError);
 }
 

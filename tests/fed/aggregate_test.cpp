@@ -20,17 +20,10 @@
 #include "slog/slog_reader.h"
 #include "slog/slog_writer.h"
 #include "trace/events.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// A two-task trace: busy intervals on alternating tasks, plus an
 /// MpiSend every `mpiEvery`-th step (0 = a communication-free run), so

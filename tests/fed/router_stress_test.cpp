@@ -27,17 +27,10 @@
 #include "server/server.h"
 #include "slog/slog_writer.h"
 #include "trace/events.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::string writeSlog(const std::string& name, int records) {
   const std::string path = tempPath(name);

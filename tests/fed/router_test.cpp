@@ -31,17 +31,12 @@
 #include "server/tcp.h"
 #include "slog/slog_writer.h"
 #include "trace/events.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// Writes (or rewrites) a two-task trace at `path`; `records` and
 /// `mpiEvery` vary the content so different backends host genuinely

@@ -14,8 +14,7 @@
 #include "viz/timeline_model.h"
 #include "workloads/pipeline.h"
 #include "workloads/workloads.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
@@ -30,11 +29,9 @@ SimulationConfig oneThreadConfig(const std::string& name, Program program) {
   tc.program = std::move(program);
   proc.threads.push_back(std::move(tc));
   config.processes.push_back(std::move(proc));
-  // Pid-prefixed so parallel ctest processes never share trace files.
-  config.trace.filePrefix =
-      (std::filesystem::temp_directory_path() /
-       (std::to_string(getpid()) + "." + name))
-          .string();
+  // In the process's own directory, so parallel ctest processes never
+  // share trace files.
+  config.trace.filePrefix = tempPath(name);
   return config;
 }
 

@@ -5,8 +5,6 @@
 
 #include <filesystem>
 
-#include <unistd.h>
-
 #include "interval/file_reader.h"
 #include "interval/file_writer.h"
 #include "interval/standard_profile.h"
@@ -15,19 +13,12 @@
 #include "support/rng.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (fs::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// Builds a small but structurally rich interval file.
 std::string makeIntervalFile(const std::string& name) {

@@ -8,19 +8,10 @@
 #include "interval/standard_profile.h"
 #include "support/file_io.h"
 #include "support/rng.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::vector<ThreadEntry> sampleThreads() {
   return {
@@ -410,8 +401,7 @@ class IntervalFileFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IntervalFileFuzzTest, RandomRecordsRoundTripExactly) {
   Rng rng(GetParam());
-  const std::string path =
-      tempPath("ifile_fuzz_" + std::to_string(GetParam()) + ".uti");
+  const std::string path = tempPath("ifile_fuzz_" + std::to_string(GetParam()) + ".uti");
   IntervalFileOptions options = smallFrames();
   options.targetFrameBytes = 1024 + rng.below(4096);
   options.framesPerDirectory = 2 + static_cast<int>(rng.below(10));

@@ -6,6 +6,7 @@
 
 #include "interval/standard_profile.h"
 #include "support/rng.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
@@ -64,10 +65,7 @@ TEST(Profile, EncodeDecodeRoundTrip) {
 }
 
 TEST(Profile, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       (std::to_string(getpid()) + ".profile_rt.ute"))
-          .string();
+  const std::string path = tempPath("profile_rt.ute");
   sampleProfile().writeFile(path);
   const Profile back = Profile::readFile(path);
   EXPECT_EQ(back.versionId(), 7u);

@@ -14,8 +14,7 @@
 #include <map>
 
 #include "pinned_buffers.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute::layout {
 namespace {
@@ -139,9 +138,7 @@ TEST(LayoutDigest, FederationReplies) { expectPinned(fedReplies()); }
 TEST(LayoutDigest, IngestMessages) { expectPinned(ingestMessages()); }
 
 TEST(LayoutDigest, Files) {
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           ("layout_digest." + std::to_string(getpid())))
-                              .string();
+  const std::string dir = tempPath("layout_digest");
   expectPinned(pinnedFiles(dir));
   std::filesystem::remove_all(dir);
 }

@@ -24,8 +24,7 @@
 #include "pinned_buffers.h"
 #include "server/protocol.h"
 #include "stream/ingest_protocol.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute::layout {
 namespace {
@@ -112,9 +111,7 @@ TEST(LayoutMutation, FederationReplies) { mutateAll(fedReplies()); }
 TEST(LayoutMutation, IngestMessages) { mutateAll(ingestMessages()); }
 
 TEST(LayoutMutation, Files) {
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           ("layout_mutation." + std::to_string(getpid())))
-                              .string();
+  const std::string dir = tempPath("layout_mutation");
   mutateAll(pinnedFiles(dir));
   std::filesystem::remove_all(dir);
 }

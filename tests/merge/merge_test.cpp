@@ -11,19 +11,12 @@
 #include "clock/clock_model.h"
 #include "interval/standard_profile.h"
 #include "support/file_io.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// Writes a per-node interval file whose local clock drifts by
 /// `driftPpm` / starts at `offsetNs`: `n` Running records of 1 ms every

@@ -7,8 +7,7 @@
 
 #include "mpisim/mpi_runtime.h"
 #include "trace/reader.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
@@ -20,11 +19,9 @@ SimulationConfig clusterOf(const std::string& name, int nodes, int cpus) {
     node.cpuCount = cpus;
     config.nodes.push_back(node);
   }
-  // Pid-prefixed so parallel ctest processes never share trace files.
-  config.trace.filePrefix =
-      (std::filesystem::temp_directory_path() /
-       (std::to_string(getpid()) + "." + name))
-          .string();
+  // In the process's own directory, so parallel ctest processes never
+  // share trace files.
+  config.trace.filePrefix = tempPath(name);
   config.clockDaemon.periodNs = 500 * kMs;
   return config;
 }

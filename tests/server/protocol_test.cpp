@@ -8,19 +8,10 @@
 #include "interval/standard_profile.h"
 #include "server/protocol.h"
 #include "slog/slog_writer.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// One tiny SLOG file shared by every test in this file.
 class ProtocolTest : public ::testing::Test {

@@ -17,19 +17,10 @@
 #include "server/server.h"
 #include "server/tcp.h"
 #include "slog/slog_writer.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::string writeSlog(const std::string& name) {
   const std::string path = tempPath(name);

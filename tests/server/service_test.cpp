@@ -20,19 +20,10 @@
 #include "support/errors.h"
 #include "support/file_io.h"
 #include "support/thread_annotations.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 ByteWriter mergedBody(EventType event, Bebits bebits, Tick start, Tick dura,
                       NodeId node, LogicalThreadId thread,

@@ -20,6 +20,7 @@
 #include "support/errors.h"
 #include "support/thread_annotations.h"
 #include "support/thread_pool.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
@@ -28,14 +29,6 @@ namespace {
 
 constexpr int kThreads = 8;
 constexpr int kQueriesPerThread = 200;
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::string writeSlog(const std::string& name) {
   const std::string path = tempPath(name);

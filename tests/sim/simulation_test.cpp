@@ -6,8 +6,7 @@
 #include <map>
 
 #include "trace/reader.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
@@ -38,11 +37,9 @@ SimulationConfig baseConfig(const std::string& name, int nodes, int cpus) {
     node.cpuCount = cpus;
     config.nodes.push_back(node);  // perfect clocks by default
   }
-  // Pid-prefixed so parallel ctest processes never share trace files.
-  config.trace.filePrefix =
-      (std::filesystem::temp_directory_path() /
-       (std::to_string(getpid()) + "." + name))
-          .string();
+  // In the process's own directory, so parallel ctest processes never
+  // share trace files.
+  config.trace.filePrefix = tempPath(name);
   config.clockDaemon.periodNs = 50 * kMs;
   return config;
 }

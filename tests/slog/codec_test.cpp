@@ -27,6 +27,7 @@
 #include "slog/slog_writer.h"
 #include "support/errors.h"
 #include "support/rng.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
@@ -44,12 +45,6 @@ bool operator==(const SlogArrow& a, const SlogArrow& b) {
          a.sendTime == b.sendTime && a.dstNode == b.dstNode &&
          a.dstThread == b.dstThread && a.recvTime == b.recvTime &&
          a.bytes == b.bytes;
-}
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
 }
 
 TEST(SlogCodec, VarintEdgeValuesRoundTrip) {

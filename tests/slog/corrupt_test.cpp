@@ -13,19 +13,10 @@
 #include "slog/slog_reader.h"
 #include "slog/slog_writer.h"
 #include "support/file_io.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// Writes a small but multi-frame SLOG file and returns its path.
 std::string writeValidSlog(const std::string& name) {

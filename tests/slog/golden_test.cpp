@@ -19,17 +19,10 @@
 #include "slog/slog_reader.h"
 #include "slog/slog_writer.h"
 #include "support/file_io.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::string goldenPath() {
   return std::string(UTE_TEST_DATA_DIR) + "/golden_v2.slog";

@@ -8,19 +8,10 @@
 
 #include "interval/file_writer.h"
 #include "interval/standard_profile.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// File contents (all on node 0 unless said otherwise; times in ms):
 ///   Running  complete  [0, 1000)      thread 0  cpu 0

@@ -24,17 +24,12 @@
 #include "stream/ingest_client.h"
 #include "stream/ingest_server.h"
 #include "support/file_io.h"
+#include "temp_dir.h"
 
 #include <unistd.h>
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::string writeNodeFile(const std::string& name, NodeId node,
                           double driftPpm, TickDelta offsetNs, int n) {

@@ -17,17 +17,10 @@
 #include "interval/standard_profile.h"
 #include "merge/merger.h"
 #include "support/file_io.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// Same drifting-node fixture as the batch merge tests.
 std::string writeNodeFile(const std::string& name, NodeId node,

@@ -20,17 +20,10 @@
 #include "slog/slog_reader.h"
 #include "stream/ingest_client.h"
 #include "stream/ingest_server.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::vector<ThreadEntry> nodeThreads(NodeId node) {
   return {{node, 1000 + node, 10000 + node, node, 0, ThreadType::kMpi}};

@@ -1,21 +1,12 @@
 #include "support/file_io.h"
+#include "temp_dir.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
-#include <unistd.h>
-
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 TEST(FileIo, WriteThenReadBack) {
   const std::string path = tempPath("ute_fileio_1.bin");

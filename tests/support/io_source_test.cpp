@@ -8,8 +8,6 @@
 #include <filesystem>
 #include <numeric>
 
-#include <unistd.h>
-
 #include "interval/file_reader.h"
 #include "slog/slog_reader.h"
 #include "support/byte_source.h"
@@ -18,15 +16,10 @@
 #include "support/mapped_file.h"
 #include "workloads/pipeline.h"
 #include "workloads/workloads.h"
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 std::string writeBytes(const std::string& name, std::size_t n) {
   std::vector<std::uint8_t> bytes(n);

@@ -12,8 +12,7 @@
 #include <thread>
 
 #include "workloads/pipeline.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 #ifndef UTE_TOOLS_DIR
 #error "UTE_TOOLS_DIR must be defined by the build"
@@ -30,10 +29,7 @@ std::string tool(const std::string& name) {
 
 /// Runs a command, returning {exit code, captured stdout+stderr}.
 std::pair<int, std::string> run(const std::string& command) {
-  const std::string outFile =
-      (fs::temp_directory_path() /
-       (std::to_string(getpid()) + ".ute_cli_out.txt"))
-          .string();
+  const std::string outFile = tempPath("ute_cli_out.txt");
   const int rc = std::system((command + " > " + outFile + " 2>&1").c_str());
   std::ifstream in(outFile);
   std::stringstream ss;

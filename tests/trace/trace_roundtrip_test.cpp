@@ -4,23 +4,14 @@
 
 #include "trace/reader.h"
 #include "trace/writer.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
 
-std::string tempPrefix(const std::string& name) {
-  // Each TEST runs as its own ctest process; prefixing the pid keeps
-  // parallel processes from clobbering each other's fixture files.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
-
 TraceOptions optionsFor(const std::string& name) {
   TraceOptions o;
-  o.filePrefix = tempPrefix(name);
+  o.filePrefix = tempPath(name);
   return o;
 }
 
@@ -197,7 +188,7 @@ TEST(TraceSession, StatsCountEventsAndBytes) {
 }
 
 TEST(TraceReader, RejectsGarbageFile) {
-  const std::string path = tempPrefix("trace_rt_garbage.utr");
+  const std::string path = tempPath("trace_rt_garbage.utr");
   writeWholeFile(path, std::string("not a trace file at all, sorry"));
   EXPECT_THROW(TraceFileReader reader(path), FormatError);
 }

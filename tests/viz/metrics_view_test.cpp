@@ -7,17 +7,10 @@
 #include "interval/standard_profile.h"
 #include "slog/slog_writer.h"
 #include "viz/metrics_view.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// Two tasks; task 0 runs for the first half of the span, task 1 for the
 /// second half — an unmistakable diagonal in any heatmap.

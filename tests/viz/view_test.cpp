@@ -8,19 +8,10 @@
 
 #include "interval/file_writer.h"
 #include "interval/standard_profile.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// Two nodes, two threads on node 0 (one idle), one thread on node 1.
 /// Thread (0,0) runs a send split across cpus 0 and 1 (migration);

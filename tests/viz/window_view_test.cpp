@@ -11,19 +11,10 @@
 #include "slog/slog_reader.h"
 #include "slog/slog_writer.h"
 #include "viz/timeline_model.h"
-
-#include <unistd.h>
+#include "temp_dir.h"
 
 namespace ute {
 namespace {
-
-std::string tempPath(const std::string& name) {
-  // Each TEST in this file runs as its own ctest process; prefixing the
-  // pid keeps parallel processes from clobbering each other's fixtures.
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "." + name))
-      .string();
-}
 
 /// One long marker [0, 200ms) over steady Running pieces, framed every
 /// 40 records.
