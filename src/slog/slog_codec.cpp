@@ -298,9 +298,8 @@ void readVarints(std::span<const std::uint8_t> block, std::size_t& pos,
   std::size_t packed = 0;  // out[packed, i) are words still to pack
   while (i < count && block.size() - at >= kChunkMargin) {
     std::uint64_t stops = kernels::stopMask64(p + at);
-    if (stops == 0) {  // 64 bytes that end no varint: getVarint throws
-      getVarintUnchecked(block, at);
-    }
+    // 64 bytes that end no varint: the tail loop rejects the first one.
+    if (stops == 0) break;
     // The varints that end in this chunk, or as many as are still due.
     const std::size_t take = std::min<std::size_t>(
         static_cast<std::size_t>(std::popcount(stops)), count - i);
@@ -344,7 +343,7 @@ constexpr std::size_t kTileRecords = 256;
 class ColumnCursor {
  public:
   void begin(std::span<const std::uint8_t> block, std::uint8_t encoding,
-            std::size_t count) {
+             std::size_t count) {
     block_ = block;
     encoding_ = encoding;
     std::size_t values = count;  // one-byte lane candidates after pos_
