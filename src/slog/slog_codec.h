@@ -70,10 +70,14 @@ void encodeColumnarFrame(std::span<const SlogInterval> intervals,
                          std::span<const SlogArrow> arrows,
                          std::vector<std::uint8_t>& out);
 
-/// Decodes a v2 columnar payload into `out` (cleared first). Throws
-/// FormatError on malformed input — truncated varints, bad dictionary
-/// indexes, missing required columns, trailing bytes. `context` (e.g.
-/// "path @offset") is appended to error messages when non-empty.
+/// Decodes a v2 columnar payload into `out` (its records replaced).
+/// Throws FormatError on malformed input — truncated varints, bad
+/// dictionary indexes, missing required columns, trailing bytes.
+/// `context` (e.g. "path @offset") is appended to error messages when
+/// non-empty. Every block header and the column set are checked before
+/// any value is decoded; the records then fill in 256-record tiles, so
+/// value faults are found tile by tile and `out` holds partial records
+/// after a throw.
 void decodeColumnarFrame(std::span<const std::uint8_t> payload,
                          SlogFrameData& out,
                          const std::string& context = std::string());
