@@ -463,9 +463,11 @@ void printSweep() {
            "while it is in L1; a block of one-byte values is checked with "
            "one byteMax reduction (src/slog/kernels.h) and widened, other "
            "blocks peel varints off a 64-byte stop-bit mask (stopMask64, a "
-           "multiply-gather per 8-byte word) with countr_zero and pack each "
-           "one's 7-bit groups in three shift/mask steps (packVarint); "
-           "plain C++ the compiler may autovectorize, no intrinsics");
+           "multiply-gather per 8-byte word) with countr_zero, copying each "
+           "one's 8-byte word, then mask the words and pack their 7-bit "
+           "groups in three shift/mask steps in one lane-wise loop "
+           "(packVarintWords); plain C++ the compiler may autovectorize, no "
+           "intrinsics");
   benchutil::JsonObject decodeRow;
   decodeRow.add("workload", "test program, 64 nodes, 64 tasks, 300 iterations")
       .add("frames", static_cast<std::uint64_t>(decode.frames))
