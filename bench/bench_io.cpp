@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <new>
 #include <span>
 #include <vector>
@@ -64,7 +65,6 @@ using namespace ute;
 std::string gSlog;      // columnar v2 (the default encoding)
 std::string gSlogV1;    // the same trace written row-major v1
 std::uint64_t gSlogBytes = 0;
-std::string gWideSlog;  // the decode row's batch-wide-shaped v2 SLOG
 
 double mbPerSec(std::uint64_t bytes, double seconds) {
   return seconds == 0 ? 0 : static_cast<double>(bytes) / 1e6 / seconds;
@@ -210,13 +210,13 @@ DecodeRow measureDecode() {
   PipelineOptions options;
   options.dir = makeScratchDir("bench_io_decode");
   options.name = "wide";
-  gWideSlog = runPipeline(testProgram(workload), options).slogFile;
+  const std::string v2 = runPipeline(testProgram(workload), options).slogFile;
   PipelineOptions v1Options = options;
   v1Options.name = "wide_v1";
   v1Options.slog.formatVersion = 1;
   const std::string v1 = runPipeline(testProgram(workload), v1Options).slogFile;
 
-  const SlogReader reader(gWideSlog);
+  const SlogReader reader(v2);
   DecodeRow row;
   row.frames = reader.frameIndex().size();
   row.payloadBytes = totalFrameBytes(reader);
@@ -236,6 +236,8 @@ DecodeRow measureDecode() {
   std::sort(passes.begin(), passes.end());
   row.usPerFrame =
       passes[kPasses / 2] * 1e6 / static_cast<double>(row.frames);
+  // The 64-node run's raw and interval files take over 100 MB.
+  std::filesystem::remove_all(options.dir);
   return row;
 }
 
@@ -519,20 +521,6 @@ void BM_DecodeByEncoding(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeByEncoding)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-void BM_DecodeWideFrame(benchmark::State& state) {
-  // One readFrame of the decode row's batch-wide-shaped SLOG, cycling
-  // through its frames.
-  const SlogReader reader(gWideSlog);
-  readAllFrames(reader);  // page cache warm-up
-  const std::size_t frames = reader.frameIndex().size();
-  std::size_t f = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reader.readFrame(f));
-    f = (f + 1) % frames;
-  }
-}
-BENCHMARK(BM_DecodeWideFrame)->Unit(benchmark::kMicrosecond);
 
 void BM_FrameReadWarm(benchmark::State& state) {
   const SlogReader reader(
