@@ -563,11 +563,18 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
       if (b.seen) fail("duplicate column " + std::to_string(id));
       b = {bytes, encoding, true};
     }
-    for (std::size_t s = 0; s < kColumns; ++s) {
-      const bool arrow = s >= kArrowSlot;
-      if (!blocks[s].seen && (arrow ? na : ni) > 0) {
-        fail(std::string(arrow ? "missing arrow column " : "missing interval column ") +
-             std::to_string(arrow ? kColSrcNode + s - kArrowSlot : s));
+    if (ni > 0) {
+      for (std::uint8_t id = kColStateId; id <= kColThread; ++id) {
+        if (!blocks[slotOf(id)].seen) {
+          fail("missing interval column " + std::to_string(id));
+        }
+      }
+    }
+    if (na > 0) {
+      for (std::uint8_t id = kColSrcNode; id <= kColBytes; ++id) {
+        if (!blocks[slotOf(id)].seen) {
+          fail("missing arrow column " + std::to_string(id));
+        }
       }
     }
 
@@ -575,15 +582,9 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
     for (std::size_t s = 0; s < kColumns; ++s) {
       if (blocks[s].seen) {
         cursors[s].begin(blocks[s].bytes, blocks[s].encoding,
-                        s < kArrowSlot ? ni : na);
+                         s < kArrowSlot ? ni : na);
       }
     }
-    const auto closeSlots = [&](std::size_t from, std::size_t to) {
-      for (std::size_t s = from; s < to; ++s) {
-        if (blocks[s].seen) cursors[s].close();
-      }
-    };
-
     const auto c = [&cursors](std::uint8_t id) -> ColumnCursor& {
       return cursors[slotOf(id)];
     };
@@ -601,7 +602,6 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
       c(kColCpu).read(k, intoField<&SlogInterval::cpu, true>(tile));
       c(kColThread).read(k, intoField<&SlogInterval::thread, true>(tile));
     });
-    closeSlots(0, kArrowSlot);
 
     fillTiles(out.arrows, na, [&](SlogArrow* tile, std::size_t k) {
       c(kColSrcNode).read(k, intoField<&SlogArrow::srcNode, true>(tile));
@@ -612,7 +612,9 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
       c(kColRecvTime).read(k, intoField<&SlogArrow::recvTime>(tile));
       c(kColBytes).read(k, intoField<&SlogArrow::bytes>(tile));
     });
-    closeSlots(kArrowSlot, kColumns);
+    for (std::size_t s = 0; s < kColumns; ++s) {
+      if (blocks[s].seen) cursors[s].close();
+    }
   } catch (const FormatError& e) {
     if (context.empty()) throw;
     throw FormatError(e.what() + context);
