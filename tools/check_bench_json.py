@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Checks BENCH_*.json files: every byte-identity flag in them is true.
+"""Checks BENCH_*.json files: each starts with its env block and every
+byte-identity flag in it is true.
 
 Run from the repository root:
 
-    python3 tools/check_bench_json.py --env BENCH_*.json
+    python3 tools/check_bench_json.py BENCH_*.json
     python3 tools/check_bench_json.py --require-flags BENCH_io.json
 
-A flag is any key named `identical` or ending in `_identical`, at any
-depth. --env also requires the environment block that bench/bench_util.h
-writes as each file's first key; --require-flags fails a file that has
-no flag at all. Exits 1 when any check fails.
+The env block is the one bench/bench_util.h writes as each file's first
+key. A flag is any key named `identical` or ending in `_identical`, at
+any depth; --require-flags fails a file that has no flag at all. Exits 1
+when any check fails.
 """
 import argparse
 import json
@@ -46,8 +47,6 @@ def env_problems(name, doc):
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("files", nargs="+")
-    p.add_argument("--env", action="store_true",
-                   help="require the env block as each file's first key")
     p.add_argument("--require-flags", action="store_true",
                    help="fail a file that has no identity flag")
     args = p.parse_args()
@@ -60,8 +59,7 @@ def main():
         except (OSError, ValueError) as e:
             bad.append(f"{name}: {e}")
             continue
-        if args.env:
-            bad += env_problems(name, doc)
+        bad += env_problems(name, doc)
         found = list(flags(doc, name))
         bad += [f"{where} is {value!r}, want true" for where, value in found
                 if value is not True]
