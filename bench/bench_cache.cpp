@@ -224,30 +224,6 @@ std::vector<SummaryEntry> linearSummary(TraceService& service,
   return out;
 }
 
-bool sameIntervals(const std::vector<SlogInterval>& a,
-                   const std::vector<SlogInterval>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const SlogInterval& x, const SlogInterval& y) {
-                      return x.stateId == y.stateId && x.bebits == y.bebits &&
-                             x.pseudo == y.pseudo && x.start == y.start &&
-                             x.dura == y.dura && x.node == y.node &&
-                             x.cpu == y.cpu && x.thread == y.thread;
-                    });
-}
-
-bool sameArrows(const std::vector<SlogArrow>& a,
-                const std::vector<SlogArrow>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const SlogArrow& x, const SlogArrow& y) {
-                      return x.srcNode == y.srcNode &&
-                             x.srcThread == y.srcThread &&
-                             x.sendTime == y.sendTime &&
-                             x.dstNode == y.dstNode &&
-                             x.dstThread == y.dstThread &&
-                             x.recvTime == y.recvTime && x.bytes == y.bytes;
-                    });
-}
-
 bool sameSummary(const std::vector<SummaryEntry>& a,
                  const std::vector<SummaryEntry>& b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end(),
@@ -287,8 +263,8 @@ void boundedScans(JsonObject& doc) {
       const WindowResult got = service.window(0, q);
       const WindowResult want = linearWindow(service, q);
       identical = identical && got.t0 == want.t0 && got.t1 == want.t1 &&
-                  sameIntervals(got.intervals, want.intervals) &&
-                  sameArrows(got.arrows, want.arrows) &&
+                  benchutil::sameIntervals(got.intervals, want.intervals) &&
+                  benchutil::sameArrows(got.arrows, want.arrows) &&
                   sameSummary(service.summary(0, q.t0, q.t1),
                               linearSummary(service, q));
     }

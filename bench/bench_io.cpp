@@ -161,29 +161,14 @@ ByteSource::Mode scanMode(Scan scan) {
                              : ByteSource::Mode::kStream;
 }
 
-bool sameInterval(const SlogInterval& a, const SlogInterval& b) {
-  return a.stateId == b.stateId && a.bebits == b.bebits &&
-         a.pseudo == b.pseudo && a.start == b.start && a.dura == b.dura &&
-         a.node == b.node && a.cpu == b.cpu && a.thread == b.thread;
-}
-
-bool sameArrow(const SlogArrow& a, const SlogArrow& b) {
-  return a.srcNode == b.srcNode && a.srcThread == b.srcThread &&
-         a.sendTime == b.sendTime && a.dstNode == b.dstNode &&
-         a.dstThread == b.dstThread && a.recvTime == b.recvTime &&
-         a.bytes == b.bytes;
-}
-
 /// True when every frame of `a` decodes equal to the same frame of `b`.
 bool framesIdentical(const SlogReader& a, const SlogReader& b) {
   if (a.frameIndex().size() != b.frameIndex().size()) return false;
   for (std::size_t f = 0; f < a.frameIndex().size(); ++f) {
     const SlogFramePtr x = a.readFrame(f);
     const SlogFramePtr y = b.readFrame(f);
-    if (!std::equal(x->intervals.begin(), x->intervals.end(),
-                    y->intervals.begin(), y->intervals.end(), sameInterval) ||
-        !std::equal(x->arrows.begin(), x->arrows.end(), y->arrows.begin(),
-                    y->arrows.end(), sameArrow)) {
+    if (!benchutil::sameIntervals(x->intervals, y->intervals) ||
+        !benchutil::sameArrows(x->arrows, y->arrows)) {
       return false;
     }
   }

@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <concepts>
@@ -17,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "slog/slog_format.h"
 #include "support/file_io.h"
 #include "workloads/pipeline.h"
 
@@ -47,6 +49,32 @@ inline int runBenchmarks(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+/// Field-by-field record equality, for the benches that check one decode
+/// or query path against another.
+inline bool sameIntervals(const std::vector<SlogInterval>& a,
+                          const std::vector<SlogInterval>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const SlogInterval& x, const SlogInterval& y) {
+                      return x.stateId == y.stateId && x.bebits == y.bebits &&
+                             x.pseudo == y.pseudo && x.start == y.start &&
+                             x.dura == y.dura && x.node == y.node &&
+                             x.cpu == y.cpu && x.thread == y.thread;
+                    });
+}
+
+inline bool sameArrows(const std::vector<SlogArrow>& a,
+                       const std::vector<SlogArrow>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const SlogArrow& x, const SlogArrow& y) {
+                      return x.srcNode == y.srcNode &&
+                             x.srcThread == y.srcThread &&
+                             x.sendTime == y.sendTime &&
+                             x.dstNode == y.dstNode &&
+                             x.dstThread == y.dstThread &&
+                             x.recvTime == y.recvTime && x.bytes == y.bytes;
+                    });
 }
 
 /// A bench's correctness check (byte identity against a reference, an
