@@ -401,7 +401,8 @@ class IntervalFileFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IntervalFileFuzzTest, RandomRecordsRoundTripExactly) {
   Rng rng(GetParam());
-  const std::string path = tempPath("ifile_fuzz_" + std::to_string(GetParam()) + ".uti");
+  const std::string path =
+      tempPath("ifile_fuzz_" + std::to_string(GetParam()) + ".uti");
   IntervalFileOptions options = smallFrames();
   options.targetFrameBytes = 1024 + rng.below(4096);
   options.framesPerDirectory = 2 + static_cast<int>(rng.below(10));
