@@ -262,48 +262,82 @@ void MetricsStore::addFrom(const MetricsStore& other) {
   sum(lateSenderNs_, other.lateSenderNs_);
 }
 
-std::uint64_t MetricsStore::idleNs(std::uint32_t bin,
+double fractionOf(double part, double wall) {
+  return wall > 0 ? std::min(1.0, part / wall) : 0.0;
+}
+
+double imbalanceOf(double maxBusy, double totalBusy, std::size_t tasks) {
+  if (maxBusy <= 0 || tasks == 0) return 0.0;
+  return (maxBusy - totalBusy / static_cast<double>(tasks)) / maxBusy;
+}
+
+std::uint64_t MetricsStore::wallNs(std::uint32_t bin,
                                    std::uint32_t task) const {
   const Tick lo = std::min(binStart(bin), binEnd(bin));
-  const std::uint64_t wall =
-      (binEnd(bin) - lo) * threadsPerTask_[task];
+  return (binEnd(bin) - lo) * threadsPerTask_[task];
+}
+
+std::uint64_t MetricsStore::rangeSum(const std::vector<std::uint64_t>* grid,
+                                     std::uint32_t lo, std::uint32_t hi,
+                                     std::optional<std::uint32_t> task) const {
+  const std::uint32_t first = task.value_or(0);
+  const std::uint32_t last = task ? *task + 1 : taskCount();
+  std::uint64_t total = 0;
+  for (std::uint32_t b = lo; b < hi; ++b) {
+    for (std::uint32_t k = first; k < last; ++k) {
+      total += grid ? (*grid)[cell(b, k)] : wallNs(b, k);
+    }
+  }
+  return total;
+}
+
+std::uint64_t MetricsStore::idleNs(std::uint32_t bin,
+                                   std::uint32_t task) const {
+  const std::uint64_t wall = wallNs(bin, task);
   const std::uint64_t busy = timeNs(StateClass::kBusy, bin, task);
   return wall > busy ? wall - busy : 0;
 }
 
-double MetricsStore::commFraction(std::uint32_t bin) const {
-  std::uint64_t mpi = 0;
-  std::uint64_t wall = 0;
-  const Tick lo = std::min(binStart(bin), binEnd(bin));
-  const Tick span = binEnd(bin) - lo;
-  for (std::uint32_t k = 0; k < taskCount(); ++k) {
-    mpi += timeNs(StateClass::kMpi, bin, k);
-    wall += span * threadsPerTask_[k];
-  }
-  if (wall == 0) return 0.0;
-  return std::min(1.0, static_cast<double>(mpi) / static_cast<double>(wall));
+double MetricsStore::commFraction(std::uint32_t lo, std::uint32_t hi,
+                                  std::optional<std::uint32_t> task) const {
+  const auto* mpi = &timeNs_[static_cast<std::size_t>(StateClass::kMpi)];
+  return fractionOf(static_cast<double>(rangeSum(mpi, lo, hi, task)),
+                    static_cast<double>(rangeSum(nullptr, lo, hi, task)));
 }
 
-double MetricsStore::loadImbalance(std::uint32_t bin) const {
+double MetricsStore::lateSenderFraction(
+    std::uint32_t lo, std::uint32_t hi,
+    std::optional<std::uint32_t> task) const {
+  return fractionOf(
+      static_cast<double>(rangeSum(&lateSenderNs_, lo, hi, task)),
+      static_cast<double>(rangeSum(nullptr, lo, hi, task)));
+}
+
+double MetricsStore::loadImbalance(std::uint32_t lo, std::uint32_t hi) const {
+  const auto* busy = &timeNs_[static_cast<std::size_t>(StateClass::kBusy)];
   std::uint64_t max = 0;
   std::uint64_t total = 0;
   for (std::uint32_t k = 0; k < taskCount(); ++k) {
-    const std::uint64_t busy = timeNs(StateClass::kBusy, bin, k);
-    max = std::max(max, busy);
-    total += busy;
+    const std::uint64_t taskBusy = rangeSum(busy, lo, hi, k);
+    max = std::max(max, taskBusy);
+    total += taskBusy;
   }
-  if (max == 0 || taskCount() == 0) return 0.0;
-  const double avg =
-      static_cast<double>(total) / static_cast<double>(taskCount());
-  return (static_cast<double>(max) - avg) / static_cast<double>(max);
+  return imbalanceOf(static_cast<double>(max), static_cast<double>(total),
+                     taskCount());
 }
 
 std::uint64_t MetricsStore::lateSenderTotalNs(std::uint32_t bin) const {
-  std::uint64_t total = 0;
-  for (std::uint32_t k = 0; k < taskCount(); ++k) {
-    total += lateSenderNs(bin, k);
+  return rangeSum(&lateSenderNs_, bin, bin + 1, std::nullopt);
+}
+
+MetricsStore::Peaks MetricsStore::peaks(std::uint32_t lo,
+                                        std::uint32_t hi) const {
+  Peaks p;
+  for (std::uint32_t b = lo; b < hi; ++b) {
+    p.commFraction = std::max(p.commFraction, commFraction(b));
+    p.loadImbalance = std::max(p.loadImbalance, loadImbalance(b));
   }
-  return total;
+  return p;
 }
 
 std::vector<std::uint8_t> MetricsStore::encode() const {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,17 +118,41 @@ class MetricsStore {
   }
 
   // --- derived series -------------------------------------------------------
-  /// Idle time of a task in a bin: the task's threads' wall time in the
-  /// bin minus its Running time, clamped at zero.
+  // The one definition of each derived series. A fraction over a bin
+  // range [lo, hi) sums its numerator and wall time over the range
+  // first and divides once, so empty bins carry no weight: the per-bin
+  // overload is the one-bin range and a run-wide scalar is [0, bins()).
+  // `task` narrows both sums to one task.
+
+  /// Wall time of a task in a bin: the bin's span times the task's
+  /// thread count.
+  std::uint64_t wallNs(std::uint32_t bin, std::uint32_t task) const;
+  /// Idle time of a task in a bin: wallNs minus its Running time,
+  /// clamped at zero.
   std::uint64_t idleNs(std::uint32_t bin, std::uint32_t task) const;
-  /// MPI time / task wall time, both summed over tasks (0 when the bin
-  /// has no wall time). Bounded to [0, 1].
-  double commFraction(std::uint32_t bin) const;
-  /// (max - avg) / max of per-task Running time in the bin; 0 when no
-  /// task ran. 0 = perfectly balanced, ->1 = one task does all the work.
-  double loadImbalance(std::uint32_t bin) const;
+  /// MPI time / wall time, as fractionOf.
+  double commFraction(std::uint32_t lo, std::uint32_t hi,
+                      std::optional<std::uint32_t> task = {}) const;
+  double commFraction(std::uint32_t bin) const {
+    return commFraction(bin, bin + 1);
+  }
+  /// Late-sender time / wall time, as fractionOf.
+  double lateSenderFraction(std::uint32_t lo, std::uint32_t hi,
+                            std::optional<std::uint32_t> task = {}) const;
+  /// imbalanceOf the tasks' Running time summed over [lo, hi).
+  double loadImbalance(std::uint32_t lo, std::uint32_t hi) const;
+  double loadImbalance(std::uint32_t bin) const {
+    return loadImbalance(bin, bin + 1);
+  }
   /// Late-sender time summed over tasks.
   std::uint64_t lateSenderTotalNs(std::uint32_t bin) const;
+
+  struct Peaks {
+    double commFraction = 0;
+    double loadImbalance = 0;
+  };
+  /// The largest per-bin commFraction and loadImbalance in [lo, hi).
+  Peaks peaks(std::uint32_t lo, std::uint32_t hi) const;
 
   // --- accumulation (the streaming engine's write path) --------------------
   /// Adds one frame's intervals and arrows. Pseudo-intervals are skipped
@@ -157,6 +182,11 @@ class MetricsStore {
   /// in exact integer chunks.
   void spread(std::vector<std::uint64_t>& grid, std::uint32_t task,
               Tick start, Tick dura);
+  /// `grid` (wallNs when null) summed over bins [lo, hi) of one task, or
+  /// of every task.
+  std::uint64_t rangeSum(const std::vector<std::uint64_t>* grid,
+                         std::uint32_t lo, std::uint32_t hi,
+                         std::optional<std::uint32_t> task) const;
   int taskIndexOf(NodeId node, LogicalThreadId thread) const;
 
   Tick origin_ = 0;
@@ -183,6 +213,16 @@ class MetricsStore {
   std::vector<std::uint64_t> laneStart_;
   std::vector<std::uint64_t> laneDura_;
 };
+
+/// `part / wall` capped at 1, and 0 when `wall` is 0: the formula of
+/// every time fraction (communication, late-sender), whether its sums
+/// are a store's exact integers or compareStores' rebinned doubles.
+double fractionOf(double part, double wall);
+
+/// (max - mean) / max of per-task Running time, from its largest value,
+/// its total and the task count; 0 when no task ran. 0 = perfectly
+/// balanced, ->1 = one task does all the work.
+double imbalanceOf(double maxBusy, double totalBusy, std::size_t tasks);
 
 /// An empty store shaped for `reader`'s run (time range + thread table).
 MetricsStore makeMetricsStore(const SlogReader& reader,

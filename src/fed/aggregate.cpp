@@ -5,69 +5,6 @@
 
 namespace ute {
 
-namespace {
-
-/// Σ over bins and tasks of the task wall time (bin span × threads of
-/// the task) — the same denominator commFraction(bin) uses per bin.
-double totalWallNs(const MetricsStore& store) {
-  double wall = 0;
-  for (std::uint32_t b = 0; b < store.bins(); ++b) {
-    const Tick lo = std::min(store.binStart(b), store.binEnd(b));
-    const double span = static_cast<double>(store.binEnd(b) - lo);
-    for (std::uint32_t k = 0; k < store.taskCount(); ++k) {
-      wall += span * static_cast<double>(store.threadsPerTask()[k]);
-    }
-  }
-  return wall;
-}
-
-double totalClassNs(const MetricsStore& store, StateClass c) {
-  double total = 0;
-  for (std::uint32_t b = 0; b < store.bins(); ++b) {
-    for (std::uint32_t k = 0; k < store.taskCount(); ++k) {
-      total += static_cast<double>(store.timeNs(c, b, k));
-    }
-  }
-  return total;
-}
-
-}  // namespace
-
-double runCommFraction(const MetricsStore& store) {
-  const double wall = totalWallNs(store);
-  if (wall <= 0) return 0.0;
-  return std::min(1.0, totalClassNs(store, StateClass::kMpi) / wall);
-}
-
-double runLoadImbalance(const MetricsStore& store) {
-  if (store.taskCount() == 0) return 0.0;
-  double maxBusy = 0;
-  double totalBusy = 0;
-  for (std::uint32_t k = 0; k < store.taskCount(); ++k) {
-    double busy = 0;
-    for (std::uint32_t b = 0; b < store.bins(); ++b) {
-      busy += static_cast<double>(store.timeNs(StateClass::kBusy, b, k));
-    }
-    maxBusy = std::max(maxBusy, busy);
-    totalBusy += busy;
-  }
-  if (maxBusy <= 0) return 0.0;
-  const double avg = totalBusy / static_cast<double>(store.taskCount());
-  return (maxBusy - avg) / maxBusy;
-}
-
-double runLateSenderFraction(const MetricsStore& store) {
-  const double wall = totalWallNs(store);
-  if (wall <= 0) return 0.0;
-  double late = 0;
-  for (std::uint32_t b = 0; b < store.bins(); ++b) {
-    for (std::uint32_t k = 0; k < store.taskCount(); ++k) {
-      late += static_cast<double>(store.lateSenderNs(b, k));
-    }
-  }
-  return std::min(1.0, late / wall);
-}
-
 Distribution summarize(std::vector<double> values) {
   Distribution d;
   if (values.empty()) return d;
@@ -100,9 +37,10 @@ AggregateReply aggregateStores(const std::vector<AggregateInput>& inputs) {
     run.globalId = input.globalId;
     run.backend = input.backend;
     run.name = input.name;
-    run.commFraction = runCommFraction(*input.store);
-    run.loadImbalance = runLoadImbalance(*input.store);
-    run.lateSenderFraction = runLateSenderFraction(*input.store);
+    const MetricsStore& store = *input.store;
+    run.commFraction = store.commFraction(0, store.bins());
+    run.loadImbalance = store.loadImbalance(0, store.bins());
+    run.lateSenderFraction = store.lateSenderFraction(0, store.bins());
     comm.push_back(run.commFraction);
     imbalance.push_back(run.loadImbalance);
     late.push_back(run.lateSenderFraction);
@@ -128,20 +66,15 @@ struct Rebinned {
   std::vector<double> wall;  ///< per target bin, summed over tasks
   std::vector<double> busy;  ///< bin-major, bins × tasks
 
-  double comm(std::uint32_t b) const {
-    if (wall[b] <= 0) return 0.0;
-    return std::min(1.0, mpi[b] / wall[b]);
-  }
+  double comm(std::uint32_t b) const { return fractionOf(mpi[b], wall[b]); }
   double imbalance(std::uint32_t b) const {
-    if (tasks == 0) return 0.0;
     double maxBusy = 0, total = 0;
     for (std::uint32_t k = 0; k < tasks; ++k) {
       const double v = busy[static_cast<std::size_t>(b) * tasks + k];
       maxBusy = std::max(maxBusy, v);
       total += v;
     }
-    if (maxBusy <= 0) return 0.0;
-    return (maxBusy - total / static_cast<double>(tasks)) / maxBusy;
+    return imbalanceOf(maxBusy, total, tasks);
   }
 };
 
@@ -165,7 +98,7 @@ Rebinned rebin(const MetricsStore& store, std::uint32_t bins) {
     double srcMpi = 0, srcWall = 0;
     for (std::uint32_t k = 0; k < out.tasks; ++k) {
       srcMpi += static_cast<double>(store.timeNs(StateClass::kMpi, sb, k));
-      srcWall += (s1 - s0) * static_cast<double>(store.threadsPerTask()[k]);
+      srcWall += static_cast<double>(store.wallNs(sb, k));
     }
     const auto firstTarget =
         static_cast<std::uint32_t>(std::min<double>(s0 / targetWidth,

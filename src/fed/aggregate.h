@@ -16,19 +16,6 @@
 
 namespace ute {
 
-// --- whole-run scalars ------------------------------------------------------
-// Each is the run-total analogue of the store's per-bin derived series:
-// sums over all bins first, divide once — not an average of per-bin
-// ratios, so empty bins carry no weight.
-
-/// Σ MPI time / Σ task wall time over the whole run, in [0, 1].
-double runCommFraction(const MetricsStore& store);
-/// (max - mean) / max of per-task whole-run Running time; 0 when no
-/// task ran or there are no tasks.
-double runLoadImbalance(const MetricsStore& store);
-/// Σ late-sender wait / Σ task wall time over the whole run.
-double runLateSenderFraction(const MetricsStore& store);
-
 /// Five-number summary of `values` (nearest-rank percentiles; an empty
 /// input yields all zeros). Sorts a copy; callers keep their order.
 Distribution summarize(std::vector<double> values);
@@ -41,15 +28,17 @@ struct AggregateInput {
   const MetricsStore* store = nullptr;
 };
 
-/// The full AggregateMetrics reduction: per-run scalars for every input
-/// plus the three cross-run distributions.
+/// The full AggregateMetrics reduction: each input's run-wide
+/// commFraction, loadImbalance and lateSenderFraction (the store's
+/// accessors over every bin) plus the three cross-run distributions.
 AggregateReply aggregateStores(const std::vector<AggregateInput>& inputs);
 
 /// The CompareTraces reduction: rebin both runs onto a common axis of
 /// `bins` bins over each run's own [origin, totalEnd] (relative time, so
 /// runs of different length and epoch line up), then emit per-bin
-/// (B - A) deltas of comm fraction and load imbalance. `bins` must be
-/// >= 1 (callers clamp).
+/// (B - A) deltas of comm fraction and load imbalance, each rebinned sum
+/// put through the store's formula (fractionOf, imbalanceOf). `bins`
+/// must be >= 1 (callers clamp).
 CompareReply compareStores(const MetricsStore& a, const MetricsStore& b,
                            std::uint32_t bins);
 

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <thread>
 
+#include "analysis/metrics_io.h"
+#include "slog/slog_reader.h"
 #include "support/errors.h"
 
 namespace ute {
@@ -172,6 +174,23 @@ void TraceClient::addBackend(const std::string& name,
 
 void TraceClient::removeBackend(const std::string& name) {
   decodeOkReply(roundTrip(encodeRemoveBackendRequest(name).view()));
+}
+
+MetricsStore loadMetricsStore(const CliParser& cli) {
+  if (const auto utm = cli.value("utm")) return MetricsReader(*utm).store();
+  if (const auto endpoint = cli.endpoint()) {
+    TraceClient client(endpoint->host, endpoint->port);
+    return client.metrics(
+        cli.traceId(),
+        static_cast<std::uint32_t>(cli.valueOr("bins", std::uint64_t{0})));
+  }
+  const auto slog = cli.value("slog");
+  if (!slog) throw UsageError("metrics need --utm, --slog or a server");
+  MetricsOptions options;
+  options.bins =
+      static_cast<std::uint32_t>(cli.valueOr("bins", std::uint64_t{240}));
+  options.jobs = static_cast<int>(cli.valueOr("jobs", std::uint64_t{0}));
+  return computeMetrics(SlogReader(*slog), options);
 }
 
 }  // namespace ute

@@ -14,6 +14,7 @@
 
 #include "server/protocol.h"
 #include "server/tcp.h"
+#include "support/cli.h"
 
 namespace ute {
 
@@ -106,5 +107,12 @@ class TraceClient {
   std::uint32_t traceCount_ = 0;
   FrameEncoding frameEncoding_ = FrameEncoding::kRow;
 };
+
+/// The metrics store a tool's options name, for uteview and utemetrics:
+/// --utm FILE, else a server or router (CliParser::endpoint, --trace;
+/// --bins, default 0 = the server's default), else --slog FILE computed
+/// here (--bins, default 240; --jobs, default 0 = one per core). Throws
+/// UsageError when none is given.
+MetricsStore loadMetricsStore(const CliParser& cli);
 
 }  // namespace ute

@@ -5,6 +5,7 @@
 
 #include "slog/preview.h"
 #include "support/text.h"
+#include "viz/heatmap.h"
 
 namespace ute {
 
@@ -79,32 +80,11 @@ std::string renderAscii(const TimeSpaceModel& model,
 std::string renderPreviewAscii(const SlogPreview& preview,
                                const std::vector<SlogStateDef>& states,
                                std::uint32_t bins) {
-  const SlogPreview p = rebinPreview(preview, bins);
-  double maxV = 1.0;
-  for (const auto& row : p.perStateBinTime) {
-    for (double v : row) maxV = std::max(maxV, v);
-  }
-  std::size_t labelWidth = 0;
-  for (const SlogStateDef& s : states) {
-    labelWidth = std::max(labelWidth, s.name.size());
-  }
-  std::string out;
-  for (std::size_t s = 0; s < p.perStateBinTime.size(); ++s) {
-    out += states[s].name;
-    out.append(labelWidth - states[s].name.size(), ' ');
-    out += " |";
-    for (std::uint32_t b = 0; b < p.bins; ++b) {
-      const double v = p.perStateBinTime[s][b];
-      if (v <= 0) {
-        out += ' ';
-      } else {
-        const int level = std::min(9, static_cast<int>(v / maxV * 9.0) + 1);
-        out += static_cast<char>('0' + level);
-      }
-    }
-    out += "|\n";
-  }
-  return out;
+  Heatmap map;
+  map.values = rebinPreview(preview, bins).perStateBinTime;
+  for (const SlogStateDef& s : states) map.rowLabels.push_back(s.name);
+  map.scale = std::max(1.0, heatmapMax(map.values));
+  return renderHeatmapAscii(map);
 }
 
 }  // namespace ute

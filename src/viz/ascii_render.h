@@ -22,7 +22,8 @@ struct AsciiOptions {
 std::string renderAscii(const TimeSpaceModel& model,
                         const AsciiOptions& options = {});
 
-/// Preview as rows of per-state bin intensity (0-9 scaled).
+/// Preview as a heatmap (viz/heatmap.h) with one row per state, no
+/// title line.
 std::string renderPreviewAscii(const SlogPreview& preview,
                                const std::vector<SlogStateDef>& states,
                                std::uint32_t bins = 50);

@@ -1,115 +1,80 @@
 #include "viz/metrics_view.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <vector>
+#include <utility>
 
 #include "support/text.h"
+#include "viz/heatmap.h"
 
 namespace ute {
 
 namespace {
 
-/// Heatmap cells rebin as numerator/denominator pairs so fractions stay
-/// fractions when several bins collapse into one display column.
-struct CellParts {
-  double num = 0;
-  double den = 0;  ///< 0 for absolute metrics (cell = num)
-};
-
-CellParts cellParts(const MetricsStore& store, MetricKind kind,
-                    std::uint32_t bin, std::uint32_t task) {
+std::uint64_t binCell(const MetricsStore& store, MetricKind kind,
+                      std::uint32_t bin, std::uint32_t task) {
   switch (kind) {
     case MetricKind::kBusy:
-      return {static_cast<double>(
-                  store.timeNs(StateClass::kBusy, bin, task)), 0};
-    case MetricKind::kMpi:
-      return {static_cast<double>(
-                  store.timeNs(StateClass::kMpi, bin, task)), 0};
-    case MetricKind::kIo:
-      return {static_cast<double>(
-                  store.timeNs(StateClass::kIo, bin, task)), 0};
+      return store.timeNs(StateClass::kBusy, bin, task);
+    case MetricKind::kMpi: return store.timeNs(StateClass::kMpi, bin, task);
+    case MetricKind::kIo: return store.timeNs(StateClass::kIo, bin, task);
     case MetricKind::kMarker:
-      return {static_cast<double>(
-                  store.timeNs(StateClass::kMarker, bin, task)), 0};
-    case MetricKind::kIdle:
-      return {static_cast<double>(store.idleNs(bin, task)), 0};
-    case MetricKind::kCommFraction: {
-      const Tick lo = std::min(store.binStart(bin), store.binEnd(bin));
-      const double wall =
-          static_cast<double>(store.binEnd(bin) - lo) *
-          store.threadsPerTask()[task];
-      return {static_cast<double>(
-                  store.timeNs(StateClass::kMpi, bin, task)),
-              wall};
-    }
-    case MetricKind::kLateSender:
-      return {static_cast<double>(store.lateSenderNs(bin, task)), 0};
-    case MetricKind::kSendBytes:
-      return {static_cast<double>(store.sendBytes(bin, task)), 0};
-    case MetricKind::kRecvBytes:
-      return {static_cast<double>(store.recvBytes(bin, task)), 0};
+      return store.timeNs(StateClass::kMarker, bin, task);
+    case MetricKind::kIdle: return store.idleNs(bin, task);
+    case MetricKind::kLateSender: return store.lateSenderNs(bin, task);
+    case MetricKind::kSendBytes: return store.sendBytes(bin, task);
+    case MetricKind::kRecvBytes: return store.recvBytes(bin, task);
+    case MetricKind::kCommFraction: break;  // a ratio, not a sum
   }
-  return {};
+  return 0;
 }
 
-bool isFractionKind(MetricKind kind) {
-  return kind == MetricKind::kCommFraction;
+/// A task's value over bins [lo, hi): the sum of its cells, or for the
+/// fraction the store's commFraction over the range, so a display
+/// column that spans several bins stays a fraction.
+double rangeCell(const MetricsStore& store, MetricKind kind,
+                 std::uint32_t lo, std::uint32_t hi, std::uint32_t task) {
+  if (kind == MetricKind::kCommFraction) {
+    return store.commFraction(lo, hi, task);
+  }
+  std::uint64_t total = 0;
+  for (std::uint32_t b = lo; b < hi; ++b) {
+    total += binCell(store, kind, b, task);
+  }
+  return static_cast<double>(total);
 }
 
-/// The display grid: `columns` x taskCount cell values, each column
-/// aggregating a contiguous run of store bins.
-std::vector<std::vector<double>> displayGrid(const MetricsStore& store,
-                                             MetricKind kind,
-                                             std::uint32_t columns) {
+/// The store bins [lo, hi) shown in display column `c` of `columns`.
+std::pair<std::uint32_t, std::uint32_t> columnBins(const MetricsStore& store,
+                                                   std::uint32_t c,
+                                                   std::uint32_t columns) {
+  return {store.bins() * c / columns, store.bins() * (c + 1) / columns};
+}
+
+/// One row per task and `columns` display columns, scaled to the
+/// hottest cell; `columns` is clamped in place to [1, bins].
+Heatmap metricsGrid(const MetricsStore& store, MetricKind kind,
+                    std::uint32_t& columns) {
   columns = std::max<std::uint32_t>(
       1, std::min<std::uint32_t>(columns, store.bins()));
-  std::vector<std::vector<double>> grid(
-      store.taskCount(), std::vector<double>(columns, 0.0));
+  Heatmap map;
   for (std::uint32_t k = 0; k < store.taskCount(); ++k) {
+    map.rowLabels.push_back("task " + std::to_string(store.tasks()[k]));
+    std::vector<double>& row = map.values.emplace_back(columns, 0.0);
     for (std::uint32_t c = 0; c < columns; ++c) {
-      const std::uint32_t lo = store.bins() * c / columns;
-      const std::uint32_t hi = store.bins() * (c + 1) / columns;
-      CellParts total;
-      for (std::uint32_t b = lo; b < hi; ++b) {
-        const CellParts p = cellParts(store, kind, b, k);
-        total.num += p.num;
-        total.den += p.den;
-      }
-      grid[k][c] = isFractionKind(kind)
-                       ? (total.den > 0 ? total.num / total.den : 0.0)
-                       : total.num;
+      const auto [lo, hi] = columnBins(store, c, columns);
+      row[c] = rangeCell(store, kind, lo, hi, k);
     }
   }
-  return grid;
-}
-
-double gridMax(const std::vector<std::vector<double>>& grid) {
-  double maxV = 0;
-  for (const auto& row : grid) {
-    for (double v : row) maxV = std::max(maxV, v);
-  }
-  return maxV;
+  map.scale = heatmapMax(map.values);
+  return map;
 }
 
 std::string formatCellValue(MetricKind kind, double v) {
-  if (isFractionKind(kind)) return fixed(v * 100.0, 1) + "%";
+  if (kind == MetricKind::kCommFraction) return fixed(v * 100.0, 1) + "%";
   if (kind == MetricKind::kSendBytes || kind == MetricKind::kRecvBytes) {
     return withCommas(static_cast<std::uint64_t>(v)) + " B";
   }
   return fixed(v / 1e6, 3) + "ms";
-}
-
-/// Run-wide peaks of the derived series, shared by both footers.
-void derivedPeaks(const MetricsStore& store, double& peakComm,
-                  double& peakImbalance) {
-  peakComm = 0;
-  peakImbalance = 0;
-  for (std::uint32_t b = 0; b < store.bins(); ++b) {
-    peakComm = std::max(peakComm, store.commFraction(b));
-    peakImbalance = std::max(peakImbalance, store.loadImbalance(b));
-  }
 }
 
 }  // namespace
@@ -142,135 +107,55 @@ std::optional<MetricKind> parseMetricKind(std::string_view name) {
 
 double metricCell(const MetricsStore& store, MetricKind kind,
                   std::uint32_t bin, std::uint32_t task) {
-  const CellParts p = cellParts(store, kind, bin, task);
-  if (isFractionKind(kind)) return p.den > 0 ? p.num / p.den : 0.0;
-  return p.num;
+  return rangeCell(store, kind, bin, bin + 1, task);
 }
 
 std::string renderMetricsHeatmapAscii(const MetricsStore& store,
                                       MetricKind kind, int columns) {
-  const auto grid = displayGrid(
-      store, kind, static_cast<std::uint32_t>(std::max(columns, 1)));
-  const double maxV = gridMax(grid);
+  auto shown = static_cast<std::uint32_t>(std::max(columns, 1));
+  Heatmap map = metricsGrid(store, kind, shown);
   const double spanSec =
       static_cast<double>(store.totalEnd() - store.origin()) / 1e9;
-
-  std::string out = "metric " + std::string(metricKindName(kind)) + ": " +
-                    std::to_string(store.bins()) + " bins of " +
-                    fixed(static_cast<double>(store.binWidth()) / 1e6, 3) +
-                    "ms over " + fixed(spanSec, 6) + "s\n";
-  std::size_t labelWidth = 0;
-  for (TaskId task : store.tasks()) {
-    labelWidth = std::max(labelWidth,
-                          ("task " + std::to_string(task)).size());
-  }
-  for (std::uint32_t k = 0; k < store.taskCount(); ++k) {
-    const std::string label = "task " + std::to_string(store.tasks()[k]);
-    out += label;
-    out.append(labelWidth - label.size(), ' ');
-    out += " |";
-    for (double v : grid[k]) {
-      if (v <= 0 || maxV <= 0) {
-        out += ' ';
-      } else {
-        const int level =
-            std::min(9, static_cast<int>(v / maxV * 9.0) + 1);
-        out += static_cast<char>('0' + level);
-      }
-    }
-    out += "|\n";
-  }
-  double peakComm = 0;
-  double peakImbalance = 0;
-  derivedPeaks(store, peakComm, peakImbalance);
-  out += "scale: 9 = " + formatCellValue(kind, maxV) +
-         " per cell; peak commfrac " + fixed(peakComm * 100.0, 1) +
-         "%, peak imbalance " + fixed(peakImbalance, 3) + "\n";
-  return out;
+  map.title = "metric " + std::string(metricKindName(kind)) + ": " +
+              std::to_string(store.bins()) + " bins of " +
+              fixed(static_cast<double>(store.binWidth()) / 1e6, 3) +
+              "ms over " + fixed(spanSec, 6) + "s";
+  const MetricsStore::Peaks peaks = store.peaks(0, store.bins());
+  return renderHeatmapAscii(map) + "scale: 9 = " +
+         formatCellValue(kind, map.scale) + " per cell; peak commfrac " +
+         fixed(peaks.commFraction * 100.0, 1) + "%, peak imbalance " +
+         fixed(peaks.loadImbalance, 3) + "\n";
 }
 
 std::string renderMetricsHeatmapSvg(const MetricsStore& store,
                                     MetricKind kind,
                                     const SvgOptions& options) {
-  const int chartLeft = options.labelWidth;
-  const int chartWidth = options.width - chartLeft - 10;
-  const std::uint32_t columns = std::max<std::uint32_t>(
-      1, std::min<std::uint32_t>(store.bins(),
-                                 static_cast<std::uint32_t>(chartWidth / 3)));
-  const auto grid = displayGrid(store, kind, columns);
-  const double maxV = gridMax(grid);
-
-  const int topMargin = 28;
+  auto columns = static_cast<std::uint32_t>(svgChartWidth(options) / 3);
+  Heatmap map = metricsGrid(store, kind, columns);
+  map.title = "metrics heatmap: " + std::string(metricKindName(kind)) +
+              " (max " + formatCellValue(kind, map.scale) + "/cell)";
   const int stripHeight = 40;  // derived commfrac/imbalance series
-  const int axisHeight = 24;
-  const int rows = static_cast<int>(store.taskCount());
-  const int height = topMargin + rows * options.rowHeight + stripHeight +
-                     axisHeight + 16;
+  HeatmapSvg out = openHeatmapSvg(map, options, stripHeight + 40);
 
-  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-                    std::to_string(options.width) + "\" height=\"" +
-                    std::to_string(height) + "\">\n";
-  svg += "<rect width=\"" + std::to_string(options.width) + "\" height=\"" +
-         std::to_string(height) + "\" fill=\"#ffffff\"/>\n";
-  svg += "<text x=\"8\" y=\"18\" font-family=\"sans-serif\" "
-         "font-size=\"13\" font-weight=\"bold\">metrics heatmap: " +
-         std::string(metricKindName(kind)) + " (max " +
-         formatCellValue(kind, maxV) + "/cell)</text>\n";
-
-  const double cellW = static_cast<double>(chartWidth) / columns;
-  for (int k = 0; k < rows; ++k) {
-    const double y =
-        topMargin + static_cast<double>(k) * options.rowHeight;
-    svg += "<text x=\"4\" y=\"" + fixed(y + options.rowHeight * 0.7, 1) +
-           "\" font-family=\"sans-serif\" font-size=\"10\">task " +
-           std::to_string(store.tasks()[static_cast<std::size_t>(k)]) +
-           "</text>\n";
-    for (std::uint32_t c = 0; c < columns; ++c) {
-      const double v =
-          maxV > 0 ? grid[static_cast<std::size_t>(k)][c] / maxV : 0;
-      // White (cold) to the palette's deep blue (hot).
-      const int rr = static_cast<int>(255 - v * (255 - 0x2f));
-      const int gg = static_cast<int>(255 - v * (255 - 0x4b));
-      const int bb = static_cast<int>(255 - v * (255 - 0x7c));
-      char fill[8];
-      std::snprintf(fill, sizeof fill, "#%02x%02x%02x", rr, gg, bb);
-      svg += "<rect x=\"" + fixed(chartLeft + c * cellW, 2) + "\" y=\"" +
-             fixed(y, 2) + "\" width=\"" + fixed(cellW + 0.3, 2) +
-             "\" height=\"" + std::to_string(options.rowHeight - 2) +
-             "\" fill=\"" + fill + "\"/>\n";
-    }
-  }
-
-  // Derived series strip: communication fraction (filled) and load
-  // imbalance (line), both on a 0..1 scale.
-  const double stripTop = topMargin + rows * options.rowHeight + 8;
-  svg += "<text x=\"4\" y=\"" + fixed(stripTop + 10, 1) +
-         "\" font-family=\"sans-serif\" font-size=\"9\">commfrac/"
-         "imbalance</text>\n";
+  // Derived series strip: the peak communication fraction (filled) and
+  // load imbalance (line) of each column's bins, both on a 0..1 scale.
+  const double stripTop = out.footerTop + 8;
+  const double stripScale = stripHeight - 8;
+  svgText(out.svg, 4, stripTop + 10, "commfrac/imbalance", 9);
   std::string line;
   for (std::uint32_t c = 0; c < columns; ++c) {
-    const std::uint32_t lo = store.bins() * c / columns;
-    const std::uint32_t hi = store.bins() * (c + 1) / columns;
-    double comm = 0;
-    double imbalance = 0;
-    for (std::uint32_t b = lo; b < hi; ++b) {
-      comm = std::max(comm, store.commFraction(b));
-      imbalance = std::max(imbalance, store.loadImbalance(b));
-    }
-    const double x = chartLeft + c * cellW;
-    svg += "<rect x=\"" + fixed(x, 2) + "\" y=\"" +
-           fixed(stripTop + (1 - comm) * (stripHeight - 8), 2) +
-           "\" width=\"" + fixed(cellW + 0.3, 2) + "\" height=\"" +
-           fixed(comm * (stripHeight - 8), 2) +
-           "\" fill=\"#dd8452\" fill-opacity=\"0.7\"/>\n";
+    const auto [lo, hi] = columnBins(store, c, columns);
+    const MetricsStore::Peaks peaks = store.peaks(lo, hi);
+    const double x = options.labelWidth + c * out.cellWidth;
+    svgRect(out.svg, x, stripTop + (1 - peaks.commFraction) * stripScale,
+            out.cellWidth, peaks.commFraction * stripScale, "#dd8452",
+            " fill-opacity=\"0.7\"");
     line += c == 0 ? 'M' : 'L';
-    line += fixed(x + cellW / 2, 1);
-    line += ' ';
-    line += fixed(stripTop + (1 - imbalance) * (stripHeight - 8), 1);
-    line += ' ';
+    line += fixed(x + out.cellWidth / 2, 1) + ' ' +
+            fixed(stripTop + (1 - peaks.loadImbalance) * stripScale, 1) + ' ';
   }
-  svg += "<path d=\"" + line +
-         "\" stroke=\"#c44e52\" fill=\"none\" stroke-width=\"1.2\"/>\n";
+  out.svg += "<path d=\"" + line +
+             "\" stroke=\"#c44e52\" fill=\"none\" stroke-width=\"1.2\"/>\n";
 
   // Time axis (seconds since the run start).
   const double axisY = stripTop + stripHeight + 4;
@@ -278,17 +163,14 @@ std::string renderMetricsHeatmapSvg(const MetricsStore& store,
       static_cast<double>(store.totalEnd() - store.origin()) / 1e9;
   for (int i = 0; i <= 10; ++i) {
     const double frac = i / 10.0;
-    const double x = chartLeft + frac * chartWidth;
-    svg += "<line x1=\"" + fixed(x, 1) + "\" y1=\"" + fixed(axisY - 8, 1) +
-           "\" x2=\"" + fixed(x, 1) + "\" y2=\"" + fixed(axisY - 2, 1) +
-           "\" stroke=\"#888\"/>\n";
-    svg += "<text x=\"" + fixed(x - 12, 1) + "\" y=\"" +
-           fixed(axisY + 10, 1) +
-           "\" font-family=\"sans-serif\" font-size=\"9\">" +
-           fixed(frac * spanSec, 4) + "s</text>\n";
+    const double x = options.labelWidth + frac * svgChartWidth(options);
+    out.svg += "<line x1=\"" + fixed(x, 1) + "\" y1=\"" +
+               fixed(axisY - 8, 1) + "\" x2=\"" + fixed(x, 1) + "\" y2=\"" +
+               fixed(axisY - 2, 1) + "\" stroke=\"#888\"/>\n";
+    svgText(out.svg, x - 12, axisY + 10, fixed(frac * spanSec, 4) + "s", 9);
   }
-  svg += "</svg>\n";
-  return svg;
+  out.svg += "</svg>\n";
+  return out.svg;
 }
 
 }  // namespace ute

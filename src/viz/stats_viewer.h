@@ -7,17 +7,18 @@
 #include <string>
 
 #include "stats/engine.h"
+#include "viz/svg_render.h"
 
 namespace ute {
 
-/// Renders a (xCol, yCol) -> valueCol table as an SVG heatmap: one row
-/// per distinct yCol value, one column per distinct xCol value, cell
-/// intensity proportional to valueCol.
+/// Renders a (xCol, yCol) -> valueCol table as an SVG heatmap
+/// (viz/heatmap.h): one row per distinct yCol value, one column per
+/// distinct xCol value, cell intensity proportional to valueCol.
 std::string renderStatsHeatmapSvg(const StatsTable& table,
                                   const std::string& xCol,
                                   const std::string& yCol,
                                   const std::string& valueCol,
-                                  int width = 1000);
+                                  const SvgOptions& options = {});
 
 /// Text version for terminals and tests (0-9 intensities).
 std::string renderStatsHeatmapAscii(const StatsTable& table,

@@ -16,25 +16,38 @@ std::string rgbHex(std::uint32_t rgb) {
   return buf;
 }
 
-void rect(std::string& svg, double x, double y, double w, double h,
-          const std::string& fill, const std::string& extra = "") {
+}  // namespace
+
+int svgChartWidth(const SvgOptions& options) {
+  return options.width - options.labelWidth - 10;
+}
+
+void svgRect(std::string& svg, double x, double y, double w, double h,
+             const std::string& fill, const std::string& extra) {
   svg += "<rect x=\"" + fixed(x, 2) + "\" y=\"" + fixed(y, 2) + "\" width=\"" +
          fixed(std::max(w, 0.5), 2) + "\" height=\"" + fixed(h, 2) +
          "\" fill=\"" + fill + "\"" + extra + "/>\n";
 }
 
-void text(std::string& svg, double x, double y, const std::string& s,
-          int size = 11, const std::string& extra = "") {
+void svgText(std::string& svg, double x, double y, const std::string& s,
+             int size, const std::string& extra) {
   svg += "<text x=\"" + fixed(x, 1) + "\" y=\"" + fixed(y, 1) +
          "\" font-family=\"sans-serif\" font-size=\"" + std::to_string(size) +
          "\"" + extra + ">" + escapeXml(s) + "</text>\n";
 }
 
-}  // namespace
+std::string openSvg(int width, int height, const std::string& title) {
+  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
+                    std::to_string(width) + "\" height=\"" +
+                    std::to_string(height) + "\">\n";
+  svgRect(svg, 0, 0, width, height, "#ffffff");
+  svgText(svg, 8, 18, title, 13, " font-weight=\"bold\"");
+  return svg;
+}
 
 std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
   const int chartLeft = options.labelWidth;
-  const int chartWidth = options.width - chartLeft - 10;
+  const int chartWidth = svgChartWidth(options);
   const int topMargin = 28;
   const int axisHeight = 24;
   const int legendRows =
@@ -54,19 +67,16 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
                            chartWidth;
   };
 
-  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-                    std::to_string(options.width) + "\" height=\"" +
-                    std::to_string(height) + "\">\n";
-  rect(svg, 0, 0, options.width, height, "#ffffff");
-  text(svg, 8, 18, model.title + " (" + viewKindName(model.kind) + ")", 13,
-       " font-weight=\"bold\"");
+  std::string svg = openSvg(
+      options.width, height,
+      model.title + " (" + viewKindName(model.kind) + ")");
 
   // Row backgrounds, labels and segments.
   for (std::size_t r = 0; r < model.rows.size(); ++r) {
     const double y = topMargin + static_cast<double>(r) * options.rowHeight;
-    rect(svg, chartLeft, y, chartWidth, options.rowHeight - 2,
-         r % 2 == 0 ? "#f4f4f4" : "#ececec");
-    text(svg, 4, y + options.rowHeight * 0.7, model.rows[r].label, 10);
+    svgRect(svg, chartLeft, y, chartWidth, options.rowHeight - 2,
+            r % 2 == 0 ? "#f4f4f4" : "#ececec");
+    svgText(svg, 4, y + options.rowHeight * 0.7, model.rows[r].label, 10);
     for (const VizSegment& seg : model.rows[r].segments) {
       const double x0 = xOf(seg.start);
       const double x1 = xOf(seg.end);
@@ -75,9 +85,9 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
       const auto legendIt = model.legend.find(seg.colorKey);
       const std::uint32_t rgb =
           legendIt != model.legend.end() ? legendIt->second.second : 0x888888;
-      rect(svg, x0, y + 1 + inset, x1 - x0, options.rowHeight - 4 - 2 * inset,
-           rgbHex(rgb),
-           seg.pseudo ? " stroke=\"#333\" stroke-dasharray=\"2,2\"" : "");
+      svgRect(svg, x0, y + 1 + inset, x1 - x0,
+              options.rowHeight - 4 - 2 * inset, rgbHex(rgb),
+              seg.pseudo ? " stroke=\"#333\" stroke-dasharray=\"2,2\"" : "");
     }
   }
 
@@ -105,7 +115,7 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
     svg += "<line x1=\"" + fixed(x, 1) + "\" y1=\"" + fixed(axisY - 10, 1) +
            "\" x2=\"" + fixed(x, 1) + "\" y2=\"" + fixed(axisY - 4, 1) +
            "\" stroke=\"#666\"/>\n";
-    text(svg, x - 12, axisY + 8, fixed(tSec, 3) + "s", 9);
+    svgText(svg, x - 12, axisY + 8, fixed(tSec, 3) + "s", 9);
   }
 
   // Legend.
@@ -114,8 +124,8 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
     double ly = axisY + 24;
     int col = 0;
     for (const auto& [key, entry] : model.legend) {
-      rect(svg, lx, ly - 9, 10, 10, rgbHex(entry.second));
-      text(svg, lx + 14, ly, entry.first, 10);
+      svgRect(svg, lx, ly - 9, 10, 10, rgbHex(entry.second));
+      svgText(svg, lx + 14, ly, entry.first, 10);
       lx += chartWidth / 5.0;
       if (++col % 5 == 0) {
         lx = chartLeft;
@@ -133,7 +143,7 @@ std::string renderPreviewSvg(const SlogPreview& preview,
                              std::uint32_t bins, const SvgOptions& options) {
   const SlogPreview p = rebinPreview(preview, bins);
   const int chartLeft = options.labelWidth;
-  const int chartWidth = options.width - chartLeft - 10;
+  const int chartWidth = svgChartWidth(options);
   const int chartHeight = 180;
   const int legendRows = static_cast<int>((states.size() + 4) / 5);
   const int height = 28 + chartHeight + 30 + legendRows * 18 + 8;
@@ -146,11 +156,8 @@ std::string renderPreviewSvg(const SlogPreview& preview,
     maxTotal = std::max(maxTotal, total);
   }
 
-  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-                    std::to_string(options.width) + "\" height=\"" +
-                    std::to_string(height) + "\">\n";
-  rect(svg, 0, 0, options.width, height, "#ffffff");
-  text(svg, 8, 18, "preview: state time per bin", 13, " font-weight=\"bold\"");
+  std::string svg =
+      openSvg(options.width, height, "preview: state time per bin");
 
   const double binW = static_cast<double>(chartWidth) / p.bins;
   for (std::uint32_t b = 0; b < p.bins; ++b) {
@@ -160,8 +167,8 @@ std::string renderPreviewSvg(const SlogPreview& preview,
       if (v <= 0) continue;
       const double h = v / maxTotal * chartHeight;
       y -= h;
-      rect(svg, chartLeft + b * binW, y, binW - 0.5, h,
-           rgbHex(states[s].rgb));
+      svgRect(svg, chartLeft + b * binW, y, binW - 0.5, h,
+              rgbHex(states[s].rgb));
     }
   }
 
@@ -170,16 +177,16 @@ std::string renderPreviewSvg(const SlogPreview& preview,
       static_cast<double>(p.binWidth) * p.bins / 1e9;
   for (int i = 0; i <= 10; ++i) {
     const double frac = i / 10.0;
-    text(svg, chartLeft + frac * chartWidth - 12, axisY + 6,
-         fixed(frac * totalSec, 1) + "s", 9);
+    svgText(svg, chartLeft + frac * chartWidth - 12, axisY + 6,
+            fixed(frac * totalSec, 1) + "s", 9);
   }
 
   double lx = chartLeft;
   double ly = axisY + 28;
   int col = 0;
   for (const SlogStateDef& s : states) {
-    rect(svg, lx, ly - 9, 10, 10, rgbHex(s.rgb));
-    text(svg, lx + 14, ly, s.name, 10);
+    svgRect(svg, lx, ly - 9, 10, 10, rgbHex(s.rgb));
+    svgText(svg, lx + 14, ly, s.name, 10);
     lx += chartWidth / 5.0;
     if (++col % 5 == 0) {
       lx = chartLeft;

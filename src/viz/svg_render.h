@@ -17,6 +17,21 @@ struct SvgOptions {
   bool legend = true;
 };
 
+/// Width of the plot area right of the label column.
+int svgChartWidth(const SvgOptions& options);
+
+/// Appends a <rect> (at least 0.5 wide) and a <text> element (escaped,
+/// sans-serif); `extra` holds further attributes, with a leading space.
+void svgRect(std::string& svg, double x, double y, double w, double h,
+             const std::string& fill, const std::string& extra = "");
+void svgText(std::string& svg, double x, double y, const std::string& s,
+             int size = 11, const std::string& extra = "");
+
+/// Starts a standalone SVG document: the <svg> element, a white
+/// background and `title` in bold at the top left. The caller closes it
+/// with "</svg>\n".
+std::string openSvg(int width, int height, const std::string& title);
+
 /// Renders a time-space diagram (any of the four views, or a SLOG frame
 /// view) as a standalone SVG document.
 std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options = {});

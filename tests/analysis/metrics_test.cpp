@@ -250,6 +250,72 @@ TEST(Metrics, DerivedSeriesOnSkewedLoad) {
   EXPECT_DOUBLE_EQ(m.commFraction(0), 0.25);
 }
 
+/// Four bins of 1000 ticks over two tasks, task 1 with two threads (so
+/// 2000 wall ticks per bin): MPI time 1000 on task 0 in bin 0, 300 on
+/// task 1 in bin 1, and 2000 on task 0 in bin 3 from two overlapping
+/// intervals; Running time 4000 on task 0 and 1000 on task 1 (bin 0).
+MetricsStore rangeStore() {
+  MetricsStore m(0, 4000, 4,
+                 {{0, 1000, 10000, 0, 0, ThreadType::kMpi},
+                  {1, 1001, 10001, 1, 0, ThreadType::kMpi},
+                  {1, 1001, 10002, 1, 1, ThreadType::kUser}});
+  SlogFrameData frame;
+  const auto add = [&frame](EventType state, Tick start, Tick dura,
+                            NodeId node, LogicalThreadId thread) {
+    SlogInterval r;
+    r.stateId = static_cast<std::uint32_t>(state);
+    r.start = start;
+    r.dura = dura;
+    r.node = node;
+    r.thread = thread;
+    frame.intervals.push_back(r);
+  };
+  add(EventType::kMpiSend, 0, 1000, 0, 0);
+  add(EventType::kMpiSend, 1000, 300, 1, 0);
+  add(EventType::kMpiSend, 3000, 1000, 0, 0);
+  add(EventType::kMpiWait, 3000, 1000, 0, 0);
+  add(kRunningState, 0, 4000, 0, 0);
+  add(kRunningState, 0, 1000, 1, 1);
+  m.addFrame(frame);
+  return m;
+}
+
+TEST(Metrics, RangeSeriesSumOverTheRangeBeforeDividing) {
+  const MetricsStore m = rangeStore();
+  EXPECT_EQ(m.wallNs(0, 0), 1000u);
+  EXPECT_EQ(m.wallNs(0, 1), 2000u);
+  // The one-bin range is the per-bin series.
+  for (std::uint32_t b = 0; b < m.bins(); ++b) {
+    EXPECT_EQ(m.commFraction(b, b + 1), m.commFraction(b)) << b;
+    EXPECT_EQ(m.loadImbalance(b, b + 1), m.loadImbalance(b)) << b;
+  }
+  EXPECT_DOUBLE_EQ(m.commFraction(0), 1000.0 / 3000.0);
+  EXPECT_DOUBLE_EQ(m.commFraction(3), 2000.0 / 3000.0);
+  // Run-wide and per task: Σ MPI / Σ wall over the range.
+  EXPECT_DOUBLE_EQ(m.commFraction(0, 4), 3300.0 / 12000.0);
+  EXPECT_DOUBLE_EQ(m.commFraction(0, 2, 0), 1000.0 / 2000.0);
+  EXPECT_DOUBLE_EQ(m.commFraction(0, 4, 1), 300.0 / 8000.0);
+  // Overlapping MPI intervals put more MPI time than wall time in a
+  // cell; the fraction stays capped at 1.
+  EXPECT_EQ(m.commFraction(3, 4, 0), 1.0);
+  EXPECT_EQ(m.lateSenderFraction(0, 4), 0.0);
+  // Busy {4000, 1000} over the run: (4000 - 2500) / 4000.
+  EXPECT_DOUBLE_EQ(m.loadImbalance(0, 4), 0.375);
+  EXPECT_EQ(m.loadImbalance(0), 0.0);  // busy {1000, 1000}
+  const MetricsStore::Peaks peaks = m.peaks(0, 4);
+  EXPECT_DOUBLE_EQ(peaks.commFraction, 2000.0 / 3000.0);
+  EXPECT_DOUBLE_EQ(peaks.loadImbalance, 0.5);
+}
+
+TEST(Metrics, FractionAndImbalanceFormulas) {
+  EXPECT_EQ(fractionOf(1, 4), 0.25);
+  EXPECT_EQ(fractionOf(5, 4), 1.0);
+  EXPECT_EQ(fractionOf(5, 0), 0.0);
+  EXPECT_EQ(imbalanceOf(4, 6, 2), 0.25);
+  EXPECT_EQ(imbalanceOf(0, 0, 2), 0.0);
+  EXPECT_EQ(imbalanceOf(4, 4, 0), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Brute-force oracle on the golden 4-node pipeline trace
 

@@ -1,9 +1,9 @@
 // Cross-trace reduction correctness (src/fed/aggregate.h) plus the
 // federation wire codecs.
 //
-// The run-level scalars are pinned against brute-force recomputation
-// straight from the store's columns (task-major loops, independent of
-// the reducer's bin-major walk), summarize() against hand-computed
+// The run-level scalars (the store's fractions over every bin) are
+// pinned against brute-force recomputation straight from the store's
+// columns (task-major loops, independent of the store's bin-major walk), summarize() against hand-computed
 // nearest-rank five-number summaries, and compareStores() against its
 // algebraic invariants (self-compare is exactly zero, swapping the
 // operands exactly negates every delta).
@@ -129,22 +129,23 @@ TEST(RunScalars, MatchBruteForceRecomputation) {
   ASSERT_GT(wall, 0.0);
   ASSERT_GT(mpi, 0.0);  // the fixture must actually communicate
 
-  expectClose(runCommFraction(store), mpi / wall);
-  expectClose(runLoadImbalance(store),
+  const std::uint32_t bins = store.bins();
+  expectClose(store.commFraction(0, bins), mpi / wall);
+  expectClose(store.loadImbalance(0, bins),
               (maxBusy - totalBusy / store.taskCount()) / maxBusy);
-  expectClose(runLateSenderFraction(store), late / wall);
+  expectClose(store.lateSenderFraction(0, bins), late / wall);
 
-  EXPECT_GT(runCommFraction(store), 0.0);
-  EXPECT_LE(runCommFraction(store), 1.0);
-  EXPECT_GE(runLoadImbalance(store), 0.0);
-  EXPECT_LT(runLoadImbalance(store), 1.0);
+  EXPECT_GT(store.commFraction(0, bins), 0.0);
+  EXPECT_LE(store.commFraction(0, bins), 1.0);
+  EXPECT_GE(store.loadImbalance(0, bins), 0.0);
+  EXPECT_LT(store.loadImbalance(0, bins), 1.0);
 }
 
 TEST(RunScalars, CommunicationFreeRunScoresZeroComm) {
   const MetricsStore store =
       storeFor(writeSlog("agg_nocomm.slog", 200, 0), 32);
-  EXPECT_EQ(runCommFraction(store), 0.0);
-  EXPECT_EQ(runLateSenderFraction(store), 0.0);
+  EXPECT_EQ(store.commFraction(0, store.bins()), 0.0);
+  EXPECT_EQ(store.lateSenderFraction(0, store.bins()), 0.0);
 }
 
 TEST(AggregateStores, IsExactlyThePerRunScalarsPlusTheirSummary) {
@@ -164,10 +165,12 @@ TEST(AggregateStores, IsExactlyThePerRunScalarsPlusTheirSummary) {
     EXPECT_EQ(reply.runs[i].globalId, inputs[i].globalId);
     EXPECT_EQ(reply.runs[i].backend, inputs[i].backend);
     EXPECT_EQ(reply.runs[i].name, inputs[i].name);
-    EXPECT_EQ(reply.runs[i].commFraction, runCommFraction(*stores[i]));
-    EXPECT_EQ(reply.runs[i].loadImbalance, runLoadImbalance(*stores[i]));
+    const std::uint32_t bins = stores[i]->bins();
+    EXPECT_EQ(reply.runs[i].commFraction, stores[i]->commFraction(0, bins));
+    EXPECT_EQ(reply.runs[i].loadImbalance,
+              stores[i]->loadImbalance(0, bins));
     EXPECT_EQ(reply.runs[i].lateSenderFraction,
-              runLateSenderFraction(*stores[i]));
+              stores[i]->lateSenderFraction(0, bins));
     comm.push_back(reply.runs[i].commFraction);
     imbalance.push_back(reply.runs[i].loadImbalance);
     late.push_back(reply.runs[i].lateSenderFraction);

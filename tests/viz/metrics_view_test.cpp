@@ -95,6 +95,30 @@ TEST(MetricsView, MetricCellMatchesStoreAccessors) {
   }
 }
 
+TEST(MetricsView, CommFractionCellIsCappedAtOne) {
+  // Two overlapping MPI intervals on task 0's one thread put 2 ms of MPI
+  // time into each 1 ms bin: the cell shows the store's capped fraction.
+  MetricsStore store(0, 4 * kMs, 4,
+                     {{0, 1000, 10000, 0, 0, ThreadType::kMpi}});
+  SlogFrameData frame;
+  for (EventType state : {EventType::kMpiSend, EventType::kMpiWait}) {
+    SlogInterval r;
+    r.stateId = static_cast<std::uint32_t>(state);
+    r.dura = 4 * kMs;
+    frame.intervals.push_back(r);
+  }
+  store.addFrame(frame);
+  ASSERT_EQ(store.timeNs(StateClass::kMpi, 0, 0), 2 * kMs);
+  for (std::uint32_t b = 0; b < store.bins(); ++b) {
+    EXPECT_EQ(metricCell(store, MetricKind::kCommFraction, b, 0), 1.0) << b;
+  }
+  const std::string out =
+      renderMetricsHeatmapAscii(store, MetricKind::kCommFraction, 2);
+  EXPECT_NE(out.find("|99|"), std::string::npos) << out;
+  EXPECT_NE(out.find("scale: 9 = 100.0% per cell"), std::string::npos)
+      << out;
+}
+
 TEST(MetricsView, SvgHeatmapIsWellFormed) {
   const MetricsStore store = diagonalStore();
   const std::string svg =

@@ -23,7 +23,6 @@
 #include "analysis/metrics.h"
 #include "analysis/metrics_io.h"
 #include "server/client.h"
-#include "slog/slog_reader.h"
 #include "support/cli.h"
 #include "support/text.h"
 
@@ -91,13 +90,9 @@ void printSummary(const MetricsStore& m) {
                 static_cast<unsigned long long>(sends),
                 withCommas(bytes).c_str());
   }
-  double peakComm = 0, peakImbalance = 0;
-  for (std::uint32_t b = 0; b < m.bins(); ++b) {
-    peakComm = std::max(peakComm, m.commFraction(b));
-    peakImbalance = std::max(peakImbalance, m.loadImbalance(b));
-  }
+  const MetricsStore::Peaks peaks = m.peaks(0, m.bins());
   std::printf("peak comm fraction %.1f%%, peak load imbalance %.3f\n",
-              peakComm * 100.0, peakImbalance);
+              peaks.commFraction * 100.0, peaks.loadImbalance);
 }
 
 }  // namespace
@@ -153,21 +148,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    MetricsStore store = [&] {
-      if (utmPath) return MetricsReader(*utmPath).store();
-      if (endpoint) {
-        TraceClient client(endpoint->host, endpoint->port);
-        return client.metrics(
-            cli.traceId(),
-            static_cast<std::uint32_t>(cli.valueOr("bins", std::uint64_t{0})));
-      }
-      SlogReader slog(*slogPath);
-      MetricsOptions options;
-      options.bins = static_cast<std::uint32_t>(
-          cli.valueOr("bins", std::uint64_t{240}));
-      options.jobs = static_cast<int>(cli.valueOr("jobs", std::uint64_t{0}));
-      return computeMetrics(slog, options);
-    }();
+    const MetricsStore store = loadMetricsStore(cli);
 
     if (const auto out = cli.value("out")) {
       writeMetricsFile(*out, store);

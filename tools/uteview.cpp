@@ -18,7 +18,6 @@
 #include <exception>
 
 #include "analysis/metrics.h"
-#include "analysis/metrics_io.h"
 #include "interval/standard_profile.h"
 #include "server/client.h"
 #include "slog/slog_reader.h"
@@ -63,33 +62,15 @@ int main(int argc, char** argv) {
     const int asciiCols =
         static_cast<int>(cli.valueOr("ascii-cols", std::uint64_t{100}));
 
-    if (const auto utmPath = cli.value("utm")) {
-      const MetricsReader metricsFile(*utmPath);
-      return showMetrics(metricsFile.store(),
+    if (cli.value("utm") || cli.endpoint() ||
+        (cli.value("slog") && cli.value("metrics"))) {
+      return showMetrics(loadMetricsStore(cli),
                          cli.valueOr("metrics", std::string("busy")), cli,
                          asciiCols);
-    }
-    if (const auto endpoint = cli.endpoint()) {
-      TraceClient client(endpoint->host, endpoint->port);
-      const std::uint32_t traceId = cli.traceId();
-      const auto bins =
-          static_cast<std::uint32_t>(cli.valueOr("bins", std::uint64_t{0}));
-      const MetricsStore store = client.metrics(traceId, bins);
-      return showMetrics(store, cli.valueOr("metrics", std::string("busy")),
-                         cli, asciiCols);
     }
 
     if (const auto slogPath = cli.value("slog")) {
       SlogReader slog(*slogPath);
-      if (const auto metricKindName = cli.value("metrics")) {
-        MetricsOptions metricsOptions;
-        metricsOptions.bins = static_cast<std::uint32_t>(
-            cli.valueOr("bins", std::uint64_t{240}));
-        metricsOptions.jobs =
-            static_cast<int>(cli.valueOr("jobs", std::uint64_t{0}));
-        const MetricsStore store = computeMetrics(slog, metricsOptions);
-        return showMetrics(store, *metricKindName, cli, asciiCols);
-      }
       if (cli.hasFlag("preview")) {
         std::printf("%s", renderPreviewAscii(slog.preview(), slog.states(),
                                              50)
