@@ -74,20 +74,25 @@ RouterService::RouterService(const RouterOptions& options)
 RouterService::~RouterService() { stop(); }
 
 void RouterService::stop() {
-  stopping_.store(true);
+  {
+    MutexLock lock(healthMu_);
+    stopping_ = true;
+  }
+  healthCv_.notifyAll();
   if (healthThread_.joinable()) healthThread_.join();
 }
 
 void RouterService::healthLoop() {
   for (;;) {
-    // Chunked sleep: ute::CondVar has no timed wait, and stop() must not
-    // block on a full health interval.
-    int waitedMs = 0;
-    while (waitedMs < options_.healthIntervalMs && !stopping_.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      waitedMs += 20;
+    {
+      MutexLock lock(healthMu_);
+      const auto due = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(options_.healthIntervalMs);
+      while (!stopping_ && std::chrono::steady_clock::now() < due) {
+        healthCv_.waitFor(healthMu_, due - std::chrono::steady_clock::now());
+      }
+      if (stopping_) return;
     }
-    if (stopping_.load()) return;
     registry_.probe(false);
   }
 }

@@ -21,7 +21,6 @@
 // or content change invalidates by key rotation, not by scanning.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <thread>
@@ -30,6 +29,7 @@
 #include "fed/registry.h"
 #include "server/protocol.h"
 #include "support/hot_set_cache.h"
+#include "support/thread_annotations.h"
 
 namespace ute {
 
@@ -98,7 +98,10 @@ class RouterService {
   const RouterOptions options_;
   BackendRegistry registry_;
   HotSetCache<std::vector<std::uint8_t>> cache_;
-  std::atomic<bool> stopping_{false};
+  /// stop() sets stopping_ and wakes the health thread out of its wait.
+  Mutex healthMu_;
+  CondVar healthCv_;
+  bool stopping_ UTE_GUARDED_BY(healthMu_) = false;
   std::thread healthThread_;
 };
 
