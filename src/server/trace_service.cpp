@@ -263,9 +263,9 @@ LiveFeed::TailMetrics TraceService::tailMetrics(std::uint32_t traceId) {
   out.finished = true;
   const SlogReader& reader = trace(traceId);
   out.watermark = reader.totalEnd();
-  const MetricsBlob blob = metrics(traceId, 0);
-  out.blob = *blob;
-  out.sealedBins = MetricsStore::decode(out.blob).bins();
+  out.blob = *metrics(traceId, 0);
+  // metrics(.., 0) builds the store with exactly kDefaultMetricsBins bins.
+  out.sealedBins = kDefaultMetricsBins;
   return out;
 }
 

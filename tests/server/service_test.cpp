@@ -733,6 +733,18 @@ TEST_F(ServiceTest, MetricsScanKeepsHotFramesCached) {
   EXPECT_GT(after.hits, before.hits);
 }
 
+TEST_F(ServiceTest, TailMetricsOnAFileTraceIsTheFinishedDefaultStore) {
+  TraceService service({*path_});
+  SlogReader reference(*path_);
+  const LiveFeed::TailMetrics tail = service.tailMetrics(0);
+  EXPECT_TRUE(tail.finished);
+  EXPECT_EQ(tail.watermark, reference.totalEnd());
+  // Every bin of a finished file is sealed.
+  EXPECT_EQ(tail.sealedBins, kDefaultMetricsBins);
+  EXPECT_EQ(tail.sealedBins, MetricsStore::decode(tail.blob).bins());
+  EXPECT_EQ(tail.blob, *service.metrics(0, 0));  // the GetMetrics blob
+}
+
 TEST_F(ServiceTest, PoolBackpressureRejectsWhenFull) {
   ServiceOptions options;
   options.workers = 1;
