@@ -16,14 +16,16 @@
 // deliberately plain C++ with no intrinsics: loops with no
 // cross-iteration dependence beyond a declared reduction, which clang
 // and gcc autovectorize for whatever SIMD width the target has, and
-// word arithmetic assembled little-endian with shifts (as
-// support/bytes.h does), so no host byte order is assumed. bench_io's
+// words read with support/bytes.h's loadLe, assembled little-endian
+// with shifts, so no host byte order is assumed. bench_io's
 // decode row records the measured per-frame cost (see the vectorization
 // note in BENCH_io.json).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+
+#include "support/bytes.h"
 
 namespace ute::kernels {
 
@@ -35,16 +37,6 @@ inline std::uint8_t byteMax(const std::uint8_t* bytes, std::size_t n) {
   return acc;
 }
 
-/// The 8 bytes at `p` as a little-endian word. Spelled out as one
-/// expression, which compilers fold into a single load (a loop of shifts
-/// inside stopMask64's own loop is not folded).
-inline std::uint64_t loadLe64(const std::uint8_t* p) {
-  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
-         std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
-         std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
-         std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
-}
-
 /// Bit i is set when byte p[i] (i < 64) has no continuation bit, i.e.
 /// ends a varint. Each 8-byte word's stop bits (bit 7 clear, moved to
 /// bit 0 of each byte) are gathered into one byte by a multiply: byte k
@@ -52,7 +44,7 @@ inline std::uint64_t loadLe64(const std::uint8_t* p) {
 inline std::uint64_t stopMask64(const std::uint8_t* p) {
   std::uint64_t mask = 0;
   for (int w = 0; w < 8; ++w) {
-    const std::uint64_t stops = (~loadLe64(p + 8 * w) >> 7) &
+    const std::uint64_t stops = (~loadLe<std::uint64_t>(p + 8 * w) >> 7) &
                                 0x0101010101010101ull;
     mask |= ((stops * 0x0102040810204080ull) >> 56) << (8 * w);
   }

@@ -310,7 +310,7 @@ void readVarints(std::span<const std::uint8_t> block, std::size_t& pos,
       const unsigned end =
           static_cast<unsigned>(std::countr_zero(stops | 1ull << 63)) + 1;
       if (end - start <= 8) [[likely]] {
-        out[i + t] = kernels::loadLe64(chunk + start);
+        out[i + t] = loadLe<std::uint64_t>(chunk + start);
       } else {
         kernels::packVarintWords(out + packed, i + t - packed);
         std::size_t q = at + start;

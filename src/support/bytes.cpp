@@ -36,6 +36,12 @@ std::string ByteReader::lstring() {
   return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
 }
 
+void ByteReader::truncated(std::size_t n) const {
+  throw FormatError("ByteReader: truncated input (need " + std::to_string(n) +
+                    " bytes at offset " + std::to_string(pos_) + " of " +
+                    std::to_string(data_.size()) + ")");
+}
+
 std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
   require(n);
   auto out = data_.subspan(pos_, n);

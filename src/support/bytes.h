@@ -14,11 +14,22 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/errors.h"
 
 namespace ute {
+
+/// The sizeof(T) bytes at `p` as a little-endian T. Spelled out as one
+/// expression, which compilers fold into a single load (a loop of byte
+/// shifts is not folded, inside a caller's loop or not).
+template <typename T>
+inline T loadLe(const std::uint8_t* p) {
+  return [p]<std::size_t... I>(std::index_sequence<I...>) {
+    return static_cast<T>(((static_cast<T>(p[I]) << (8 * I)) | ...));
+  }(std::make_index_sequence<sizeof(T)>{});
+}
 
 /// Appends little-endian scalars to an in-memory buffer.
 class ByteWriter {
@@ -112,22 +123,18 @@ class ByteReader {
   template <typename T>
   T takeLe() {
     require(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
+    const T v = loadLe<T>(data_.data() + pos_);
     pos_ += sizeof(T);
     return v;
   }
 
   void require(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
-      throw FormatError("ByteReader: truncated input (need " +
-                        std::to_string(n) + " bytes at offset " +
-                        std::to_string(pos_) + " of " +
-                        std::to_string(data_.size()) + ")");
-    }
+    if (pos_ + n > data_.size()) truncated(n);
   }
+  /// Throws the short-read FormatError. A [[noreturn]] call, unlike an
+  /// inline throw, lets GCC's -Warray-bounds see that a read past the
+  /// end never reaches loadLe.
+  [[noreturn]] void truncated(std::size_t n) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
