@@ -102,7 +102,8 @@ BENCHMARK(BM_SequentialScan)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  gDir = ute::makeScratchDir("bench_frame_sweep");
+  const ute::benchutil::ScratchDir scratch("bench_frame_sweep");
+  gDir = scratch.path();
   printAblation();
   return ute::benchutil::runBenchmarks(argc, argv);
 }

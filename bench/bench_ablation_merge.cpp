@@ -148,7 +148,8 @@ BENCHMARK(BM_Merge)
 }  // namespace
 
 int main(int argc, char** argv) {
-  gDir = ute::makeScratchDir("bench_merge_ablation");
+  const ute::benchutil::ScratchDir scratch("bench_merge_ablation");
+  gDir = scratch.path();
   printAblation();
   return ute::benchutil::runBenchmarks(argc, argv);
 }

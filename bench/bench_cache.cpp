@@ -103,11 +103,11 @@ std::vector<WindowQuery> windows(int count, Tick parts = 32) {
   return out;
 }
 
-void frameCache(JsonObject& doc) {
+void frameCache(JsonObject& doc, const std::string& dir) {
   TestProgramOptions workload;
   workload.iterations = 1200;
   PipelineOptions options;
-  options.dir = makeScratchDir("bench_cache");
+  options.dir = dir;
   options.name = "serve";
   options.slog.recordsPerFrame = 256;  // plenty of frames to cache
   gSlog = runPipeline(testProgram(workload), options).slogFile;
@@ -417,9 +417,11 @@ WindowQuery windowFor(int i) {
 }
 
 void routerCache(JsonObject& doc) {
-  const std::string dir = makeScratchDir("bench_cache_fleet");
+  const benchutil::ScratchDir scratch("bench_cache_fleet");
   std::vector<std::string> paths;
-  for (int i = 0; i < kBackends; ++i) paths.push_back(backendSlog(dir, i));
+  for (int i = 0; i < kBackends; ++i) {
+    paths.push_back(backendSlog(scratch.path(), i));
+  }
 
   std::printf("=== Router reply cache: off vs on ===\n");
   std::printf("(%d window queries round-robin over %d backends, %d records "
@@ -503,8 +505,9 @@ BENCHMARK(BM_SummaryCold)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  const ute::benchutil::ScratchDir scratch("bench_cache");
   JsonObject doc;
-  frameCache(doc);
+  frameCache(doc, scratch.path());
   boundedScans(doc);
   routerCache(doc);
   ute::benchutil::writeBenchFile("BENCH_cache.json", doc);

@@ -18,9 +18,9 @@ using namespace ute;
 
 std::string gMergedFile;
 
-void printFigure6() {
+void printFigure6(const std::string& dir) {
   PipelineOptions options;
-  options.dir = makeScratchDir("bench_fig6");
+  options.dir = dir;
   options.name = "flash";
   options.writeSlog = false;
   const PipelineResult run = runPipeline(flash(FlashOptions{}), options);
@@ -84,6 +84,7 @@ BENCHMARK(BM_ParseProgram);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printFigure6();
+  const ute::benchutil::ScratchDir scratch("bench_fig6");
+  printFigure6(scratch.path());
   return ute::benchutil::runBenchmarks(argc, argv);
 }

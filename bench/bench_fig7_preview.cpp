@@ -47,9 +47,7 @@ std::string buildSlogOfSize(const std::string& dir, std::uint32_t iterations,
   return runPipeline(testProgram(workload), options).slogFile;
 }
 
-void printFigure7() {
-  const std::string dir = makeScratchDir("bench_fig7");
-
+void printFigure7(const std::string& dir) {
   // The preview itself, on the FLASH-like phased run.
   {
     PipelineOptions options;
@@ -146,6 +144,7 @@ BENCHMARK(BM_PreviewRebin);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printFigure7();
+  const ute::benchutil::ScratchDir scratch("bench_fig7");
+  printFigure7(scratch.path());
   return ute::benchutil::runBenchmarks(argc, argv);
 }

@@ -17,11 +17,11 @@ using namespace ute;
 
 std::string gMergedFile;
 
-void printFigure8() {
+void printFigure8(const std::string& dir) {
   SppmOptions workload;
   workload.timesteps = 30;
   PipelineOptions options;
-  options.dir = makeScratchDir("bench_fig8");
+  options.dir = dir;
   options.name = "sppm";
   const PipelineResult run = runPipeline(sppm(workload), options);
   gMergedFile = run.mergedFile;
@@ -69,6 +69,7 @@ BENCHMARK(BM_RenderSvg)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printFigure8();
+  const ute::benchutil::ScratchDir scratch("bench_fig8");
+  printFigure8(scratch.path());
   return ute::benchutil::runBenchmarks(argc, argv);
 }

@@ -20,11 +20,11 @@ std::string gMergedFile;
 constexpr int kNodes = 4;
 constexpr int kCpus = 8;
 
-void printFigure9() {
+void printFigure9(const std::string& dir) {
   SppmOptions workload;
   workload.timesteps = 30;
   PipelineOptions options;
-  options.dir = makeScratchDir("bench_fig9");
+  options.dir = dir;
   options.name = "sppm";
   const PipelineResult run = runPipeline(sppm(workload), options);
   gMergedFile = run.mergedFile;
@@ -93,6 +93,7 @@ BENCHMARK(BM_BuildThreadProcessorView)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printFigure9();
+  const ute::benchutil::ScratchDir scratch("bench_fig9");
+  printFigure9(scratch.path());
   return ute::benchutil::runBenchmarks(argc, argv);
 }

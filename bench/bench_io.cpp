@@ -193,7 +193,9 @@ DecodeRow measureDecode() {
   workload.nodes = 64;
   workload.seed = 1;
   PipelineOptions options;
-  options.dir = makeScratchDir("bench_io_decode");
+  // The 64-node run's raw and interval files take over 100 MB.
+  const benchutil::ScratchDir scratch("bench_io_decode");
+  options.dir = scratch.path();
   options.name = "wide";
   const std::string v2 = runPipeline(testProgram(workload), options).slogFile;
   PipelineOptions v1Options = options;
@@ -221,8 +223,6 @@ DecodeRow measureDecode() {
   std::sort(passes.begin(), passes.end());
   row.usPerFrame =
       passes[kPasses / 2] * 1e6 / static_cast<double>(row.frames);
-  // The 64-node run's raw and interval files take over 100 MB.
-  std::filesystem::remove_all(options.dir);
   return row;
 }
 
@@ -238,12 +238,12 @@ struct ScanPoint {
   double seconds = 0;
 };
 
-void printSweep() {
+void printSweep(const std::string& dir) {
   TestProgramOptions workload;
   workload.iterations = 1200;
   workload.nodes = 4;
   PipelineOptions options;
-  options.dir = makeScratchDir("bench_io");
+  options.dir = dir;
   options.name = "io";
   options.slog.recordsPerFrame = 256;
   const PipelineResult run = runPipeline(testProgram(workload), options);
@@ -547,6 +547,7 @@ BENCHMARK(BM_WarmServerFrame);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printSweep();
+  const ute::benchutil::ScratchDir scratch("bench_io");
+  printSweep(scratch.path());
   return ute::benchutil::runBenchmarks(argc, argv);
 }

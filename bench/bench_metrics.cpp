@@ -63,12 +63,12 @@ std::string recordsPerSec(double seconds) {
       static_cast<double>(gRecords) / seconds));
 }
 
-void printSweep() {
+void printSweep(const std::string& dir) {
   TestProgramOptions workload;
   workload.iterations = 1200;
   workload.nodes = 4;
   PipelineOptions options;
-  options.dir = makeScratchDir("bench_metrics");
+  options.dir = dir;
   options.name = "metrics";
   options.slog.recordsPerFrame = 256;  // plenty of frames to scan
   const PipelineResult run = runPipeline(testProgram(workload), options);
@@ -197,6 +197,7 @@ BENCHMARK(BM_EncodeDecodeUtm)->Arg(240)->Arg(10000)
 }  // namespace
 
 int main(int argc, char** argv) {
-  printSweep();
+  const ute::benchutil::ScratchDir scratch("bench_metrics");
+  printSweep(scratch.path());
   return ute::benchutil::runBenchmarks(argc, argv);
 }

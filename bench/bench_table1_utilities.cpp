@@ -226,7 +226,8 @@ int main(int argc, char** argv) {
   }
   int newArgc = static_cast<int>(args.size());
 
-  gScratch = ute::makeScratchDir("bench_table1");
+  const ute::benchutil::ScratchDir scratch("bench_table1");
+  gScratch = scratch.path();
   printTable1();
   printPipelineSweep(jobsList);
   return ute::benchutil::runBenchmarks(newArgc, args.data());

@@ -14,6 +14,7 @@
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,27 @@ inline int runBenchmarks(int argc, char** argv) {
   benchmark::Shutdown();
   return 0;
 }
+
+/// A bench's scratch directory (makeScratchDir), removed with everything
+/// in it when the guard goes out of scope, so a finished run leaves
+/// nothing under the temp directory. Hold it for as long as anything
+/// reads the files: a bench whose microbenchmarks reopen them keeps it in
+/// main().
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& hint) : path_(makeScratchDir(hint)) {}
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Field-by-field record equality, for the benches that check one decode
 /// or query path against another.
