@@ -16,6 +16,7 @@
 //   (KIND: busy|mpi|io|marker|idle|commfrac|latesender|sendbytes|recvbytes)
 #include <cstdio>
 #include <exception>
+#include <functional>
 
 #include "analysis/metrics.h"
 #include "interval/standard_profile.h"
@@ -33,20 +34,22 @@ namespace {
 
 using namespace ute;
 
-int showMetrics(const MetricsStore& store, const std::string& kindName,
-                const CliParser& cli, int asciiCols) {
-  const auto kind = parseMetricKind(kindName);
-  if (!kind) {
-    std::fprintf(stderr, "unknown --metrics kind '%s'\n", kindName.c_str());
-    return 2;
-  }
-  std::printf("%s", renderMetricsHeatmapAscii(store, *kind, asciiCols)
-                        .c_str());
-  if (const auto svg = cli.value("svg")) {
-    writeWholeFile(*svg, renderMetricsHeatmapSvg(store, *kind));
-    std::printf("wrote %s\n", svg->c_str());
+/// Prints an ASCII rendering; given --svg FILE, also writes `svg()` there.
+int show(const CliParser& cli, const std::string& ascii,
+         const std::function<std::string()>& svg) {
+  std::printf("%s", ascii.c_str());
+  if (const auto path = cli.value("svg")) {
+    writeWholeFile(*path, svg());
+    std::printf("wrote %s\n", path->c_str());
   }
   return 0;
+}
+
+int showModel(const CliParser& cli, const TimeSpaceModel& model,
+              int asciiCols) {
+  AsciiOptions ascii;
+  ascii.columns = asciiCols;
+  return show(cli, renderAscii(model, ascii), [&] { return renderSvg(model); });
 }
 
 }  // namespace
@@ -64,23 +67,26 @@ int main(int argc, char** argv) {
 
     if (cli.value("utm") || cli.endpoint() ||
         (cli.value("slog") && cli.value("metrics"))) {
-      return showMetrics(loadMetricsStore(cli),
-                         cli.valueOr("metrics", std::string("busy")), cli,
-                         asciiCols);
+      const std::string kindName = cli.valueOr("metrics", std::string("busy"));
+      const auto kind = parseMetricKind(kindName);
+      if (!kind) {
+        std::fprintf(stderr, "unknown --metrics kind '%s'\n",
+                     kindName.c_str());
+        return 2;
+      }
+      const MetricsStore store = loadMetricsStore(cli);
+      return show(cli, renderMetricsHeatmapAscii(store, *kind, asciiCols),
+                  [&] { return renderMetricsHeatmapSvg(store, *kind); });
     }
 
     if (const auto slogPath = cli.value("slog")) {
       SlogReader slog(*slogPath);
       if (cli.hasFlag("preview")) {
-        std::printf("%s", renderPreviewAscii(slog.preview(), slog.states(),
-                                             50)
-                              .c_str());
-        if (const auto svg = cli.value("svg")) {
-          writeWholeFile(*svg,
-                         renderPreviewSvg(slog.preview(), slog.states(), 50));
-          std::printf("wrote %s\n", svg->c_str());
-        }
-        return 0;
+        return show(cli, renderPreviewAscii(slog.preview(), slog.states(), 50),
+                    [&] {
+                      return renderPreviewSvg(slog.preview(), slog.states(),
+                                              50);
+                    });
       }
       if (const auto window = cli.value("window")) {
         const auto parts = splitString(*window, ':');
@@ -92,15 +98,7 @@ int main(int argc, char** argv) {
                         static_cast<Tick>(parseF64(parts[0]) * 1e9);
         const Tick t1 = slog.totalStart() +
                         static_cast<Tick>(parseF64(parts[1]) * 1e9);
-        const TimeSpaceModel model = buildSlogWindowView(slog, t0, t1);
-        AsciiOptions ascii;
-        ascii.columns = asciiCols;
-        std::printf("%s", renderAscii(model, ascii).c_str());
-        if (const auto svg = cli.value("svg")) {
-          writeWholeFile(*svg, renderSvg(model));
-          std::printf("wrote %s\n", svg->c_str());
-        }
-        return 0;
+        return showModel(cli, buildSlogWindowView(slog, t0, t1), asciiCols);
       }
       const double atSec = cli.valueOr("frame-at", 0.0);
       const Tick t = slog.totalStart() +
@@ -110,15 +108,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "no frame contains t=%.3fs\n", atSec);
         return 1;
       }
-      const TimeSpaceModel model = buildSlogFrameView(slog, *frame);
-      AsciiOptions ascii;
-      ascii.columns = asciiCols;
-      std::printf("%s", renderAscii(model, ascii).c_str());
-      if (const auto svg = cli.value("svg")) {
-        writeWholeFile(*svg, renderSvg(model));
-        std::printf("wrote %s\n", svg->c_str());
-      }
-      return 0;
+      return showModel(cli, buildSlogFrameView(slog, *frame), asciiCols);
     }
 
     const std::string input = cli.valueOr("input", std::string());
@@ -152,15 +142,7 @@ int main(int argc, char** argv) {
 
     IntervalFileReader file(input);
     file.checkProfile(profile);
-    const TimeSpaceModel model = buildView(file, profile, options);
-    AsciiOptions ascii;
-    ascii.columns = asciiCols;
-    std::printf("%s", renderAscii(model, ascii).c_str());
-    if (const auto svg = cli.value("svg")) {
-      writeWholeFile(*svg, renderSvg(model));
-      std::printf("wrote %s\n", svg->c_str());
-    }
-    return 0;
+    return showModel(cli, buildView(file, profile, options), asciiCols);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "uteview: %s\n", e.what());
     return 1;
