@@ -56,21 +56,20 @@ std::string renderHeatmapAscii(const Heatmap& map) {
 HeatmapSvg openHeatmapSvg(const Heatmap& map, const SvgOptions& options,
                           int footerHeight) {
   const auto rows = static_cast<int>(map.values.size());
-  const std::size_t columns = map.values.empty() ? 0 : map.values[0].size();
   HeatmapSvg out;
-  out.cellWidth = static_cast<double>(svgChartWidth(options)) /
-                  static_cast<double>(std::max<std::size_t>(columns, 1));
   out.footerTop = kTop + rows * options.rowHeight;
   out.svg = openSvg(options.width,
                     static_cast<int>(out.footerTop) + footerHeight, map.title);
   for (int r = 0; r < rows; ++r) {
     const double y = kTop + r * options.rowHeight;
     const auto& row = map.values[static_cast<std::size_t>(r)];
+    const double cellWidth = static_cast<double>(svgChartWidth(options)) /
+                             static_cast<double>(row.size());
     svgText(out.svg, 4, y + options.rowHeight * 0.7,
             map.rowLabels[static_cast<std::size_t>(r)], 10);
     for (std::size_t c = 0; c < row.size(); ++c) {
-      svgRect(out.svg, options.labelWidth + c * out.cellWidth, y,
-              out.cellWidth, options.rowHeight - 2,
+      svgRect(out.svg, options.labelWidth + c * cellWidth, y, cellWidth,
+              options.rowHeight - 2,
               shade(map.scale > 0 ? row[c] / map.scale : 0));
     }
   }

@@ -35,7 +35,6 @@ std::string renderHeatmapAscii(const Heatmap& map);
 struct HeatmapSvg {
   /// An open document: the caller appends its footer, then "</svg>\n".
   std::string svg;
-  double cellWidth = 0;
   /// The y just below the last row.
   double footerTop = 0;
 };

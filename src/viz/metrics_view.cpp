@@ -136,6 +136,8 @@ std::string renderMetricsHeatmapSvg(const MetricsStore& store,
               " (max " + formatCellValue(kind, map.scale) + "/cell)";
   const int stripHeight = 40;  // derived commfrac/imbalance series
   HeatmapSvg out = openHeatmapSvg(map, options, stripHeight + 40);
+  const double cellWidth =
+      static_cast<double>(svgChartWidth(options)) / columns;
 
   // Derived series strip: the peak communication fraction (filled) and
   // load imbalance (line) of each column's bins, both on a 0..1 scale.
@@ -146,12 +148,12 @@ std::string renderMetricsHeatmapSvg(const MetricsStore& store,
   for (std::uint32_t c = 0; c < columns; ++c) {
     const auto [lo, hi] = columnBins(store, c, columns);
     const MetricsStore::Peaks peaks = store.peaks(lo, hi);
-    const double x = options.labelWidth + c * out.cellWidth;
+    const double x = options.labelWidth + c * cellWidth;
     svgRect(out.svg, x, stripTop + (1 - peaks.commFraction) * stripScale,
-            out.cellWidth, peaks.commFraction * stripScale, "#dd8452",
+            cellWidth, peaks.commFraction * stripScale, "#dd8452",
             " fill-opacity=\"0.7\"");
     line += c == 0 ? 'M' : 'L';
-    line += fixed(x + out.cellWidth / 2, 1) + ' ' +
+    line += fixed(x + cellWidth / 2, 1) + ' ' +
             fixed(stripTop + (1 - peaks.loadImbalance) * stripScale, 1) + ' ';
   }
   out.svg += "<path d=\"" + line +
