@@ -3,8 +3,9 @@
 //
 // The run-level scalars (the store's fractions over every bin) are
 // pinned against brute-force recomputation straight from the store's
-// columns (task-major loops, independent of the store's bin-major walk), summarize() against hand-computed
-// nearest-rank five-number summaries, and compareStores() against its
+// columns (task-major loops, independent of the store's bin-major
+// walk), summarize() against hand-computed nearest-rank five-number
+// summaries, and compareStores() against its
 // algebraic invariants (self-compare is exactly zero, swapping the
 // operands exactly negates every delta).
 #include <gtest/gtest.h>
