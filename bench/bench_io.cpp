@@ -1,13 +1,14 @@
 // I/O layer benchmarks for the zero-copy byte-source work: cold and warm
 // frame reads plus a whole-file scan sweep across the three read
-// strategies (mmap, plain stdio readAt, stdio fetch through the
-// BufferPool), written to BENCH_io.json. A decode row times readFrame per
-// frame on a SLOG shaped like perfbench batch-wide's (64 nodes, default
-// 4,096-record frames) and checks that every frame of its v2 file decodes
-// equal to the same frame of its v1 file. Also counts heap allocations on
+// strategies (mmap, plain pread readAt, pread fetch through the
+// BufferPool; the JSON keys still call the pread path "stdio"), written
+// to BENCH_io.json. A decode row times readFrame per frame on a SLOG
+// shaped like perfbench batch-wide's (64 nodes, default 4,096-record
+// frames) and checks that every frame of its v2 file decodes equal to
+// the same frame of its v1 file. Also counts heap allocations on
 // the warm server frame path — the zero-copy contract says a cache hit
 // hands out the shared decoded frame without allocating anything — and
-// checks that the mmap full scan is at least as fast as the stdio
+// checks that the mmap full scan is at least as fast as the pread
 // baseline. Then google-benchmark microbenchmarks of the same paths.
 // perfbench reports the frame-read p50 (`slog.frame_read_p50_ms`); the
 // encoding and read-strategy sweeps are only here.

@@ -1,6 +1,7 @@
 #include "analysis/metrics.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <tuple>
 
@@ -341,7 +342,19 @@ MetricsStore::Peaks MetricsStore::peaks(std::uint32_t lo,
 }
 
 std::vector<std::uint8_t> MetricsStore::encode() const {
+  const std::vector<std::uint64_t>* columns[kColumnCount] = {
+      &timeNs_[0], &timeNs_[1], &timeNs_[2],  &timeNs_[3],    &sendCount_,
+      &sendBytes_, &recvCount_, &recvBytes_,  &lateSenderNs_,
+  };
+  // The 48-byte header, 8 bytes per task, each column's directory entry
+  // (an lstring, a u8 kind and a u64 size), then the cells.
+  std::size_t size = 48 + std::size_t{8} * taskCount();
+  for (std::uint32_t c = 0; c < kColumnCount; ++c) {
+    size += 2 + std::strlen(kColumnNames[c]) + 1 + 8 +
+            columns[c]->size() * sizeof(std::uint64_t);
+  }
   ByteWriter w;
+  w.reserve(size);
   w.u32(kUtmMagic);
   w.u32(kUtmVersion);
   w.u64(origin_);
@@ -355,10 +368,6 @@ std::vector<std::uint8_t> MetricsStore::encode() const {
     w.i32(tasks_[k]);
     w.u32(threadsPerTask_[k]);
   }
-  const std::vector<std::uint64_t>* columns[kColumnCount] = {
-      &timeNs_[0], &timeNs_[1], &timeNs_[2],  &timeNs_[3],    &sendCount_,
-      &sendBytes_, &recvCount_, &recvBytes_,  &lateSenderNs_,
-  };
   for (std::uint32_t c = 0; c < kColumnCount; ++c) {
     w.lstring(kColumnNames[c]);
     w.u8(0);  // kind 0: u64 grid of bins x tasks cells

@@ -4,7 +4,7 @@
 //
 // Sits on the zero-copy ByteSource layer: directory and frame reads are
 // bounds-checked views into the file mapping (no per-frame heap copy on
-// the mmap path; pooled buffers on the stdio fallback). readFrame()
+// the mmap path; pooled buffers on the pread fallback). readFrame()
 // returns a FrameBuf — an immutable shared handle that stays valid for
 // as long as any holder keeps it, independent of the reader.
 #pragma once

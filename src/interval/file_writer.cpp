@@ -65,11 +65,8 @@ IntervalFileWriter::IntervalFileWriter(const std::string& path,
   if (header.size() != kIntervalHeaderBytes) {
     throw UsageError("interval header layout drifted");
   }
+  for (const ThreadEntry& t : threads) putThreadEntry(header, t);
   file_.write(header);
-
-  ByteWriter table;
-  for (const ThreadEntry& t : threads) putThreadEntry(table, t);
-  file_.write(table);
 }
 
 void IntervalFileWriter::addMarker(std::uint32_t id, const std::string& name) {
@@ -156,10 +153,13 @@ void IntervalFileWriter::flushDirectory() {
     dir.u64(f.maxEnd);
     frameOffset += f.bytes.size();
   }
-  // The frames are written from where they wait, not copied into one
-  // batch first: a directory's frames are then in memory only once.
-  file_.write(dir);
-  for (const PendingFrame& f : pendingFrames_) file_.write(f.bytes);
+  // One gathered write takes the frames from where they wait, not copied
+  // into one batch first: a directory's frames are in memory only once.
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(1 + pendingFrames_.size());
+  parts.push_back(dir.view());
+  for (const PendingFrame& f : pendingFrames_) parts.push_back(f.bytes);
+  file_.write(parts);
   pendingFrames_.clear();
 
   if (prevDirOffset_ != 0) {

@@ -7,7 +7,7 @@
 //
 // The reader sits on the zero-copy ByteSource layer: on the mmap path a
 // frame read decodes straight out of the mapping with no intermediate
-// byte copy, and on the stdio fallback the raw bytes come from a pooled
+// byte copy, and on the pread fallback the raw bytes come from a pooled
 // buffer. All metadata (index, tables, preview) is immutable after
 // construction, and every frame offset/size from the index is validated
 // against the actual file size up front (a corrupt or truncated file

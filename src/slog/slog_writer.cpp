@@ -64,11 +64,8 @@ SlogWriter::SlogWriter(const std::string& path, const SlogOptions& options,
   if (header.size() != kSlogHeaderBytes) {
     throw UsageError("SLOG header layout drifted");
   }
+  for (const ThreadEntry& t : threads_) putThreadEntry(header, t);
   file_.write(header);
-
-  ByteWriter table;
-  for (const ThreadEntry& t : threads_) putThreadEntry(table, t);
-  file_.write(table);
 }
 
 void SlogWriter::registerState(std::uint32_t id, const std::string& name) {
@@ -234,21 +231,16 @@ void SlogWriter::close() {
   if (closed_) return;
   finalizeFrame();
 
-  const std::uint64_t indexOffset = file_.tell();
+  // The frame index, the state table and the preview follow the last
+  // frame, in one gathered write.
   ByteWriter indexBytes;
   for (const SlogFrameIndexEntry& e : index_) {
     putFrameIndexEntry(indexBytes, e);
     // v2 entries append the per-frame encoding tag after the v1 prefix.
     if (options_.formatVersion >= 2) indexBytes.u32(e.encoding);
   }
-  file_.write(indexBytes);
-
-  const std::uint64_t stateOffset = file_.tell();
   ByteWriter stateBytes;
   for (const SlogStateDef& s : states_) putStateDef(stateBytes, s);
-  file_.write(stateBytes);
-
-  const std::uint64_t previewOffset = file_.tell();
   std::vector<std::uint32_t> order;
   order.reserve(states_.size());
   for (const SlogStateDef& s : states_) order.push_back(s.id);
@@ -256,7 +248,13 @@ void SlogWriter::close() {
   ByteWriter previewBytes;
   putPreviewHead(previewBytes, preview);
   putPreviewRows(previewBytes, preview);
-  file_.write(previewBytes);
+
+  const std::uint64_t indexOffset = file_.tell();
+  const std::uint64_t stateOffset = indexOffset + indexBytes.size();
+  const std::uint64_t previewOffset = stateOffset + stateBytes.size();
+  const std::span<const std::uint8_t> trailer[] = {
+      indexBytes.view(), stateBytes.view(), previewBytes.view()};
+  file_.write(trailer);
 
   ByteWriter patch1;
   patch1.u32(static_cast<std::uint32_t>(states_.size()));

@@ -93,11 +93,7 @@ FrameBuf ByteSource::fetch(std::uint64_t offset, std::size_t n) const {
                               static_cast<std::size_t>(offset), n));
   }
   std::vector<std::uint8_t> buf = pool_->acquire(n);
-  {
-    MutexLock lock(mu_);
-    file_->seek(offset);
-    file_->readExact(buf);
-  }
+  file_->readExactAt(offset, buf);
   auto owner = std::make_shared<const PooledBuffer>(pool_, std::move(buf));
   const std::span<const std::uint8_t> view(owner->bytes);
   return FrameBuf(std::move(owner), view);
@@ -112,9 +108,7 @@ std::size_t ByteSource::readAt(std::uint64_t offset,
     std::copy_n(map_->bytes().data() + offset, n, out.data());
     return n;
   }
-  MutexLock lock(mu_);
-  file_->seek(offset);
-  return file_->readSome(out.subspan(0, n));
+  return file_->readAt(offset, out.subspan(0, n));
 }
 
 void ByteSource::advise(MappedFile::Hint hint) const {

@@ -11,8 +11,8 @@
 //                 of mallocing one per frame.
 //   ByteSource  — a read-only file exposed as bounds-checked fetch()es.
 //                 Backed by an mmap (fetch = pointer arithmetic, zero
-//                 copies, no locks) with a graceful stdio fallback
-//                 (fetch = one pooled read under a mutex). Thread-safe
+//                 copies, no locks) with a graceful pread fallback
+//                 (fetch = one pooled pread, no lock either). Thread-safe
 //                 on both paths, so one ByteSource serves any number of
 //                 concurrent readers — this is what removed the
 //                 per-worker file-handle pools from the server and the
@@ -92,9 +92,9 @@ class BufferPool {
 class ByteSource {
  public:
   enum class Mode {
-    kAuto,    ///< mmap, falling back to stdio (honors UTE_NO_MMAP=1)
+    kAuto,    ///< mmap, falling back to pread (honors UTE_NO_MMAP=1)
     kMmap,    ///< mmap or throw IoError
-    kStream,  ///< stdio + BufferPool (the fallback path, forced)
+    kStream,  ///< pread + BufferPool (the fallback path, forced)
   };
 
   explicit ByteSource(const std::string& path, Mode mode = Mode::kAuto);
@@ -120,7 +120,7 @@ class ByteSource {
   /// refill primitive. Never throws on short reads.
   std::size_t readAt(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
-  /// Page-cache advice; a no-op on the stdio path.
+  /// Page-cache advice; a no-op on the pread path.
   void advise(MappedFile::Hint hint) const;
   void advise(std::uint64_t offset, std::uint64_t length,
               MappedFile::Hint hint) const;
@@ -133,11 +133,10 @@ class ByteSource {
 
   std::string path_;
   std::uint64_t size_ = 0;
-  std::shared_ptr<const MappedFile> map_;  ///< null on the stdio path
-  /// Fallback state: one stdio handle serialized by mu_ (the handle
-  /// pointer itself is set once in the constructor), buffers pooled.
-  mutable Mutex mu_;
-  std::unique_ptr<FileReader> file_ UTE_PT_GUARDED_BY(mu_);
+  std::shared_ptr<const MappedFile> map_;  ///< null on the pread path
+  /// Fallback state: a reader whose readAt() needs no lock, and pooled
+  /// buffers.
+  std::unique_ptr<const FileReader> file_;
   std::shared_ptr<BufferPool> pool_;
 };
 

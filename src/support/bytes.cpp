@@ -16,18 +16,14 @@ void ByteWriter::patchU32(std::size_t pos, std::uint32_t v) {
   if (pos + 4 > buf_.size()) {
     throw UsageError("patchU32: position out of range");
   }
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf_[pos + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
+  storeLe(buf_.data() + pos, v);
 }
 
 void ByteWriter::patchU64(std::size_t pos, std::uint64_t v) {
   if (pos + 8 > buf_.size()) {
     throw UsageError("patchU64: position out of range");
   }
-  for (std::size_t i = 0; i < 8; ++i) {
-    buf_[pos + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
+  storeLe(buf_.data() + pos, v);
 }
 
 std::string ByteReader::lstring() {

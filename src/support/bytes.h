@@ -31,6 +31,15 @@ inline T loadLe(const std::uint8_t* p) {
   }(std::make_index_sequence<sizeof(T)>{});
 }
 
+/// Stores `v` as sizeof(T) little-endian bytes at `p`: loadLe's
+/// counterpart, which compilers merge into a single store.
+template <typename T>
+inline void storeLe(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 /// Appends little-endian scalars to an in-memory buffer.
 class ByteWriter {
  public:
@@ -61,6 +70,10 @@ class ByteWriter {
   void patchU32(std::size_t pos, std::uint32_t v);
   void patchU64(std::size_t pos, std::uint64_t v);
 
+  /// Reserves room for `n` bytes in all, so an encoder that knows its
+  /// size grows the buffer once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   std::size_t size() const { return buf_.size(); }
   bool empty() const { return buf_.empty(); }
   void clear() { buf_.clear(); }
@@ -80,9 +93,7 @@ class ByteWriter {
       buf_.reserve(std::max(2 * buf_.capacity(), at + sizeof(T)));
     }
     buf_.resize(at + sizeof(T));
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    storeLe(buf_.data() + at, v);
   }
 
   std::vector<std::uint8_t> buf_;

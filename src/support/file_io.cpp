@@ -1,8 +1,15 @@
 #include "support/file_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
+#include <array>
 #include <cerrno>
 #include <climits>
 #include <cstring>
+#include <limits>
 
 namespace ute {
 
@@ -13,106 +20,134 @@ namespace {
                 std::strerror(errno));
 }
 
-/// fseek takes a long; a (corrupt) 64-bit offset above LONG_MAX would
-/// otherwise wrap negative and seek somewhere plausible instead of
-/// failing loudly.
-void requireSeekable(std::uint64_t offset, const std::string& path) {
-  if (offset > static_cast<std::uint64_t>(LONG_MAX)) {
+/// pread/pwrite take an off_t; a (corrupt) 64-bit offset above its range
+/// would otherwise wrap negative instead of failing loudly.
+off_t toOffset(std::uint64_t offset, const std::string& path) {
+  if (offset > static_cast<std::uint64_t>(std::numeric_limits<off_t>::max())) {
     throw IoError("seek offset " + std::to_string(offset) +
                   " exceeds the platform file-offset range" +
                   ioContext(path, offset));
   }
+  return static_cast<off_t>(offset);
 }
 
-/// stdio's default buffer (typically 4-8 KiB) turns frame-sized transfers
-/// into many small write()/read() syscalls; a 256 KiB buffer batches them.
-constexpr std::size_t kStdioBufferBytes = 256 << 10;
+/// The most iovecs one writev accepts.
+constexpr std::size_t kMaxIov = IOV_MAX;
 
 }  // namespace
 
 FileWriter::FileWriter(const std::string& path) : path_(path) {
-  f_ = std::fopen(path.c_str(), "wb");
-  if (f_ == nullptr) throwErrno("open for write", path);
-  iobuf_.resize(kStdioBufferBytes);
-  std::setvbuf(f_, iobuf_.data(), _IOFBF, iobuf_.size());
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd_ < 0) throwErrno("open for write", path);
 }
 
 FileWriter::~FileWriter() {
-  if (f_ != nullptr) std::fclose(f_);
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void FileWriter::requireOpen(const char* op) const {
+  if (fd_ < 0) {
+    throw UsageError(std::string("FileWriter: ") + op + " after close");
+  }
 }
 
 void FileWriter::write(std::span<const std::uint8_t> data) {
-  if (f_ == nullptr) throw UsageError("FileWriter: write after close");
-  if (data.empty()) return;
-  if (std::fwrite(data.data(), 1, data.size(), f_) != data.size()) {
-    throwErrno("write", path_);
+  const std::span<const std::uint8_t> parts[] = {data};
+  write(parts);
+}
+
+void FileWriter::write(std::span<const std::span<const std::uint8_t>> parts) {
+  requireOpen("write");
+  std::array<iovec, kMaxIov> iov{};
+  auto next = parts.begin();
+  while (next != parts.end()) {
+    std::size_t count = 0;
+    for (; next != parts.end() && count < kMaxIov; ++next) {
+      if (next->empty()) continue;
+      // writev only reads through iov_base.
+      iov[count++] = {const_cast<std::uint8_t*>(next->data()), next->size()};
+    }
+    iovec* pending = iov.data();
+    while (count > 0) {
+      const ssize_t n = ::writev(fd_, pending, static_cast<int>(count));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        if (n == 0) errno = EIO;
+        throwErrno("write", path_);
+      }
+      offset_ += static_cast<std::uint64_t>(n);
+      // Drop what the kernel took; a partial write resumes mid-part.
+      auto left = static_cast<std::size_t>(n);
+      while (count > 0 && left >= pending->iov_len) {
+        left -= pending->iov_len;
+        ++pending;
+        --count;
+      }
+      if (count > 0) {
+        pending->iov_base =
+            static_cast<std::uint8_t*>(pending->iov_base) + left;
+        pending->iov_len -= left;
+      }
+    }
   }
 }
 
 std::uint64_t FileWriter::tell() const {
-  if (f_ == nullptr) throw UsageError("FileWriter: tell after close");
-  const long pos = std::ftell(f_);
-  if (pos < 0) throwErrno("tell", path_);
-  return static_cast<std::uint64_t>(pos);
-}
-
-void FileWriter::seek(std::uint64_t offset) {
-  if (f_ == nullptr) throw UsageError("FileWriter: seek after close");
-  requireSeekable(offset, path_);
-  if (std::fseek(f_, static_cast<long>(offset), SEEK_SET) != 0) {
-    throwErrno("seek", path_);
-  }
+  requireOpen("tell");
+  return offset_;
 }
 
 void FileWriter::writeAt(std::uint64_t offset,
                          std::span<const std::uint8_t> data) {
-  const std::uint64_t back = tell();
-  seek(offset);
-  write(data);
-  seek(back);
-}
-
-void FileWriter::flush() {
-  if (f_ != nullptr && std::fflush(f_) != 0) throwErrno("flush", path_);
+  requireOpen("write");
+  while (!data.empty()) {
+    const ssize_t n =
+        ::pwrite(fd_, data.data(), data.size(), toOffset(offset, path_));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;
+      throwErrno("write", path_);
+    }
+    offset += static_cast<std::uint64_t>(n);
+    data = data.subspan(static_cast<std::size_t>(n));
+  }
 }
 
 void FileWriter::close() {
-  if (f_ == nullptr) return;
-  const int rc = std::fclose(f_);
-  f_ = nullptr;
+  if (fd_ < 0) return;
+  const int rc = ::close(fd_);
+  fd_ = -1;
   if (rc != 0) throwErrno("close", path_);
 }
 
 FileReader::FileReader(const std::string& path) : path_(path) {
-  f_ = std::fopen(path.c_str(), "rb");
-  if (f_ == nullptr) throwErrno("open for read", path);
-  iobuf_.resize(kStdioBufferBytes);
-  std::setvbuf(f_, iobuf_.data(), _IOFBF, iobuf_.size());
-  if (std::fseek(f_, 0, SEEK_END) != 0) throwErrno("seek", path);
-  const long end = std::ftell(f_);
-  if (end < 0) throwErrno("tell", path);
-  size_ = static_cast<std::uint64_t>(end);
-  if (std::fseek(f_, 0, SEEK_SET) != 0) throwErrno("seek", path);
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) throwErrno("open for read", path);
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    const int err = errno;
+    ::close(fd_);
+    errno = err;
+    throwErrno("stat", path);
+  }
+  size_ = static_cast<std::uint64_t>(st.st_size);
 }
 
 FileReader::~FileReader() {
-  if (f_ != nullptr) std::fclose(f_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void FileReader::readExact(std::span<std::uint8_t> data) {
-  const std::uint64_t pos = tell();
-  if (readSome(data) != data.size()) {
-    throw FormatError("unexpected end of file" + ioContext(path_, pos));
-  }
+  readExactAt(pos_, data);
+  pos_ += data.size();
 }
 
 std::vector<std::uint8_t> FileReader::read(std::size_t n) {
   // Guard before allocating: corrupted headers can claim absurd sizes.
-  const std::uint64_t pos = tell();
-  if (pos > size_ || n > size_ - pos) {
+  if (pos_ > size_ || n > size_ - pos_) {
     throw FormatError("read of " + std::to_string(n) +
                       " bytes exceeds file size " + std::to_string(size_) +
-                      ioContext(path_, pos));
+                      ioContext(path_, pos_));
   }
   std::vector<std::uint8_t> out(n);
   readExact(out);
@@ -120,24 +155,33 @@ std::vector<std::uint8_t> FileReader::read(std::size_t n) {
 }
 
 std::size_t FileReader::readSome(std::span<std::uint8_t> data) {
-  if (data.empty()) return 0;
-  const std::size_t got = std::fread(data.data(), 1, data.size(), f_);
-  if (got != data.size() && std::ferror(f_) != 0) throwErrno("read", path_);
+  const std::size_t got = readAt(pos_, data);
+  pos_ += got;
   return got;
 }
 
-std::uint64_t FileReader::tell() const {
-  const long pos = std::ftell(f_);
-  if (pos < 0) throwErrno("tell", path_);
-  return static_cast<std::uint64_t>(pos);
+std::size_t FileReader::readAt(std::uint64_t offset,
+                               std::span<std::uint8_t> out) const {
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::pread(fd_, out.data() + got, out.size() - got,
+                              toOffset(offset + got, path_));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throwErrno("read", path_);
+    if (n == 0) break;  // end of file
+    got += static_cast<std::size_t>(n);
+  }
+  return got;
 }
 
-void FileReader::seek(std::uint64_t offset) {
-  requireSeekable(offset, path_);
-  if (std::fseek(f_, static_cast<long>(offset), SEEK_SET) != 0) {
-    throwErrno("seek", path_);
+void FileReader::readExactAt(std::uint64_t offset,
+                             std::span<std::uint8_t> out) const {
+  if (readAt(offset, out) != out.size()) {
+    throw FormatError("unexpected end of file" + ioContext(path_, offset));
   }
 }
+
+void FileReader::seek(std::uint64_t offset) { pos_ = offset; }
 
 std::vector<std::uint8_t> readWholeFile(const std::string& path) {
   FileReader r(path);

@@ -1,15 +1,16 @@
-// Buffered binary file I/O with random access.
+// Binary file I/O with random access, straight on a POSIX descriptor.
 //
-// The interval and SLOG writers need to back-patch directory link offsets
-// after the frames they index have been written, and the readers need to
-// jump directly to a frame offset obtained from a directory entry, so both
-// classes expose seek/tell in addition to streaming reads and writes. They
-// are thin RAII wrappers over std::FILE (unbuffered syscalls would dominate
-// the utility benchmarks on the small records these formats use).
+// Neither class keeps a buffer of its own. Every writer above them
+// already assembles what it writes in memory: a trace session its
+// blocks, the interval writer a directory with its frames, the SLOG
+// writer a whole frame. FileWriter hands those bytes to the kernel in one
+// call, gathered when they sit in several places, and back-patches
+// directory links with pwrite. FileReader reads with pread at a tracked
+// cursor, and readAt() reads at any offset without touching the cursor,
+// so one reader may serve concurrent callers.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,25 +31,29 @@ class FileWriter {
 
   void write(std::span<const std::uint8_t> data);
   void write(const ByteWriter& w) { write(w.view()); }
+  /// Writes `parts` back to back with writev, in as few calls as the
+  /// kernel's IOV_MAX allows; empty parts are skipped.
+  void write(std::span<const std::span<const std::uint8_t>> parts);
 
+  /// The number of bytes written so far: where the next write() lands.
   std::uint64_t tell() const;
-  void seek(std::uint64_t offset);
 
-  /// Seeks to `offset`, writes `data`, then returns to the previous
-  /// position — used for back-patching directory links.
+  /// Writes `data` at `offset` without moving the write position — used
+  /// for back-patching directory links.
   void writeAt(std::uint64_t offset, std::span<const std::uint8_t> data);
 
-  void flush();
-  /// Flushes and closes; subsequent writes are a usage error. The
-  /// destructor also closes, but calling close() lets errors surface.
+  /// Closes; subsequent writes are a usage error. The destructor also
+  /// closes, but calling close() lets errors surface.
   void close();
 
   const std::string& path() const { return path_; }
 
  private:
+  void requireOpen(const char* op) const;
+
   std::string path_;
-  std::FILE* f_ = nullptr;
-  std::vector<char> iobuf_;  ///< large stdio buffer (batched write())
+  int fd_ = -1;
+  std::uint64_t offset_ = 0;
 };
 
 /// Read-only binary file with random access. Throws IoError / FormatError.
@@ -67,18 +72,25 @@ class FileReader {
   /// Reads up to data.size() bytes, returning the count (0 at EOF).
   std::size_t readSome(std::span<std::uint8_t> data);
 
-  std::uint64_t tell() const;
+  /// Reads up to out.size() bytes at `offset`, returning the count (0 at
+  /// EOF). Leaves the cursor alone, so concurrent calls are safe.
+  std::size_t readAt(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  /// Reads exactly out.size() bytes at `offset`; throws FormatError on a
+  /// short read. Also safe to call concurrently.
+  void readExactAt(std::uint64_t offset, std::span<std::uint8_t> out) const;
+
+  std::uint64_t tell() const { return pos_; }
   void seek(std::uint64_t offset);
   std::uint64_t size() const { return size_; }
-  bool atEnd() const { return tell() >= size_; }
+  bool atEnd() const { return pos_ >= size_; }
 
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
-  std::FILE* f_ = nullptr;
+  int fd_ = -1;
   std::uint64_t size_ = 0;
-  std::vector<char> iobuf_;  ///< large stdio buffer (batched read())
+  std::uint64_t pos_ = 0;
 };
 
 /// Reads a whole file into memory (for small files such as profiles).

@@ -46,7 +46,7 @@ std::shared_ptr<const MappedFile> MappedFile::tryMap(const std::string& path) {
     addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (addr == MAP_FAILED) {
       // Not an error: pipes, some network filesystems and exhausted
-      // address space all land here; the caller falls back to stdio.
+      // address space all land here; the caller falls back to pread.
       ::close(fd);
       return nullptr;
     }

@@ -5,7 +5,7 @@
 // the file lets those reads be pointer arithmetic instead of
 // seek+read+copy. MappedFile is the low-level primitive: it maps the
 // whole file PROT_READ and hands out std::span views. ByteSource
-// (support/byte_source.h) layers the graceful stdio fallback and the
+// (support/byte_source.h) layers the graceful pread fallback and the
 // shared-buffer semantics the readers consume; most code should use it
 // rather than MappedFile directly.
 //
@@ -34,7 +34,7 @@ class MappedFile {
 
   /// Maps `path` read-only, or returns nullptr when the file cannot be
   /// mapped (mmap unsupported by the filesystem, out of address space) —
-  /// the caller then falls back to stdio. Throws IoError when the file
+  /// the caller then falls back to pread. Throws IoError when the file
   /// cannot even be opened or stat'ed, so "file does not exist" reports
   /// identically on both paths.
   static std::shared_ptr<const MappedFile> tryMap(const std::string& path);

@@ -6,7 +6,7 @@
 //
 // Decoding runs over the ByteSource layer: when the file maps, records
 // are decoded in place from the mapping (no refill buffer, no copy — the
-// payload spans point straight into the file's pages); on the stdio
+// payload spans point straight into the file's pages); on the pread
 // fallback the reader streams through a bounded refill buffer, so
 // converting multi-hundred-megabyte trace files (Table 1 runs up to
 // 11.2 M raw events) never requires holding the file in memory.
@@ -63,11 +63,11 @@ class TraceFileReader {
 
   ByteSource source_;
   FrameBuf whole_;                 ///< the mapping (mmap path only)
-  std::vector<std::uint8_t> buf_;  ///< refill buffer (stdio path only)
+  std::vector<std::uint8_t> buf_;  ///< refill buffer (pread path only)
   const std::uint8_t* base_ = nullptr;
   std::size_t pos_ = 0;
   std::size_t filled_ = 0;
-  std::uint64_t fileOffset_ = 0;  ///< next refill position (stdio path)
+  std::uint64_t fileOffset_ = 0;  ///< next refill position (pread path)
   NodeId node_ = -1;
   int cpuCount_ = 0;
   std::uint64_t highWord_ = 0;

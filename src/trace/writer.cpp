@@ -1,5 +1,8 @@
 #include "trace/writer.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "support/errors.h"
 
 namespace ute {
@@ -22,7 +25,6 @@ TraceSession::TraceSession(const TraceOptions& options, NodeId node,
       file_(filePath_),
       tracingEnabled_(options.startEnabled) {
   if (options_.bufferSizeBytes < 4096) options_.bufferSizeBytes = 4096;
-  buffer_.reserve(options_.bufferSizeBytes);
 
   ByteWriter header;
   header.u32(kRawMagic);
@@ -103,37 +105,73 @@ void TraceSession::cut(EventType type, std::uint8_t flags, CpuId cpu,
   if (payload.size() > 0xffff) {
     throw UsageError("TraceSession: payload longer than 65535 bytes");
   }
-  const std::size_t recordSize =
-      4 /*hookword*/ + 4 /*timestamp*/ + 4 /*context*/ +
-      (extended ? 2 : 0) + payload.size();
-  if (buffer_.size() + recordSize > options_.bufferSizeBytes) flushBuffer();
+  const std::size_t headerSize =
+      4 /*hookword*/ + 4 /*timestamp*/ + 4 /*context*/ + (extended ? 2 : 0);
+  const std::size_t recordSize = headerSize + payload.size();
+  if (used_ + recordSize > options_.bufferSizeBytes) flushBuffer();
 
-  const std::uint32_t hw = makeHookword(
-      type, flags,
-      extended ? kExtendedLength : static_cast<std::uint8_t>(payload.size()));
-  const auto tsLow = static_cast<std::uint32_t>(localTs & 0xffffffffu);
-  const std::uint32_t ctx = makeContext(cpu, ltid);
-  const std::uint32_t words[3] = {hw, tsLow, ctx};
-  for (std::uint32_t w : words) {
-    for (int i = 0; i < 4; ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+  const std::uint8_t lengthByte =
+      extended ? kExtendedLength : static_cast<std::uint8_t>(payload.size());
+  const auto putHeader = [&](std::uint8_t* p) {
+    storeLe(p, makeHookword(type, flags, lengthByte));
+    storeLe(p + 4, static_cast<std::uint32_t>(localTs & 0xffffffffu));
+    storeLe(p + 8, makeContext(cpu, ltid));
+    if (extended) storeLe(p + 12, static_cast<std::uint16_t>(payload.size()));
+  };
+  if (recordSize <= room_) {
+    // The common case: the whole record fits in the current block.
+    putHeader(tail_);
+    if (!payload.empty()) {
+      std::memcpy(tail_ + headerSize, payload.data(), payload.size());
     }
+    tail_ += recordSize;
+    room_ -= recordSize;
+    used_ += recordSize;
+  } else {
+    std::uint8_t header[14] = {};
+    putHeader(header);
+    append(std::span(header, headerSize));
+    append(payload);
   }
-  if (extended) {
-    const auto n = static_cast<std::uint16_t>(payload.size());
-    buffer_.push_back(static_cast<std::uint8_t>(n & 0xff));
-    buffer_.push_back(static_cast<std::uint8_t>(n >> 8));
-  }
-  buffer_.insert(buffer_.end(), payload.begin(), payload.end());
   ++stats_.eventsCut;
 }
 
+void TraceSession::append(std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    if (room_ == 0) {
+      // used_ sits on a block edge here; open the block that starts there.
+      const std::size_t next = used_ / kBlockBytes;
+      if (next == blocks_.size()) {
+        blocks_.push_back(
+            std::make_unique_for_overwrite<std::uint8_t[]>(kBlockBytes));
+      }
+      tail_ = blocks_[next].get();
+      room_ = kBlockBytes;
+    }
+    const std::size_t n = std::min(bytes.size(), room_);
+    std::memcpy(tail_, bytes.data(), n);
+    tail_ += n;
+    room_ -= n;
+    used_ += n;
+    bytes = bytes.subspan(n);
+  }
+}
+
 void TraceSession::flushBuffer() {
-  if (buffer_.empty()) return;
-  file_.write(buffer_);
-  stats_.bytesWritten += buffer_.size();
+  if (used_ == 0) return;
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(blocks_.size());
+  for (std::size_t left = used_, b = 0; left > 0; ++b) {
+    const std::size_t n = std::min(left, kBlockBytes);
+    parts.emplace_back(blocks_[b].get(), n);
+    left -= n;
+  }
+  file_.write(parts);
+  stats_.bytesWritten += used_;
   ++stats_.bufferFlushes;
-  buffer_.clear();
+  used_ = 0;
+  tail_ = nullptr;
+  room_ = 0;
 }
 
 void TraceSession::close() {

@@ -2,11 +2,15 @@
 // facility (Section 2.1).
 //
 // Each SMP node owns one TraceSession. Instrumentation points "cut" trace
-// records into a fixed-size in-memory trace buffer; full buffers are
-// flushed to the node's raw trace file. Options control the file name
-// prefix, buffer size, which event classes are enabled, and whether
-// tracing starts immediately or is turned on later (to trace only a
-// portion of the run, substantially reducing trace volume).
+// records into an in-memory trace buffer; a buffer that would outgrow its
+// size is flushed to the node's raw trace file. The buffer is a list of
+// fixed 64 KiB blocks taken as records arrive and kept across flushes, so
+// a session holds memory for the most it has buffered at once, not for
+// its size: one process simulates every node, and a per-node reservation
+// is paid once per node. Options control the file name prefix, buffer
+// size, which event classes are enabled, and whether tracing starts
+// immediately or is turned on later (to trace only a portion of the run,
+// substantially reducing trace volume).
 //
 // The record layout mirrors the paper's cost analysis: a one-word
 // hookword, a one-word (32-bit) timestamp, one context word, then payload
@@ -14,9 +18,9 @@
 // TimestampWrap record whenever the high 32 bits of local time change.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +36,8 @@ namespace ute {
 struct TraceOptions {
   /// Raw trace files are named "<prefix>.<node>.utr".
   std::string filePrefix = "trace";
-  /// In-memory trace buffer size; full buffers flush to disk.
+  /// In-memory trace buffer size; a record that would overflow the
+  /// buffer first flushes it to disk.
   std::size_t bufferSizeBytes = 1 << 20;
   /// Bitmask over EventClass values; kControl is implicitly always on.
   std::uint32_t enabledClasses = ~0u;
@@ -104,14 +109,23 @@ class TraceSession {
   static std::string traceFilePath(const std::string& prefix, NodeId node);
 
  private:
+  /// Copies `bytes` behind the buffered ones, spilling into the next
+  /// block (allocated on first use) where the current one ends: the path
+  /// of a record that does not fit in the rest of its block.
+  void append(std::span<const std::uint8_t> bytes);
   void flushBuffer();
   bool classEnabled(EventType type) const;
+
+  static constexpr std::size_t kBlockBytes = 64 << 10;
 
   TraceOptions options_;
   NodeId node_;
   std::string filePath_;
   FileWriter file_;
-  std::vector<std::uint8_t> buffer_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
+  std::size_t used_ = 0;  ///< buffered bytes, filling blocks_ in order
+  std::uint8_t* tail_ = nullptr;  ///< where the next byte goes
+  std::size_t room_ = 0;  ///< bytes left in tail_'s block (0: none open)
   bool tracingEnabled_ = true;
   bool closed_ = false;
   std::uint32_t lastHighWord_ = 0;

@@ -564,6 +564,14 @@ TEST(MetricsIo, EncodeDecodeRoundTripsEveryColumn) {
   EXPECT_EQ(d.encode(), m.encode());
 }
 
+TEST(MetricsIo, EncodeReservesItsExactSize) {
+  const PipelineResult run = goldenRun("metrics_reserve");
+  SlogReader reader(run.slogFile);
+  const std::vector<std::uint8_t> bytes = computeMetrics(reader).encode();
+  // One reservation of the exact size: the buffer never grew past it.
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
 TEST(MetricsIo, DecodeRejectsCorruptHeader) {
   const Profile profile = makeStandardProfile();
   const std::string path = tempPath("metrics_corrupt.slog");

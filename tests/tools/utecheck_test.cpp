@@ -190,6 +190,7 @@ TEST(UtecheckInvariants, QualifiedPosixCallsAreFlagged) {
       {"src/fed/x.cpp", "void f(int s) { ::connect(s, nullptr, 0); }", "fed-socket-containment"},
       {"src/trace/x.cpp", "int f() { return ::open(\"p\", 0); }", "raw-io"},
       {"src/trace/x.cpp", "void f() { std::fopen(\"p\", \"r\"); }", "raw-io"},
+      {"src/trace/x.cpp", "void f(int fd) { ::pwrite(fd, \"p\", 1, 0); }", "raw-io"},
       {"src/stream/x.cpp", "void f(int e) { ::epoll_wait(e, nullptr, 1, 0); }",
        "reactor-containment"},
   };

@@ -187,6 +187,95 @@ TEST(TraceSession, StatsCountEventsAndBytes) {
   session.close();
 }
 
+// One raw record, encoded here rather than through the writer: the
+// hookword (type, flags, length byte), the low timestamp word, the context
+// word (cpu, 16-bit thread id), the u16 length when it does not fit the
+// length byte, then the payload.
+void putRawRecord(ByteWriter& w, EventType type, std::uint8_t flags,
+                  CpuId cpu, LogicalThreadId ltid, Tick ts,
+                  std::span<const std::uint8_t> payload) {
+  const bool extended = payload.size() > 254;
+  const std::uint32_t length = extended ? 0xff : payload.size();
+  w.u32(static_cast<std::uint32_t>(type) << 16 |
+        static_cast<std::uint32_t>(flags) << 8 | length);
+  w.u32(static_cast<std::uint32_t>(ts));
+  w.u32(static_cast<std::uint32_t>(cpu) << 16 |
+        (static_cast<std::uint32_t>(ltid) & 0xffff));
+  if (extended) w.u16(static_cast<std::uint16_t>(payload.size()));
+  w.bytes(payload);
+}
+
+TEST(TraceSession, RecordsStraddlingBlockEdgesKeepBytesAndStats) {
+  // Payload sizes that put records across the writer's 64 KiB block
+  // edges, longest first: a 65,535-byte payload spills whatever block it
+  // starts in.
+  const std::vector<std::size_t> sizes = {
+      65535, 1, 254, 255, 40000, 65535, 0, 30000, 65535, 12, 65535, 7};
+  for (const std::size_t bufferSize :
+       {std::size_t{4096}, std::size_t{100'000}, std::size_t{1} << 20}) {
+    SCOPED_TRACE("bufferSizeBytes " + std::to_string(bufferSize));
+    TraceOptions options = optionsFor("trace_rt_blocks");
+    options.bufferSizeBytes = bufferSize;
+
+    ByteWriter expected;
+    expected.u32(0x52455455);  // "UTER"
+    expected.u32(1);           // raw format version
+    expected.i32(2);           // node
+    expected.i32(4);           // cpu count
+    TraceSessionStats expectedStats;
+    expectedStats.bytesWritten = expected.size();
+    std::size_t buffered = 0;
+    const auto cutExpected = [&](EventType type, std::uint8_t flags,
+                                 CpuId cpu, LogicalThreadId ltid, Tick ts,
+                                 std::span<const std::uint8_t> payload) {
+      const std::size_t before = expected.size();
+      putRawRecord(expected, type, flags, cpu, ltid, ts, payload);
+      const std::size_t record = expected.size() - before;
+      if (buffered > 0 && buffered + record > bufferSize) {
+        ++expectedStats.bufferFlushes;
+        buffered = 0;
+      }
+      buffered += record;
+      expectedStats.bytesWritten += record;
+      ++expectedStats.eventsCut;
+    };
+    const std::vector<std::uint8_t> nodeInfo =
+        payloadNodeInfo(2, 4).take();
+    cutExpected(EventType::kNodeInfo, 0, 0, -1, 0, nodeInfo);
+
+    TraceSessionStats stats;
+    {
+      TraceSession session(options, /*node=*/2, /*cpuCount=*/4);
+      Tick ts = 10;
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        std::vector<std::uint8_t> payload(sizes[i]);
+        for (std::size_t j = 0; j < payload.size(); ++j) {
+          payload[j] = static_cast<std::uint8_t>(j * 131 + i);
+        }
+        const auto cpu = static_cast<CpuId>(i % 4);
+        const auto ltid = static_cast<LogicalThreadId>(i);
+        session.cut(EventType::kUserMarker, kFlagBegin, cpu, ltid, ts,
+                    payload);
+        cutExpected(EventType::kUserMarker, kFlagBegin, cpu, ltid, ts,
+                    payload);
+        ts += 1000;
+      }
+      session.close();
+      stats = session.stats();
+    }
+    if (buffered > 0) ++expectedStats.bufferFlushes;
+
+    const std::vector<std::uint8_t> file =
+        readWholeFile(TraceSession::traceFilePath(options.filePrefix, 2));
+    EXPECT_TRUE(file == expected.take()) << "raw bytes differ";
+    EXPECT_EQ(stats.eventsCut, expectedStats.eventsCut);
+    EXPECT_EQ(stats.eventsSuppressed, 0u);
+    EXPECT_EQ(stats.bytesWritten, expectedStats.bytesWritten);
+    EXPECT_EQ(stats.bufferFlushes, expectedStats.bufferFlushes);
+    EXPECT_EQ(stats.wrapRecords, 0u);
+  }
+}
+
 TEST(TraceReader, RejectsGarbageFile) {
   const std::string path = tempPath("trace_rt_garbage.utr");
   writeWholeFile(path, std::string("not a trace file at all, sorry"));

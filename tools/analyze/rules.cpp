@@ -135,9 +135,11 @@ const std::vector<Containment>& containmentTable() {
   static const std::vector<std::string> kReactorTcp = {"src/server/reactor.",
                                                        "src/server/tcp.cpp"};
   static const std::vector<Containment> kRows = {
-      {"raw-io", {"fopen", "open", "mmap", "munmap"}, {}, {}, {"src/"},
-       {"src/support/"},
-       "raw %s outside src/support — go through FileReader / ByteSource"},
+      {"raw-io",
+       {"fopen", "open", "pread", "pwrite", "writev", "mmap", "munmap"}, {},
+       {}, {"src/"}, {"src/support/"},
+       "raw %s outside src/support — go through FileReader / FileWriter / "
+       "ByteSource"},
       {"raw-mutex", {},
        {"std::mutex", "std::condition_variable", "std::condition_variable_any",
         "std::lock_guard", "std::unique_lock", "std::scoped_lock",
